@@ -1,14 +1,14 @@
 """Numerical laboratory for charged-particle dynamics in a punctured plane
 threaded by a linearly ramped magnetic flux line.
 
-Modules by topic: ``specfun`` (cylinder functions and Laguerre
-polynomials), ``classical`` (flow integration, guiding centers, conserved
-quantity, asymptotics), ``reduced`` (the equivalent Bessel-kernel integral
-equations and their Picard solver), ``spectral`` (the Landau-type
+Modules by topic: ``classical`` (flow integration, guiding centers,
+conserved quantity, asymptotics), ``reduced`` (the equivalent Bessel-kernel
+integral equations, their Picard solver and the cylinder functions J0, J1,
+Y0, Y1 from scipy.special), ``spectral`` (the Landau-type
 eigenfamily, coupling operator and kernel bound), ``adiabatic``
 (propagators and error scaling), ``cli`` (file-emitting front end).
 """
 
 __version__ = "0.1.0"
 
-from . import adiabatic, classical, errors, reduced, specfun, spectral  # noqa: F401,E402
+from . import adiabatic, classical, errors, reduced, spectral  # noqa: F401,E402

@@ -28,7 +28,7 @@ truncation bookkeeping, not a mathematical gap; they are reported, not
 asserted small.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,8 +52,8 @@ class AdiabaticConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
             raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
-        if self.s_end <= 0:
-            raise ValidationError("s_end must be positive")
+        if not np.isfinite(self.s_end) or self.s_end <= 0:
+            raise ValidationError(f"s_end must be positive and finite, got {self.s_end!r}")
         if self.n_samples < 2:
             raise ValidationError("need at least two samples")
         if self.N < 2:
@@ -92,25 +92,34 @@ def u_ad(config):
     return out
 
 
+def _pi_at(config, s):
+    """Coupling Pi(s) on the truncation, or zero under the test hook."""
+    if config.force_zero_coupling:
+        return np.zeros((config.N, config.N), dtype=complex)
+    return pi_matrix(s, config.N).P
+
+
 class _FilonPanels:
     """Panel integrals of W(s) = exp(2i(m-n)s/eps) Pi_mn(s).
 
     The quadratic model of Pi uses the panel endpoints and midpoint, and
     the oscillatory moments int tau^k exp(i omega tau) dtau are evaluated
-    in closed form per panel (omega = 2(m-n)/eps).  Edges may be any
-    ascending sequence, so propagation can stop at arbitrary times.
+    in closed form per panel (omega = 2(m-n)/eps).  ``stops`` is any
+    ascending sequence of times; each interval between consecutive stops
+    is split into equal panels no wider than min(panel_max, eps/4), so
+    every stop is a panel edge and propagation can halt there.
     """
 
-    def __init__(self, config, edges=None):
+    def __init__(self, config, stops):
         self.config = config
-        if edges is None:
-            grid = config.s_grid
-            per = max(1, int(np.ceil((grid[1] - grid[0])
-                                     / min(config.panel_max, config.epsilon / 4.0))))
-            parts = [np.linspace(grid[k], grid[k + 1], per + 1)[:-1]
-                     for k in range(len(grid) - 1)]
-            edges = np.concatenate(parts + [[grid[-1]]])
-        self.edges = np.asarray(edges, dtype=float)
+        width = min(config.panel_max, config.epsilon / 4.0)
+        parts = []
+        for a, b in zip(stops[:-1], stops[1:]):
+            # a linspace grid leaves ulp noise in b - a; an interval that is
+            # a whole number of panels to within rounding must not gain one
+            per = max(1, int(np.ceil((b - a) / width * (1.0 - 1e-12))))
+            parts.append(np.linspace(a, b, per + 1)[:-1])
+        self.edges = np.concatenate(parts + [stops[-1:]])
         n = np.arange(config.N)
         self.omega = 2.0 * (n[:, None] - n[None, :]) / config.epsilon
 
@@ -127,11 +136,6 @@ class _FilonPanels:
                       2.0 * ((w * w - 2.0) * sin + 2.0 * w * cos) / ws ** 3)
         return m0, m1, m2
 
-    def _pi(self, s):
-        if self.config.force_zero_coupling:
-            return np.zeros((self.config.N, self.config.N), dtype=complex)
-        return pi_matrix(s, self.config.N).P
-
     def panel_integrals(self, with_commutator=False):
         """Yields (a, b, integral of W, [Magnus-2 term]) per panel.
 
@@ -142,9 +146,8 @@ class _FilonPanels:
         to four Hadamard/matrix products per panel.
         """
         edges = self.edges
-        pi_right = self._pi(edges[0])
+        pi_right = _pi_at(self.config, edges[0])
         omega = self.omega
-        n_idx = np.arange(self.config.N)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_iw = np.where(omega != 0.0, 1.0 / (1j * omega), 0.0)
         for k in range(len(edges) - 1):
@@ -153,8 +156,8 @@ class _FilonPanels:
                 continue
             mid = 0.5 * (a + b)
             pa = pi_right
-            pm = self._pi(mid)
-            pb = self._pi(b)
+            pm = _pi_at(self.config, mid)
+            pb = _pi_at(self.config, b)
             pi_right = pb
             c = 0.5 * (b - a)
             alpha = pm
@@ -188,10 +191,7 @@ def twisted_coupling_integral(config, check_refinement=True):
     """
     mats, norms = _accumulate_integral(config)
     if check_refinement:
-        fine = AdiabaticConfig(epsilon=config.epsilon, s_end=config.s_end,
-                               n_samples=config.n_samples, N=config.N,
-                               panel_max=config.panel_max / 2.0,
-                               force_zero_coupling=config.force_zero_coupling)
+        fine = replace(config, panel_max=config.panel_max / 2.0)
         _, norms_fine = _accumulate_integral(fine)
         if abs(norms_fine[-1] - norms[-1]) > 1e-6:
             raise GridTooCoarse(
@@ -201,7 +201,7 @@ def twisted_coupling_integral(config, check_refinement=True):
 
 
 def _accumulate_integral(config):
-    panels = _FilonPanels(config)
+    panels = _FilonPanels(config, config.s_grid)
     acc = np.zeros((config.N, config.N), dtype=complex)
     mats = [acc.copy()]
     sample_at = set(config.s_grid[1:].tolist())
@@ -222,22 +222,21 @@ def dyson_corrector(config, check_refinement=False):
     """
     seq = _corrector_sequence(config)
     if check_refinement:
-        fine = AdiabaticConfig(epsilon=config.epsilon, s_end=config.s_end,
-                               n_samples=config.n_samples, N=config.N,
-                               panel_max=config.panel_max / 2.0,
-                               force_zero_coupling=config.force_zero_coupling)
-        ref = _corrector_sequence(fine)
+        ref = _corrector_sequence(replace(config, panel_max=config.panel_max / 2.0))
         drift = np.linalg.norm(seq[-1].M - ref[-1].M, 2)
         if drift > 1e-6:
             raise GridTooCoarse(f"corrector moved {drift:.2e} under panel halving")
     return seq
 
 
-def _corrector_sequence(config):
-    panels = _FilonPanels(config)
+def _corrector_sequence(config, stops=None):
+    """C at each of the ascending ``stops`` (default: the sample grid),
+    starting from C = id at the first stop."""
+    stops = config.s_grid if stops is None else stops
+    panels = _FilonPanels(config, stops)
     c = np.eye(config.N, dtype=complex)
-    out = [PropagatorMatrix(s=0.0, M=c.copy(), kind="C")]
-    sample_at = set(config.s_grid[1:].tolist())
+    out = [PropagatorMatrix(s=float(stops[0]), M=c.copy(), kind="C")]
+    sample_at = set(stops[1:].tolist())
     for a, b, block, omega2 in panels.panel_integrals(with_commutator=True):
         c = _magnus_step(block, omega2) @ c
         if b in sample_at:
@@ -291,43 +290,21 @@ def residual_generator_check(config, probes=None, delta=1e-6):
     """
     if probes is None:
         probes = config.s_grid[1:-1:max(1, (config.n_samples - 2) // 8)]
+    probes = np.asarray(probes, dtype=float)
     n = np.arange(config.N)
-    energies = lambda s: 2.0 * n + 2.0 * s + 1.0
     eps = config.epsilon
 
     def uad_matrix(s):
         return np.diag(np.exp(-1j * phase_integrals(s, config.N, eps)))
 
-    def pi_at(s):
-        if config.force_zero_coupling:
-            return np.zeros((config.N, config.N), dtype=complex)
-        return pi_matrix(s, config.N).P
-
-    def corrector_at(s_list):
-        want = sorted(s_list)
-        cfg = AdiabaticConfig(epsilon=eps, s_end=float(want[-1]), n_samples=2,
-                              N=config.N, panel_max=config.panel_max,
-                              force_zero_coupling=config.force_zero_coupling)
-        width = min(cfg.panel_max, eps / 4.0)
-        uniform = np.arange(0.0, want[-1], width)
-        edges = np.unique(np.concatenate([uniform, np.asarray(want), [want[-1]]]))
-        panels = _FilonPanels(cfg, edges=edges)
-        want_set = set(want)
-        got = {}
-        c = np.eye(config.N, dtype=complex)
-        for a, b, block, omega2 in panels.panel_integrals(with_commutator=True):
-            c = _magnus_step(block, omega2) @ c
-            if b in want_set:
-                got[b] = c.copy()
-        return got
-
+    stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
+    corrector = {p.s: p.M for p in _corrector_sequence(config, stops)}
     res_ad, res_w = [], []
     for s in probes:
-        pim = pi_at(s)
-        h = np.diag(energies(s).astype(complex))
+        pim = _pi_at(config, s)
+        h = np.diag((2.0 * n + 2.0 * s + 1.0).astype(complex))
         up, um, u0 = uad_matrix(s + delta), uad_matrix(s - delta), uad_matrix(s)
-        needed = corrector_at([s - delta, s, s + delta])
-        cp, cm, c0 = needed[s + delta], needed[s - delta], needed[s]
+        cp, cm, c0 = corrector[s + delta], corrector[s - delta], corrector[s]
         du_ad = (up - um) / (2 * delta)
         r_ad = 1j * eps * (du_ad - 1j * pim @ u0) - (h + eps * pim) @ u0
         mw_p, mw_m, mw_0 = up @ cp, um @ cm, u0 @ c0
@@ -335,7 +312,7 @@ def residual_generator_check(config, probes=None, delta=1e-6):
         r_w = 1j * eps * (dmw - 1j * pim @ mw_0) - h @ mw_0
         res_ad.append(np.linalg.norm(r_ad, 2))
         res_w.append(np.linalg.norm(r_w, 2))
-    return np.asarray(probes, dtype=float), np.asarray(res_ad), np.asarray(res_w)
+    return probes, np.asarray(res_ad), np.asarray(res_w)
 
 
 @dataclass(frozen=True)
@@ -357,6 +334,8 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
     ||U_w - U_ad||; their endpoint values are fitted as power laws in
     epsilon when at least two epsilons are given.
     """
+    if len(set(epsilons)) != len(epsilons):
+        raise ValidationError(f"epsilons must be distinct, got {list(epsilons)!r}")
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     nt, nc, nw, ud = [], [], [], []
     s_grid = None

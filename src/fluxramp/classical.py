@@ -150,19 +150,8 @@ def hamiltonian(state, params):
 
 def flow_rhs(state, params):
     """Canonical equations (dq/ds, dp/ds) at the given state."""
-    dq, dp = _rhs_split(state.s, state.q, state.p, params.phi)
-    return dq, dp
-
-
-def _rhs_split(s, q, p, phi):
-    r2 = q[0] * q[0] + q[1] * q[1]
-    if r2 == 0.0:
-        raise ValidationError("flow is singular at q = 0")
-    g = 0.5 - phi * s / r2
-    vx = p[0] + g * q[1]
-    vy = p[1] - g * q[0]
-    w = 2.0 * phi * s * (vy * q[0] - vx * q[1]) / (r2 * r2)
-    return (np.array([vx, vy]), np.array([w * q[0] + g * vy, w * q[1] - g * vx]))
+    vx, vy, dpx, dpy = _rhs_flat(state.s, (*state.q, *state.p), params.phi)
+    return np.array([vx, vy]), np.array([dpx, dpy])
 
 
 def _rhs_flat(s, y, phi):

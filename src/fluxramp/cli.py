@@ -18,17 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, adiabatic, classical, reduced, spectral
-from .errors import (
-    BranchError,
-    DenominatorVanishes,
-    FluxrampError,
-    GridTooCoarse,
-    NoConvergence,
-    NotConverged,
-    PunctureHit,
-    StepFailure,
-    ValidationError,
-)
+from .errors import FluxrampError, NoConvergence, PunctureHit, ValidationError
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -441,8 +431,7 @@ def main(argv=None):
     except PunctureHit as exc:
         print(f"puncture event: {exc}", file=sys.stderr)
         return EXIT_PUNCTURE
-    except (StepFailure, BranchError, DenominatorVanishes, GridTooCoarse,
-            NotConverged, FluxrampError) as exc:
+    except FluxrampError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return code

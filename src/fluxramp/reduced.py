@@ -39,6 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.special import j0, j1, y0, y1
 
 from . import classical
 from .errors import (
@@ -48,9 +49,35 @@ from .errors import (
     NotConverged,
     ValidationError,
 )
-from .specfun import bessel_j, bessel_y
 
 _DENOM_FLOOR = 1e-12
+
+
+def _bessel_arg(name, order, x):
+    if order not in (0, 1):
+        raise ValidationError(f"Bessel order must be 0 or 1, got {order!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} requires finite x")
+    return x
+
+
+def bessel_j(order, x):
+    """Bessel function of the first kind J_0 or J_1 (scipy.special), x >= 0."""
+    x = _bessel_arg("bessel_j", order, x)
+    if np.any(x < 0):
+        raise ValidationError("bessel_j requires x >= 0")
+    out = (j0 if order == 0 else j1)(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def bessel_y(order, x):
+    """Bessel function of the second kind Y_0 or Y_1 (scipy.special), x > 0."""
+    x = _bessel_arg("bessel_y", order, x)
+    if np.any(x <= 0):
+        raise ValidationError("bessel_y requires x > 0")
+    out = (y0 if order == 0 else y1)(x)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -208,8 +235,8 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
         raise ValidationError(f"s_start must be positive, got {s_start!r}")
     if config.s_max < 10.0 * s_start:
         raise ValidationError("s_max must be at least 10 * s_start")
-    if phi <= 0:
-        raise ValidationError("phi must be positive")
+    if not np.isfinite(phi) or phi <= 0:
+        raise ValidationError(f"phi must be positive and finite, got {phi!r}")
 
     n_panels = max(4, int(np.ceil((config.s_max - s_start) / config.panel_width)))
     quad = _PanelQuadrature(s_start, config.s_max, n_panels, config.quad_nodes)

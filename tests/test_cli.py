@@ -3,8 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from fluxramp import cli
+from fluxramp import adiabatic, cli, reduced
 
 
 def run(argv):
@@ -120,6 +121,26 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(rd, "picard_solve", stalls)
     code = run(["reduced", "--phi", "0.5", "--out", str(tmp_path / "rednc")])
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduced", "--phi", "nan"],
+    ["adiabatic", "--s-end", "inf"],
+    ["adiabatic", "--s-end", "nan"],
+    ["adiabatic", "--epsilons", "0.1,0.1"],
+])
+def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computation started on invalid input")
+
+    monkeypatch.setattr(reduced, "_PanelQuadrature", unreachable)
+    monkeypatch.setattr(adiabatic, "_FilonPanels", unreachable)
+    code = run(argv + ["--out", str(tmp_path / "bad")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_spectral_eigenvalues_and_checks(tmp_path):

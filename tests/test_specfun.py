@@ -1,4 +1,4 @@
-"""Cylinder functions and Laguerre polynomials against frozen oracles.
+"""Cylinder functions J0, J1, Y0, Y1 of the reduced study against frozen oracles.
 
 The reference values were produced once with an extended-precision
 ascending series (mpmath at 30 digits) and frozen below; the acceptance
@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxramp.errors import ValidationError
-from fluxramp.specfun import Accuracy, bessel_j, bessel_y, laguerre
+from fluxramp.reduced import bessel_j, bessel_y
 
 # (x, value) pairs, mpmath 30-digit series, 20 digits kept
 J0_TABLE = [
@@ -91,13 +91,6 @@ def test_named_values():
     assert_allclose(bessel_y(1, 1.0), -0.78121282130028872, rtol=1e-14)
 
 
-def test_accuracy_type():
-    assert Accuracy().rel_tol == 1e-12
-    for bad in (0.0, -1e-3, np.inf, np.nan):
-        with pytest.raises(ValidationError):
-            Accuracy(rel_tol=bad)
-
-
 def test_domain_errors():
     with pytest.raises(ValidationError):
         bessel_j(0, -1.0)
@@ -124,36 +117,6 @@ def test_derivative_relation():
     h = 1e-5
     d = (bessel_j(0, x + h) - bessel_j(0, x - h)) / (2 * h)
     assert np.max(np.abs(d + bessel_j(1, x))) < 5e-10
-
-
-def test_laguerre_trivial():
-    assert laguerre(0, 0.3, 5.0) == 1.0
-    assert_allclose(laguerre(1, 0.5, 2.0), -0.5, rtol=0, atol=1e-15)
-    # degree-5 value from exact rational arithmetic: L_5(3) = 17/20
-    assert_allclose(laguerre(5, 0.0, 3.0), 0.85, rtol=1e-14)
-
-
-def test_laguerre_recurrence_residual():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 199))
-        alpha = rng.uniform(-0.9, 4.0)
-        x = rng.uniform(0.0, 300.0)
-        lm, l0, lp = (laguerre(k, alpha, x) for k in (n - 1, n, n + 1))
-        resid = (n + 1) * lp - (2 * n + 1 + alpha - x) * l0 + (n + alpha) * lm
-        scale = max(abs(lm), abs(l0), abs(lp), 1.0)
-        assert abs(resid) <= 1e-10 * scale
-
-
-def test_laguerre_domain_errors():
-    with pytest.raises(ValidationError):
-        laguerre(-1, 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        laguerre(501, 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        laguerre(3, -1.0, 1.0)
-    with pytest.raises(ValidationError):
-        laguerre(3, 0.0, -1.0)
 
 
 def test_dense_scan_against_mpmath():
