@@ -102,26 +102,32 @@ def _pi_at(config, s):
 class _FilonPanels:
     """Panel integrals of W(s) = exp(2i(m-n)s/eps) Pi_mn(s).
 
-    The quadratic model of Pi uses the panel endpoints and midpoint, and
-    the oscillatory moments int tau^k exp(i omega tau) dtau are evaluated
-    in closed form per panel (omega = 2(m-n)/eps).  ``stops`` is any
-    ascending sequence of times; each interval between consecutive stops
-    is split into equal panels no wider than min(panel_max, eps/4), so
-    every stop is a panel edge and propagation can halt there.
+    The quadratic model of Pi uses the panel endpoints and midpoint against
+    the exact oscillatory moments int tau^k exp(i omega tau) dtau
+    (omega = 2(m-n)/eps).  ``stops`` is any ascending sequence of times;
+    each interval between consecutive stops is split into equal panels no
+    wider than min(panel_max, eps/4), so every stop is a panel edge and
+    propagation can halt there.
+
+    Moments, phases and commutator factors depend on (m, n) only through
+    d = m - n, so they are evaluated on the 2N-1 values of d and gathered
+    by one index array.  All panels of one interval share their half-width
+    c, so the moment tables are built once per interval; a panel itself
+    costs 2N-1 exponentials (its phase) plus the matrix products.
     """
 
     def __init__(self, config, stops):
         self.config = config
         width = min(config.panel_max, config.epsilon / 4.0)
-        parts = []
+        self.intervals = []
         for a, b in zip(stops[:-1], stops[1:]):
             # a linspace grid leaves ulp noise in b - a; an interval that is
             # a whole number of panels to within rounding must not gain one
             per = max(1, int(np.ceil((b - a) / width * (1.0 - 1e-12))))
-            parts.append(np.linspace(a, b, per + 1)[:-1])
-        self.edges = np.concatenate(parts + [stops[-1:]])
+            self.intervals.append(np.linspace(a, b, per + 1))
         n = np.arange(config.N)
-        self.omega = 2.0 * (n[:, None] - n[None, :]) / config.epsilon
+        self.omega_d = 2.0 * np.arange(1 - config.N, config.N) / config.epsilon
+        self.by_d = n[:, None] - n[None, :] + (config.N - 1)
 
     @staticmethod
     def _moments(omega, c):
@@ -143,43 +149,48 @@ class _FilonPanels:
         Omega_2 = -(1/2) int_a^b int_a^{s1} [W(s1), W(s2)] ds2 ds1
         with Pi frozen at the midpoint; because the phase frequencies add
         along index chains (w_mk + w_kn = w_mn) the double integral reduces
-        to four Hadamard/matrix products per panel.
+        to Hadamard/matrix products per panel, and since every factor
+        is hermitian, two of the four products are adjoints of the others.
         """
-        edges = self.edges
-        pi_right = _pi_at(self.config, edges[0])
-        omega = self.omega
+        omega_d, by_d = self.omega_d, self.by_d
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv_iw = np.where(omega != 0.0, 1.0 / (1j * omega), 0.0)
-        for k in range(len(edges) - 1):
-            a, b = edges[k], edges[k + 1]
-            if b <= a:
-                continue
-            mid = 0.5 * (a + b)
-            pa = pi_right
-            pm = _pi_at(self.config, mid)
-            pb = _pi_at(self.config, b)
-            pi_right = pb
-            c = 0.5 * (b - a)
-            alpha = pm
-            beta = (pb - pa) / (2.0 * c)
-            gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
-            m0, m1, m2 = self._moments(omega, c)
-            phase = np.exp(1j * omega * mid)
-            block = phase * (alpha * m0 + beta * m1 + gamma * m2)
-            if not with_commutator:
-                yield a, b, block
-                continue
-            # D(alpha_f, beta_f) = e^{i(alpha_f+beta_f) mid}
-            #                      [F(alpha_f+beta_f) - e^{-i beta_f c} F(alpha_f)]
-            #                      / (i beta_f),  F = m0 above.
-            pf = pm * m0                      # Pi_mk F(w_mk), elementwise
-            pe = pm * np.exp(-1j * omega * c) * inv_iw
-            pw = pm * inv_iw
-            # sum_k Pi Pi [D(w_mk, w_kn) - D(w_kn, w_mk)] splits into
-            #   F(w_mn) * [Pi @ (Pi/iw) - (Pi/iw) @ Pi]  -  pf @ pe  +  pe @ pf
-            dd = m0 * (pm @ pw - pw @ pm) - pf @ pe + pe @ pf
-            omega2 = -0.5 * phase * dd
-            yield a, b, block, omega2
+            inv_iw_d = np.where(omega_d != 0.0, 1.0 / (1j * omega_d), 0.0)
+        inv_iw = inv_iw_d[by_d]
+        pi_right = _pi_at(self.config, self.intervals[0][0])
+        for edges in self.intervals:
+            c = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
+            m0, m1, m2 = (m[by_d] for m in self._moments(omega_d, c))
+            if with_commutator:
+                e_iw = (np.exp(-1j * omega_d * c) * inv_iw_d)[by_d]
+            for a, b in zip(edges[:-1], edges[1:]):
+                if b <= a:
+                    continue
+                mid = 0.5 * (a + b)
+                pa = pi_right
+                pm = _pi_at(self.config, mid)
+                pb = _pi_at(self.config, b)
+                pi_right = pb
+                beta = (pb - pa) / (2.0 * c)
+                gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
+                phase = np.exp(1j * omega_d * mid)[by_d]
+                block = phase * (pm * m0 + beta * m1 + gamma * m2)
+                if not with_commutator:
+                    yield a, b, block
+                    continue
+                # D(alpha_f, beta_f) = e^{i(alpha_f+beta_f) mid}
+                #                      [F(alpha_f+beta_f) - e^{-i beta_f c} F(alpha_f)]
+                #                      / (i beta_f),  F = m0 above.
+                # sum_k Pi Pi [D(w_mk, w_kn) - D(w_kn, w_mk)] splits into
+                #   F(w_mn) * [Pi @ pw - pw @ Pi]  -  pf @ pe  +  pe @ pf
+                # with pf = Pi F, pw = Pi/(iw), pe = Pi e^{-iwc}/(iw) entrywise;
+                # all four are hermitian, so pw @ Pi = (Pi @ pw)^H and
+                # pe @ pf = (pf @ pe)^H.
+                pf = pm * m0
+                x = pm @ (pm * inv_iw)
+                y = pf @ (pm * e_iw)
+                dd = m0 * (x - x.conj().T) - (y - y.conj().T)
+                omega2 = -0.5 * phase * dd
+                yield a, b, block, omega2
 
 
 def twisted_coupling_integral(config, check_refinement=True):

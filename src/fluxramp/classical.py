@@ -180,6 +180,8 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
         raise ValidationError(f"r_guard must lie in (0, 1), got {r_guard!r}")
     s0 = float(initial.s)
     s_end = float(s_end)
+    if not np.isfinite(s_end):
+        raise ValidationError(f"s_end must be finite, got {s_end!r}")
     if s_end == s0:
         return Trajectory(params=params, s=np.array([s0]),
                           q=initial.q[None, :].copy(), p=initial.p[None, :].copy())

@@ -13,6 +13,7 @@ flags win.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -44,6 +45,15 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _check_out_prefix(prefix):
+    """Fail before any work when the output files could not be created."""
+    folder = os.path.dirname(prefix) or "."
+    if not os.path.isdir(folder):
+        raise ValidationError(f"output directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ValidationError(f"output directory {folder!r} is not writable")
 
 
 def _parse_vec2(text, name):
@@ -421,6 +431,7 @@ def main(argv=None):
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        _check_out_prefix(args.out)
         code = args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

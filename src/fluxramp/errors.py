@@ -29,7 +29,7 @@ class PunctureHit(FluxrampError):
 
 
 class StepFailure(FluxrampError):
-    """An adaptive integrator could not complete a step."""
+    """An integrator or fixed-point sweep could not complete a step."""
 
 
 class BranchError(FluxrampError):

@@ -47,6 +47,7 @@ from .errors import (
     NoConvergence,
     NoOverlap,
     NotConverged,
+    StepFailure,
     ValidationError,
 )
 
@@ -228,8 +229,9 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
 
     The initial iterate is the homogeneous part.  Convergence is measured
     in the sup norm on the quadrature grid; NoConvergence carries the last
-    contraction figures.  ``force_zero_f`` replaces F by zero (test hook:
-    the fixed point is then the homogeneous part itself).
+    contraction figures, and a sweep whose delta is not finite stops the
+    iteration at once with StepFailure.  ``force_zero_f`` replaces F by
+    zero (test hook: the fixed point is then the homogeneous part itself).
     """
     if not np.isfinite(s_start) or s_start <= 0:
         raise ValidationError(f"s_start must be positive, got {s_start!r}")
@@ -262,6 +264,8 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
         new2 = hom2 - pref * (y1 * tail_j - j1 * tail_y)
         delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
         deltas.append(delta)
+        if not np.isfinite(delta):
+            raise StepFailure(f"Picard sweep {len(deltas)} gave a non-finite delta")
         x1, x2 = new1, new2
         if delta <= config.picard_tol:
             converged = True

@@ -42,6 +42,7 @@ the envelope tends to 1.  An increasing majorant M(s) therefore exists
 trivially, but the measured norms themselves are not increasing in s.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -225,24 +226,34 @@ class CouplingMatrix:
     P: np.ndarray
 
 
-def _pi_closed(s, N):
-    """Closed-form Pi entries; one-sided limit at s = 0."""
+@functools.lru_cache(maxsize=None)
+def _pi_tables(N):
+    """Per-N parts of the closed form: the index min(m, n) and the gap
+    factor i/(2(n-m)) with a zero diagonal (both read-only)."""
     n = np.arange(N)
-    log_u = 0.5 * (gammaln(n + 1) - gammaln(n + s + 1))
-    if s > 0:
-        rising = np.exp(gammaln(n + s) - gammaln(s) - gammaln(n + 1))
-    else:
-        rising = np.zeros(N)
-        rising[0] = 1.0
-    cum = np.cumsum(rising)
-    gam1 = np.exp(gammaln(s + 1))
-    m = n[:, None]
-    nn = n[None, :]
-    val = gam1 * np.exp(log_u[m] + log_u[nn]) * cum[np.minimum(m, nn)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = 1j * val / (2.0 * (nn - m))
-    p[n, n] = 0.0
-    return p
+    low = np.minimum.outer(n, n)
+    gap = np.zeros((N, N), dtype=complex)
+    off = n[:, None] != n[None, :]
+    gap[off] = 1j / (2.0 * (n[None, :] - n[:, None]))[off]
+    low.setflags(write=False)
+    gap.setflags(write=False)
+    return low, gap
+
+
+def _pi_closed(s, N):
+    """Closed-form Pi entries w_m w_n cum[min(m, n)] i/(2(n-m)), where
+
+        w_n = sqrt(Gamma(s+1)) u_n = prod_{k<=n} sqrt(k/(k+s)) <= 1,
+        cum[j] = sum_{k<=j} (s)_k / k!,   (s)_k / k! = prod_{i<=k} (i-1+s)/i.
+
+    The running products need no Gamma(s+1), which overflows a double from
+    s = 171 on, and give the one-sided limit at s = 0 without a special case.
+    """
+    low, gap = _pi_tables(N)
+    k = np.arange(1.0, N)
+    w = np.sqrt(np.concatenate(([1.0], np.cumprod(k / (k + s)))))
+    cum = np.cumsum(np.concatenate(([1.0], np.cumprod((k - 1.0 + s) / k))))
+    return np.outer(w, w) * cum[low] * gap
 
 
 def pi_matrix(s, N):

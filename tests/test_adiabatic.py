@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fluxramp import adiabatic as ad
 from fluxramp.errors import ValidationError
+from fluxramp.spectral import pi_matrix
 
 N_SMALL = 16
 
@@ -151,3 +154,56 @@ def test_run_sweep_single_epsilon_skips_fit():
     res = ad.run_sweep(epsilons=(0.1,), s_end=1.0, N=N_SMALL, n_samples=6)
     assert res.exponents is None
     assert res.norm_twisted.shape == (1, 6)
+
+
+def _panel_reference(N, eps, a, b):
+    """One Filon/Magnus panel straight from the formulas: moments on the
+    full N x N frequency matrix, the phase exp(i omega mid) entrywise and
+    the four products of Omega_2."""
+    n = np.arange(N)
+    omega = 2.0 * (n[:, None] - n[None, :]) / eps
+    c, mid = 0.5 * (b - a), 0.5 * (a + b)
+    pa, pm, pb = (pi_matrix(t, N).P for t in (a, mid, b))
+    beta = (pb - pa) / (2.0 * c)
+    gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
+    m0, m1, m2 = ad._FilonPanels._moments(omega, c)
+    phase = np.exp(1j * omega * mid)
+    block = phase * (pm * m0 + beta * m1 + gamma * m2)
+    inv_iw = np.zeros((N, N), dtype=complex)
+    off = omega != 0.0
+    inv_iw[off] = 1.0 / (1j * omega[off])
+    pf = pm * m0
+    pe = pm * np.exp(-1j * omega * c) * inv_iw
+    pw = pm * inv_iw
+    dd = m0 * (pm @ pw - pw @ pm) - pf @ pe + pe @ pf
+    # on short panels Omega_2 is a small difference of O(c) products, so
+    # rounding is measured against the products themselves
+    scale = 0.5 * max(np.max(np.abs(m0 * (pm @ pw))), np.max(np.abs(pf @ pe)))
+    return block, -0.5 * phase * dd, scale
+
+
+def _rel_gap(got, ref, scale=0.0):
+    return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), scale)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 24),
+       eps=st.floats(0.01, 1.0, exclude_min=True),
+       start=st.floats(0.0, 2.0),
+       gaps=st.lists(st.floats(1e-3, 0.2), min_size=1, max_size=3),
+       panel_max=st.floats(5e-3, 0.2))
+def test_panel_walk_matches_per_panel_formulas(N, eps, start, gaps, panel_max):
+    stops = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    config = ad.AdiabaticConfig(epsilon=eps, s_end=1.0, N=N, panel_max=panel_max)
+    panels = ad._FilonPanels(config, stops)
+    plain = panels.panel_integrals()
+    ends = []
+    for a, b, block, omega2 in panels.panel_integrals(with_commutator=True):
+        ref_block, ref_omega2, scale = _panel_reference(N, eps, a, b)
+        assert _rel_gap(block, ref_block) <= 1e-12
+        assert _rel_gap(omega2, ref_omega2, scale) <= 1e-12
+        assert _rel_gap(block.conj().T, block) <= 1e-14
+        assert np.array_equal(next(plain)[2], block)
+        ends.append(b)
+    assert next(plain, None) is None
+    assert set(stops[1:].tolist()) <= set(ends)

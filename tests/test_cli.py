@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fluxramp import adiabatic, cli, reduced
+from fluxramp import adiabatic, classical, cli, reduced, spectral
 
 
 def run(argv):
@@ -128,6 +128,9 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["adiabatic", "--s-end", "inf"],
     ["adiabatic", "--s-end", "nan"],
     ["adiabatic", "--epsilons", "0.1,0.1"],
+    ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "inf"],
+    ["adiabatic", "--levels", "8", "--out", "{tmp}/missing/x"],
+    ["spectral", "--s", "1", "--levels", "8", "--out", "{tmp}/missing/x"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -135,7 +138,12 @@ def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv)
 
     monkeypatch.setattr(reduced, "_PanelQuadrature", unreachable)
     monkeypatch.setattr(adiabatic, "_FilonPanels", unreachable)
-    code = run(argv + ["--out", str(tmp_path / "bad")])
+    monkeypatch.setattr(classical, "solve_ivp", unreachable)
+    monkeypatch.setattr(spectral, "analytic_spectrum", unreachable)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "bad")]
+    code = run(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and err.count("\n") == 1
@@ -196,6 +204,33 @@ def test_adiabatic_sweep_small(tmp_path):
                       "norm_Uw_minus_Uad", "unitarity_defect"]
     # exact identity between the two distance columns
     assert np.max(np.abs(rows[:, 3] - rows[:, 4])) < 1e-13
+
+
+@pytest.mark.parametrize("s", ["171", "200"])
+def test_spectral_coupling_check_at_large_s(tmp_path, capsys, s):
+    # Gamma(s+1) overflows a double from s = 171 on; the closed form must
+    # stay finite there, so the run ends in a frozen exit code: the
+    # coupling envelope window fails at this s (exit 5), the JSON is written
+    out = str(tmp_path / "big")
+    code = run(["spectral", "--s", s, "--levels", "8", "--check", "coupling",
+                "--out", out])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    report = read_json(out + ".json")
+    coupling = report["checks"][s]["coupling"]
+    assert report["pass"] is False
+    assert coupling["hermiticity_defect"] == 0.0 and coupling["diagonal_max"] == 0.0
+    assert np.all(np.isfinite(coupling["norms"]))
+
+
+def test_reduced_non_finite_delta_exit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(reduced, "f_nonlinearity",
+                        lambda s, x1, x2, phi: np.full_like(s, np.nan))
+    code = run(["reduced", "--phi", "0.5", "--out", str(tmp_path / "rednan")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
 def test_spectral_check_failure_exit(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from fluxramp.errors import (
     NoConvergence,
     NoOverlap,
     NotConverged,
+    StepFailure,
     ValidationError,
 )
 
@@ -83,6 +84,19 @@ def test_picard_no_convergence_raises():
     with pytest.raises(NoConvergence) as err:
         rd.picard_solve(cfg, PHI, 10.0)
     assert err.value.iterations == 2
+
+
+def test_picard_stops_at_first_non_finite_delta(monkeypatch):
+    calls = []
+
+    def nan_f(s, x1, x2, phi):
+        calls.append(1)
+        return np.full_like(s, np.nan)
+
+    monkeypatch.setattr(rd, "f_nonlinearity", nan_f)
+    with pytest.raises(StepFailure, match="non-finite"):
+        rd.picard_solve(rd.IntegralEqConfig(s_max=150.0), PHI, 10.0)
+    assert len(calls) == 1
 
 
 def test_residual_bound():

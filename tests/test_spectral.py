@@ -113,6 +113,41 @@ def test_coupling_envelope_band():
             assert ratio.min() >= 0.1 and ratio.max() <= 10.0, (s, d)
 
 
+def _pi_unfactored(s, N):
+    """The closed form as Gamma(s+1) exp(log u_m + log u_n) cum[min(m, n)]
+    i/(2(n-m)); Gamma(s+1) overflows from s = 171 on."""
+    n = np.arange(N)
+    log_u = 0.5 * (gammaln(n + 1) - gammaln(n + s + 1))
+    if s > 0:
+        rising = np.exp(gammaln(n + s) - gammaln(s) - gammaln(n + 1))
+    else:
+        rising = np.eye(1, N)[0]
+    m, k = n[:, None], n[None, :]
+    val = (np.exp(gammaln(s + 1)) * np.exp(log_u[m] + log_u[k])
+           * np.cumsum(rising)[np.minimum(m, k)])
+    p = np.zeros((N, N), dtype=complex)
+    off = m != k
+    p[off] = (1j * val / (2.0 * (k - m) + np.eye(N)))[off]
+    return p
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.7, 5.0])
+def test_pi_matrix_matches_unfactored_form(s):
+    ref = _pi_unfactored(s, 8)
+    got = sp.pi_matrix(s, 8).P
+    off = ref != 0
+    assert np.array_equal(off, got != 0)
+    assert np.max(np.abs(got[off] - ref[off]) / np.abs(ref[off])) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [171.0, 200.0])
+def test_pi_matrix_finite_beyond_gamma_overflow(s):
+    p = sp.pi_matrix(s, 8).P
+    assert np.all(np.isfinite(p))
+    assert np.array_equal(p, p.conj().T)
+    assert np.all(np.diag(p) == 0.0) and np.all(p[~np.eye(8, dtype=bool)] != 0.0)
+
+
 def test_coupling_exact_value_at_s_one():
     # at s = 1 the closed form collapses to sqrt((m+1)/(n+1))/(2(n-m))
     p = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=1.0, N=12))).P
