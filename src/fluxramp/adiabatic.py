@@ -73,8 +73,10 @@ class PropagatorMatrix:
     kind: str
 
     def unitarity_defect(self):
+        """||M^H M - id||_2, the largest |eigenvalue| of that hermitian matrix."""
         n = self.M.shape[0]
-        return float(np.linalg.norm(self.M.conj().T @ self.M - np.eye(n), 2))
+        gram = self.M.conj().T @ self.M - np.eye(n)
+        return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def phase_integrals(s, N, epsilon):

@@ -29,7 +29,9 @@ connection L_n^s = sum_k L_k^(s-1):
     s * <chi_m, chi_n/x> = Gamma(s+1) u_m u_n sum_{k<=min(m,n)} (s)_k / k!,
     u_j = sqrt(j!/Gamma(j+s+1)),
 
-where (s)_k is the rising factorial.  The closed form stays finite as
+where (s)_k is the rising factorial.  The sum equals (s+1)_j/j! with
+j = min(m, n), so the entry reduces to u_{max(m,n)}/u_{min(m,n)} times the gap
+factor, a product of sqrt(k/(k+s)) <= 1.  The closed form stays finite as
 s -> 0+ (limit i/(2(n-m))): the operator domain moves with s, so the
 coupling does not vanish with d_s H -> 1.  Both the quadrature route and
 the closed form are kept; they are compared in the tests and against an
@@ -227,33 +229,39 @@ class CouplingMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _pi_tables(N):
-    """Per-N parts of the closed form: the index min(m, n) and the gap
-    factor i/(2(n-m)) with a zero diagonal (both read-only)."""
+def _pi_gaps(N):
+    """The gap factor i/(2(n-m)) of the closed form, zero diagonal (read-only)."""
     n = np.arange(N)
-    low = np.minimum.outer(n, n)
     gap = np.zeros((N, N), dtype=complex)
     off = n[:, None] != n[None, :]
     gap[off] = 1j / (2.0 * (n[None, :] - n[:, None]))[off]
-    low.setflags(write=False)
     gap.setflags(write=False)
-    return low, gap
+    return gap
 
 
 def _pi_closed(s, N):
-    """Closed-form Pi entries w_m w_n cum[min(m, n)] i/(2(n-m)), where
+    """Closed-form Pi entries (w_{max(m,n)} / w_{min(m,n)}) i/(2(n-m)), where
 
-        w_n = sqrt(Gamma(s+1)) u_n = prod_{k<=n} sqrt(k/(k+s)) <= 1,
-        cum[j] = sum_{k<=j} (s)_k / k!,   (s)_k / k! = prod_{i<=k} (i-1+s)/i.
+        w_n = sqrt(Gamma(s+1)) u_n = prod_{k<=n} sqrt(k/(k+s))
 
-    The running products need no Gamma(s+1), which overflows a double from
-    s = 171 on, and give the one-sided limit at s = 0 without a special case.
+    decreases from w_0 = 1.  The form w_m w_n sum_{k<=min(m,n)} (s)_k/k!
+    collapses to this ratio through sum_{k<=j} (s)_k/k! = (s+1)_j/j! = 1/w_j^2,
+    so every entry is at most 1/(2|n-m|) and none overflows for any s; the
+    one-sided limit at s = 0 needs no special case.  The running product
+    w_n^2 underflows once s is large against N (s > 1.9e6 at 64 levels,
+    s > 1.3e4 at 128); the ratios then come from the running sum of log w_n,
+    exact to about |log w_n| ulp instead of a few ulp.
     """
-    low, gap = _pi_tables(N)
+    gap = _pi_gaps(N)
     k = np.arange(1.0, N)
-    w = np.sqrt(np.concatenate(([1.0], np.cumprod(k / (k + s)))))
-    cum = np.cumsum(np.concatenate(([1.0], np.cumprod((k - 1.0 + s) / k))))
-    return np.outer(w, w) * cum[low] * gap
+    w2 = np.concatenate(([1.0], np.cumprod(k / (k + s))))
+    if w2[-1] >= np.finfo(float).tiny:
+        w = np.sqrt(w2)
+        ratio = np.minimum.outer(w, w) / np.maximum.outer(w, w)
+    else:
+        log_w = np.concatenate(([0.0], np.cumsum(-0.5 * np.log1p(s / k))))
+        ratio = np.exp(np.minimum.outer(log_w, log_w) - np.maximum.outer(log_w, log_w))
+    return ratio * gap
 
 
 def pi_matrix(s, N):
@@ -413,6 +421,23 @@ def kernel_bound_check(s, n_grid=2400, u_halfwidth=None, refine=True,
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
+# Absolute bisection tolerance of the oracle eigensolves.  LAPACK's default
+# (tol <= 0) stops at ulp * ||T||_1, about 5.7e-9 on the 96k-cell grid of
+# 64 levels: as large as the Richardson error the oracle reports, and it
+# shifts with the number of levels requested (up to 7e-9 between 32 and 64).
+# At 1e-10 the extrapolated error falls to its rounding floor, about 6e-10
+# (1e-12 gives the same), for 15-25% more bisection time.
+FD_BISECTION_TOL = 1e-10
+
+
+def fd_r_max(s, N):
+    """Outer radius of the oracle grid for the N-level family at flux s:
+    sqrt(2) times the classical turning radius 2 sqrt(E_{N-1}) of the top
+    level, plus 6, where every retained mode has decayed."""
+    e_max = 2.0 * (N - 1) + 2.0 * s + 1.0
+    return 2.0 * np.sqrt(2.0 * e_max) + 6.0
+
+
 @dataclass(frozen=True)
 class FdSpectrum:
     """Eigendata of the discretized operator (independent of the closed form).
@@ -434,8 +459,15 @@ class FdSpectrum:
     step: float
 
     def overlaps_with_analytic(self, family):
-        """|<psi_n^fd, psi_n^analytic>| per level."""
-        chi = family.eval_chi(0.5 * self.r ** 2)
+        """|<psi_n^fd, psi_n^analytic>| for the N solved levels; ``family``
+        must retain at least N levels (the first N are compared)."""
+        if family.N < self.N:
+            raise ValidationError(f"family retains {family.N} levels, "
+                                  f"the oracle solved {self.N}")
+        # family.eval_chi restricted to the solved rows (the recurrence for
+        # row n reads rows below n only)
+        chi = (_weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
+               * family.signs[: self.N, None])
         with np.errstate(divide="ignore"):
             g_an = chi * self.r[None, :] ** (-self.s)
         nrm = np.sqrt(np.sum(g_an * g_an * self.mass[None, :], axis=1))
@@ -443,12 +475,17 @@ class FdSpectrum:
         return np.abs(np.sum(self.g * g_an * self.mass[None, :], axis=1))
 
 
-def _fd_solve(s, N, r_max, m_cells):
+def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
     """Finite-volume eigensolve of -g'' - ((2s+1)/r) g' + (s + r^2/4) g = E g
     in L^2(r^(2s+1) dr), the exact substitution psi = r^s g of the radial
     operator.  g is smooth and even, so the scheme is cleanly O(h^2) for
     every s >= 0; the vanishing inner face flux enforces the regular
     behavior automatically.
+
+    Returns the lowest N energies, and with ``eigvals_only`` false also the
+    modes, cell centers, cell masses and step.  The energies are the same
+    bits either way: LAPACK bisects them out (stebz) before any inverse
+    iteration for the vectors (stein).
     """
     h = r_max / m_cells
     centers = (np.arange(m_cells) + 0.5) * h
@@ -459,7 +496,11 @@ def _fd_solve(s, N, r_max, m_cells):
     v = s + 0.25 * centers ** 2
     lower = -mu_face[1:-1] / (h * h * np.sqrt(mbar[:-1] * mbar[1:]))
     diag = (mu_face[:-1] + mu_face[1:]) / (h * h * mbar) + v
-    energies, vec = eigh_tridiagonal(diag, lower, select="i", select_range=(0, N - 1))
+    solved = eigh_tridiagonal(diag, lower, eigvals_only=eigvals_only, select="i",
+                              select_range=(0, N - 1), tol=FD_BISECTION_TOL)
+    if eigvals_only:
+        return solved
+    energies, vec = solved
     g = vec.T / np.sqrt(mbar)[None, :]
     g = g / np.sqrt(np.sum(g * g * mass[None, :], axis=1))[:, None]
     # orient like the analytic modes: positive value near the origin times (-1)^0;
@@ -471,24 +512,31 @@ def _fd_solve(s, N, r_max, m_cells):
 
 
 def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
-    """Independent eigensolve of the radial operator on a uniform grid.
+    """Independent eigensolve of the lowest ``params.N`` levels of the radial
+    operator on a uniform grid of ``m_cells`` cells (default 48000) over
+    (0, r_max).
 
-    Richardson extrapolation over the pair (h, h/2) removes the leading
-    O(h^2) error; with ``check_refinement`` a third solve at h/4 verifies
-    that the extrapolated eigenvalues are stable to 1e-6 and raises
-    GridTooCoarse otherwise.
+    ``r_max`` defaults to fd_r_max(s, N), the grid of the N-level family; a
+    caller that checks only the lower levels of a larger family passes that
+    family's radius and solves no more levels than it compares.  Richardson
+    extrapolation over the pair (h, h/2) removes the leading O(h^2) error;
+    with ``check_refinement`` a third solve at h/4 verifies that the
+    extrapolated eigenvalues are stable to 1e-6 and raises GridTooCoarse
+    otherwise.  Only the h/2 solve computes eigenvectors: the coarse and
+    refinement solves feed eigenvalues alone.  Every solve bisects to the
+    absolute tolerance FD_BISECTION_TOL.  The closed form sets the default
+    grid extent only; no closed-form value is used as a shift or a bracket.
     """
     s, N = params.s, params.N
     if r_max is None:
-        e_max = 2.0 * (N - 1) + 2.0 * s + 1.0
-        r_max = 2.0 * np.sqrt(2.0 * e_max) + 6.0
+        r_max = fd_r_max(s, N)
     if m_cells is None:
         m_cells = 48000
-    e_h, _, _, _, _ = _fd_solve(s, N, r_max, m_cells)
+    e_h = _fd_solve(s, N, r_max, m_cells, eigvals_only=True)
     e_h2, g, centers, mass, h2 = _fd_solve(s, N, r_max, 2 * m_cells)
     extrap = (4.0 * e_h2 - e_h) / 3.0
     if check_refinement:
-        e_h4, _, _, _, _ = _fd_solve(s, N, r_max, 4 * m_cells)
+        e_h4 = _fd_solve(s, N, r_max, 4 * m_cells, eigvals_only=True)
         extrap_fine = (4.0 * e_h4 - e_h2) / 3.0
         if np.max(np.abs(extrap_fine - extrap)) > 1e-6:
             raise GridTooCoarse(

@@ -207,3 +207,14 @@ def test_panel_walk_matches_per_panel_formulas(N, eps, start, gaps, panel_max):
         ends.append(b)
     assert next(plain, None) is None
     assert set(stops[1:].tolist()) <= set(ends)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-10, 1e-6, 1e-2])
+def test_unitarity_defect_matches_two_norm(delta):
+    rng = np.random.default_rng(7)
+    n = 24
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    bump = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = q @ (np.eye(n) + delta * bump)
+    got = ad.PropagatorMatrix(s=0.0, M=m, kind="test").unitarity_defect()
+    assert abs(got - np.linalg.norm(m.conj().T @ m - np.eye(n), 2)) <= 1e-15

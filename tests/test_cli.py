@@ -1,5 +1,6 @@
 """Front-end contract: flags, files, exit codes, determinism, round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -131,6 +132,8 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "inf"],
     ["adiabatic", "--levels", "8", "--out", "{tmp}/missing/x"],
     ["spectral", "--s", "1", "--levels", "8", "--out", "{tmp}/missing/x"],
+    ["classical", "--config", "{tmp}/missing.conf", "--phi", "0.5", "--q0", "1,0",
+     "--p0", "0,0.6", "--s-end", "1"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -174,6 +177,30 @@ def test_spectral_all_checks_small(tmp_path):
     entry = report["checks"]["1"]
     assert set(entry) == {"oracle", "kernel", "coupling", "gamma"}
     assert report["pass"] is True
+    # the oracle solves the checked lower half of the 12 levels
+    oracle = entry["oracle"]
+    assert oracle["levels_solved"] == 6
+    assert (oracle["cells_coarse"], oracle["cells_fine"]) == (48000, 96000)
+    assert oracle["bisection_tol"] == spectral.FD_BISECTION_TOL
+
+
+def test_spectral_oracle_detects_shifted_closed_form(tmp_path, monkeypatch):
+    # the finite-volume solve never reads the closed form, so a 1e-5 shift
+    # of the closed-form energies must fail the 1e-6 oracle tolerance
+    real = spectral.analytic_spectrum
+
+    def shifted(params, signs=None):
+        fam = real(params, signs)
+        return dataclasses.replace(fam, energies=fam.energies + 1e-5)
+
+    monkeypatch.setattr(spectral, "analytic_spectrum", shifted)
+    out = str(tmp_path / "shift")
+    code = run(["spectral", "--s", "0.5", "--levels", "8", "--check", "oracle",
+                "--out", out])
+    assert code == 5
+    oracle = read_json(out + ".json")["checks"]["0.5"]["oracle"]
+    assert oracle["pass"] is False
+    assert 0.9e-5 <= oracle["eigenvalue_error"] <= 1.1e-5
 
 
 def test_adiabatic_zero_coupling_and_single_epsilon(tmp_path):
@@ -222,6 +249,21 @@ def test_spectral_coupling_check_at_large_s(tmp_path, capsys, s):
     assert report["pass"] is False
     assert coupling["hermiticity_defect"] == 0.0 and coupling["diagonal_max"] == 0.0
     assert np.all(np.isfinite(coupling["norms"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_coupling_check_past_running_product_underflow(tmp_path, capsys):
+    # at s = 1e7 and 64 levels prod_{k<N} k/(k+s) underflows a double; Pi
+    # stays finite and exactly hermitian, and the envelope window fails
+    out = str(tmp_path / "huge")
+    code = run(["spectral", "--s", "1e7", "--levels", "64", "--check", "coupling",
+                "--out", out])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    coupling = read_json(out + ".json")["checks"]["10000000"]["coupling"]
+    assert coupling["hermiticity_defect"] == 0.0 and coupling["diagonal_max"] == 0.0
+    assert np.all(np.isfinite(coupling["norms"])) and coupling["pass"] is False
 
 
 def test_reduced_non_finite_delta_exit(tmp_path, monkeypatch, capsys):

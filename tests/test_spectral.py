@@ -59,6 +59,42 @@ def test_fd_oracle_agreement(s):
     assert np.min(fd.overlaps_with_analytic(fam)[half]) >= 1.0 - 1e-6
 
 
+def test_fd_half_solve_matches_full_solve_on_same_grid():
+    # the CLI oracle solves only the checked lower half of the levels on the
+    # grid of the full family; with an explicit bisection tolerance those
+    # energies do not depend on how many levels were requested (the default
+    # LAPACK stop at ulp * ||T||_1 moved them by 4.4e-9 here)
+    s, n = 0.5, 16
+    r_max = sp.fd_r_max(s, n)
+    full = sp.fd_spectrum(sp.SectorParams(s=s, N=n), m_cells=24000)
+    half = sp.fd_spectrum(sp.SectorParams(s=s, N=n // 2), r_max=r_max, m_cells=24000)
+    assert half.energies.shape == (n // 2,)
+    assert np.max(np.abs(half.energies - full.energies[: n // 2])) <= 1e-9
+    assert np.max(np.abs(half.energies_coarse - full.energies_coarse[: n // 2])) <= 1e-9
+    assert np.array_equal(half.r, full.r)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.3])
+def test_fd_values_only_coarse_solve_is_bit_identical(s):
+    par = sp.SectorParams(s=s, N=6)
+    fd = sp.fd_spectrum(par, m_cells=6000)
+    with_vectors = sp._fd_solve(s, 6, sp.fd_r_max(s, 6), 6000)[0]
+    assert np.array_equal(fd.energies_coarse, with_vectors)
+    assert np.array_equal(sp._fd_solve(s, 6, sp.fd_r_max(s, 6), 6000, eigvals_only=True),
+                          with_vectors)
+
+
+def test_fd_overlaps_need_the_solved_levels():
+    fd = sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), r_max=sp.fd_r_max(0.5, 8),
+                        m_cells=4000)
+    wide = sp.analytic_spectrum(sp.SectorParams(s=0.5, N=8))
+    narrow = sp.analytic_spectrum(sp.SectorParams(s=0.5, N=3))
+    assert np.min(fd.overlaps_with_analytic(wide)) >= 1.0 - 1e-5
+    assert fd.overlaps_with_analytic(wide).shape == (4,)
+    with pytest.raises(ValidationError):
+        fd.overlaps_with_analytic(narrow)
+
+
 def test_fd_refinement_check_passes_on_fine_grid():
     par = sp.SectorParams(s=0.5, N=6)
     fd = sp.fd_spectrum(par, m_cells=12000, check_refinement=True)
@@ -146,6 +182,23 @@ def test_pi_matrix_finite_beyond_gamma_overflow(s):
     assert np.all(np.isfinite(p))
     assert np.array_equal(p, p.conj().T)
     assert np.all(np.diag(p) == 0.0) and np.all(p[~np.eye(8, dtype=bool)] != 0.0)
+
+
+@pytest.mark.parametrize("s, n", [(1.8e6, 64), (2.0e6, 64), (1e7, 64), (1.4e4, 128)])
+def test_pi_matrix_past_running_product_underflow(s, n):
+    # prod_{k<N} k/(k+s) underflows a double from s = 1.9e6 at 64 levels
+    # and s = 1.3e4 at 128; entries against 40-digit w_n/w_m i/(2(n-m))
+    mp = pytest.importorskip("mpmath")
+    p = sp.pi_matrix(s, n).P
+    assert np.all(np.isfinite(p)) and np.array_equal(p, p.conj().T)
+    with mp.workdps(40):
+        log_w = [mp.mpf(0)]
+        for k in range(1, n):
+            log_w.append(log_w[-1] + mp.log(mp.mpf(k) / (k + mp.mpf(s))) / 2)
+        for m, k in [(0, 1), (0, 5), (3, 4), (10, 13), (n - 2, n - 1), (n // 2, n - 1)]:
+            ref = mp.exp(log_w[k] - log_w[m]) / (2 * (k - m))
+            assert p[m, k].real == 0.0
+            assert abs(float((mp.mpf(p[m, k].imag) - ref) / ref)) <= 1e-12, (m, k)
 
 
 def test_coupling_exact_value_at_s_one():
