@@ -18,7 +18,9 @@ against exact oscillatory moments, and C advances by the exponential of
 that panel integral (a first-order Magnus step, unitary to rounding via
 the hermitian eigendecomposition).  Panel size is tied to eps only mildly
 (h <= eps/4) to keep the commutator remainder of the Magnus step
-negligible; halving checks are built in.
+negligible; halving checks are built in.  The twisted integral I(s) is the
+running sum of the same panel integrals, so one walk over the panels
+yields I and C together.
 
 On the N-level truncation U_ad satisfies its own generator identity
 exactly and U_w satisfies i eps dU_w/ds = H U_w identically (the corrector
@@ -144,10 +146,10 @@ class _FilonPanels:
                       2.0 * ((w * w - 2.0) * sin + 2.0 * w * cos) / ws ** 3)
         return m0, m1, m2
 
-    def panel_integrals(self, with_commutator=False):
-        """Yields (a, b, integral of W, [Magnus-2 term]) per panel.
+    def panel_integrals(self):
+        """Yields (a, b, integral of W, Magnus-2 term) per panel.
 
-        The optional second element is
+        The Magnus-2 term is
         Omega_2 = -(1/2) int_a^b int_a^{s1} [W(s1), W(s2)] ds2 ds1
         with Pi frozen at the midpoint; because the phase frequencies add
         along index chains (w_mk + w_kn = w_mn) the double integral reduces
@@ -162,8 +164,7 @@ class _FilonPanels:
         for edges in self.intervals:
             c = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
             m0, m1, m2 = (m[by_d] for m in self._moments(omega_d, c))
-            if with_commutator:
-                e_iw = (np.exp(-1j * omega_d * c) * inv_iw_d)[by_d]
+            e_iw = (np.exp(-1j * omega_d * c) * inv_iw_d)[by_d]
             for a, b in zip(edges[:-1], edges[1:]):
                 if b <= a:
                     continue
@@ -176,9 +177,6 @@ class _FilonPanels:
                 gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
                 phase = np.exp(1j * omega_d * mid)[by_d]
                 block = phase * (pm * m0 + beta * m1 + gamma * m2)
-                if not with_commutator:
-                    yield a, b, block
-                    continue
                 # D(alpha_f, beta_f) = e^{i(alpha_f+beta_f) mid}
                 #                      [F(alpha_f+beta_f) - e^{-i beta_f c} F(alpha_f)]
                 #                      / (i beta_f),  F = m0 above.
@@ -195,34 +193,45 @@ class _FilonPanels:
                 yield a, b, block, omega2
 
 
+def _propagate(config, stops=None):
+    """Yields (s, I, C) at each of the ascending ``stops`` (default: the
+    sample grid), from I = 0 and C = id at the first stop: one panel walk
+    sums the panel integrals of W into I, in panel order, and advances C by
+    their Magnus steps.  Yielded arrays are never written afterwards.
+    StepFailure guards the unitarity drift of the last C."""
+    stops = config.s_grid if stops is None else stops
+    panels = _FilonPanels(config, stops)
+    acc = np.zeros((config.N, config.N), dtype=complex)
+    c = np.eye(config.N, dtype=complex)
+    yield float(stops[0]), acc, c
+    sample_at = set(stops[1:].tolist())
+    for _, b, block, omega2 in panels.panel_integrals():
+        acc = acc + block
+        c = _magnus_step(block, omega2) @ c
+        if b in sample_at:
+            yield float(b), acc, c
+    defect = PropagatorMatrix(s=float(stops[-1]), M=c, kind="C").unitarity_defect()
+    if defect > 1e-8:
+        raise StepFailure(f"corrector unitarity defect {defect:.2e}")
+
+
 def twisted_coupling_integral(config, check_refinement=True):
     """I(s) = integral_0^s U_ad^(-1) Pi U_ad and its norm curve on the grid.
 
     Returns (matrices at the sample points, norms).  With
     ``check_refinement`` the number of panels is doubled and the endpoint
-    norm compared; a change above 1e-6 raises GridTooCoarse.
+    norm compared; a change above 1e-6 raises GridTooCoarse.  The walk also
+    advances C, so its StepFailure guard applies.
     """
-    mats, norms = _accumulate_integral(config)
+    mats = [i_mat for _, i_mat, _ in _propagate(config)]
+    norms = np.array([np.linalg.norm(m, 2) for m in mats])
     if check_refinement:
         fine = replace(config, panel_max=config.panel_max / 2.0)
-        _, norms_fine = _accumulate_integral(fine)
+        _, norms_fine = twisted_coupling_integral(fine, check_refinement=False)
         if abs(norms_fine[-1] - norms[-1]) > 1e-6:
             raise GridTooCoarse(
                 f"twisted integral norm moved {abs(norms_fine[-1]-norms[-1]):.2e} "
                 f"under panel halving")
-    return mats, norms
-
-
-def _accumulate_integral(config):
-    panels = _FilonPanels(config, config.s_grid)
-    acc = np.zeros((config.N, config.N), dtype=complex)
-    mats = [acc.copy()]
-    sample_at = set(config.s_grid[1:].tolist())
-    for a, b, block in panels.panel_integrals():
-        acc = acc + block
-        if b in sample_at:
-            mats.append(acc.copy())
-    norms = np.array([np.linalg.norm(m, 2) for m in mats])
     return mats, norms
 
 
@@ -233,31 +242,13 @@ def dyson_corrector(config, check_refinement=False):
     the hermitian eigendecomposition; StepFailure guards unitarity drift,
     GridTooCoarse (optional) guards panel-halving stability at s_end.
     """
-    seq = _corrector_sequence(config)
+    seq = [PropagatorMatrix(s=s, M=c, kind="C") for s, _, c in _propagate(config)]
     if check_refinement:
-        ref = _corrector_sequence(replace(config, panel_max=config.panel_max / 2.0))
+        ref = dyson_corrector(replace(config, panel_max=config.panel_max / 2.0))
         drift = np.linalg.norm(seq[-1].M - ref[-1].M, 2)
         if drift > 1e-6:
             raise GridTooCoarse(f"corrector moved {drift:.2e} under panel halving")
     return seq
-
-
-def _corrector_sequence(config, stops=None):
-    """C at each of the ascending ``stops`` (default: the sample grid),
-    starting from C = id at the first stop."""
-    stops = config.s_grid if stops is None else stops
-    panels = _FilonPanels(config, stops)
-    c = np.eye(config.N, dtype=complex)
-    out = [PropagatorMatrix(s=float(stops[0]), M=c.copy(), kind="C")]
-    sample_at = set(stops[1:].tolist())
-    for a, b, block, omega2 in panels.panel_integrals(with_commutator=True):
-        c = _magnus_step(block, omega2) @ c
-        if b in sample_at:
-            out.append(PropagatorMatrix(s=float(b), M=c.copy(), kind="C"))
-    defect = out[-1].unitarity_defect()
-    if defect > 1e-8:
-        raise StepFailure(f"corrector unitarity defect {defect:.2e}")
-    return out
 
 
 def _magnus_step(block, omega2):
@@ -311,7 +302,7 @@ def residual_generator_check(config, probes=None, delta=1e-6):
         return np.diag(np.exp(-1j * phase_integrals(s, config.N, eps)))
 
     stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
-    corrector = {p.s: p.M for p in _corrector_sequence(config, stops)}
+    corrector = {s: c for s, _, c in _propagate(config, stops)}
     res_ad, res_w = [], []
     for s in probes:
         pim = _pi_at(config, s)
@@ -340,12 +331,13 @@ class SweepResult:
 
 
 def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
-              force_zero_coupling=False, check_refinement=False):
+              force_zero_coupling=False):
     """Full epsilon sweep with fitted scaling exponents at s_end.
 
     The three tracked quantities are ||I(s)||, ||C - id|| and
     ||U_w - U_ad||; their endpoint values are fitted as power laws in
-    epsilon when at least two epsilons are given.
+    epsilon when at least two epsilons are given.  One panel walk per
+    epsilon gives both I and C; only the norms of I are kept.
     """
     if len(set(epsilons)) != len(epsilons):
         raise ValidationError(f"epsilons must be distinct, got {list(epsilons)!r}")
@@ -356,10 +348,11 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
         cfg = AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples,
                               N=N, force_zero_coupling=force_zero_coupling)
         s_grid = cfg.s_grid
-        _, norms_i = twisted_coupling_integral(cfg, check_refinement=check_refinement)
-        c_seq = dyson_corrector(cfg, check_refinement=check_refinement)
-        ua_seq = u_ad(cfg)
-        uw_seq, diff = u_weak(cfg, ua_seq, c_seq)
+        norms_i, c_seq = [], []
+        for s, i_mat, c in _propagate(cfg):
+            norms_i.append(np.linalg.norm(i_mat, 2))
+            c_seq.append(PropagatorMatrix(s=s, M=c, kind="C"))
+        uw_seq, diff = u_weak(cfg, u_ad(cfg), c_seq)
         ident = np.eye(N)
         nc.append([np.linalg.norm(c.M - ident, 2) for c in c_seq])
         nt.append(norms_i)

@@ -7,6 +7,7 @@ event (partial data still written), 4 iteration did not converge,
 Every data file is deterministic: floats are written with 17 significant
 digits, JSON keys are sorted, and nothing time- or host-dependent goes
 into the files, so repeated runs with the same flags are byte-identical.
+The JSON is strict: a non-finite value is written as null.
 A simple ``key = value`` config file can seed any long option; explicit
 flags win.
 """
@@ -41,9 +42,19 @@ def _write_csv(path, header, columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -289,13 +300,9 @@ def _check_gamma(s, n_levels):
     gam = spectral.gamma_potential(mat, fam)
     resid = spectral.commutator_residual(gam, mat, fam)
     h = 1e-3
-    gp = spectral.gamma_potential(
-        spectral.coupling_matrix(spectral.analytic_spectrum(
-            spectral.SectorParams(s=s + h, N=n_levels))), fam)
     gm_s = max(s - h, 0.0)
-    gm = spectral.gamma_potential(
-        spectral.coupling_matrix(spectral.analytic_spectrum(
-            spectral.SectorParams(s=gm_s, N=n_levels))), fam)
+    gp = spectral.gamma_potential(spectral.pi_matrix(s + h, n_levels), fam)
+    gm = spectral.gamma_potential(spectral.pi_matrix(gm_s, n_levels), fam)
     dgam = float(np.linalg.norm((gp - gm), 2) / (s + h - gm_s))
     gnorm = float(np.linalg.norm(gam, 2))
     return {"commutator_residual": resid, "gamma_norm": gnorm,
@@ -307,13 +314,19 @@ def cmd_spectral(args):
     s_values = _parse_list(args.s)
     if not s_values:
         raise ValidationError("--s needs at least one value")
-    fams = [spectral.analytic_spectrum(spectral.SectorParams(s=s, N=args.levels))
-            for s in s_values]
+    params = [spectral.SectorParams(s=s, N=args.levels) for s in s_values]
+    which = args.check
+    if which in ("oracle", "all"):
+        for s in s_values:  # the oracle's fine grid leaves the double range first
+            if not spectral.fd_grid_representable(s, spectral.fd_r_max(s, args.levels),
+                                                  2 * spectral.FD_CELLS):
+                raise ValidationError(f"--s {s:g} at {args.levels} levels is beyond the "
+                                      f"double range of the oracle's weights r^(2s+1)")
+    fams = [spectral.analytic_spectrum(par) for par in params]
     header = ["s"] + [f"E{n}" for n in range(args.levels)]
     columns = [np.array(s_values)] + [
         np.array([f.energies[n] for f in fams]) for n in range(args.levels)]
     _write_csv(args.out + ".csv", header, columns)
-    which = args.check
     report = {"s": s_values, "levels": args.levels, "checks": {}}
     ok = True
     for s in s_values:

@@ -103,8 +103,8 @@ class SpectralFamily:
 
     ``qchi[n, i]`` equals sqrt(w_i) * lag_n(x_i) in the sign convention
     "coefficient of L_n^(s) positive", so that inner products
-    <chi_m, g chi_n> are plain weighted sums; ``signs`` records any
-    additional per-level flip applied for continuity along an s-sweep.
+    <chi_m, g chi_n> are plain weighted sums; no level changes sign along
+    an s-sweep in this convention.
     """
 
     s: float
@@ -112,8 +112,6 @@ class SpectralFamily:
     energies: np.ndarray
     nodes: np.ndarray
     qchi: np.ndarray
-    signs: np.ndarray
-    kind: str = "analytic"
 
     def inner_matrix(self, g_nodes):
         """Matrix <chi_m, g chi_n> for g given by its values on the nodes."""
@@ -121,8 +119,7 @@ class SpectralFamily:
 
     def eval_chi(self, x):
         """chi_n(x) on an arbitrary positive grid, stable weighted recurrence."""
-        return _weighted_laguerre(self.s, self.N, np.asarray(x, dtype=float)) \
-            * self.signs[:, None]
+        return _weighted_laguerre(self.s, self.N, np.asarray(x, dtype=float))
 
     def eval_psi(self, r):
         """Radial eigenfunctions psi_n(r) = chi_n(r^2/2), L^2(r dr)-normalized."""
@@ -148,7 +145,7 @@ def _weighted_laguerre(s, N, x):
     return out * ((-1.0) ** np.arange(N))[:, None]
 
 
-def analytic_spectrum(params, signs=None):
+def analytic_spectrum(params):
     """Closed-form family: E_n = 2n + 2s + 1 and weighted Laguerre modes.
 
     The finite-difference oracle fd_spectrum exists precisely to validate
@@ -157,34 +154,8 @@ def analytic_spectrum(params, signs=None):
     s, N, Q = params.s, params.N, params.quad_size
     nodes, qall = gauss_weight_nodes(s, Q)
     qchi = qall[:, :N].T * ((-1.0) ** np.arange(N))[:, None]
-    if signs is None:
-        signs = np.ones(N)
     return SpectralFamily(s=s, N=N, energies=2.0 * np.arange(N) + 2.0 * s + 1.0,
-                          nodes=nodes, qchi=qchi * signs[:, None], signs=np.asarray(signs, float))
-
-
-def sign_sweep(params_list):
-    """Parallel-transport sign fix along an ascending s-grid.
-
-    Builds the family at each s and flips level signs so that successive
-    overlaps <chi_n(s_k), chi_n(s_{k+1})> stay positive.  With the
-    positive-L-coefficient convention no flip is ever needed; the sweep
-    verifies that and returns the families plus the (identity) sign data.
-    """
-    families = []
-    signs = np.ones(params_list[0].N)
-    prev = None
-    for par in params_list:
-        fam = analytic_spectrum(par, signs=signs.copy())
-        if prev is not None:
-            ov = overlap_diag(prev, fam)
-            flip = ov < 0
-            if np.any(flip):
-                signs[flip] *= -1.0
-                fam = analytic_spectrum(par, signs=signs.copy())
-        families.append(fam)
-        prev = fam
-    return families
+                          nodes=nodes, qchi=qchi)
 
 
 def _dx_quadrature(alpha, size):
@@ -271,22 +242,12 @@ def pi_matrix(s, N):
 
 
 def coupling_matrix(family):
-    """Pi from the matrix elements <chi_m, d_sH chi_n> / (E_n - E_m).
-
-    d_sH = 1 + s/x; the constant part drops off-diagonal by orthogonality.
-    The s/x element is the Gauss sum at weight x^(s-1) e^(-x) of a product
-    of Laguerre polynomials; through the connection identity
-    L_n^(s) = sum_{k<=n} L_k^(s-1) that sum has the exact value used here
-    (the floating-point node sum is ill-conditioned at far nodes and is
-    kept only as a cross-check in the tests).  Signs follow the family's
-    continuity data.
-    """
+    """Pi of an analytic family, <chi_m, d_sH chi_n> / (E_n - E_m) in the
+    closed form of pi_matrix, behind a guard against degenerate gaps."""
     gaps = np.diff(family.energies)
     if np.any(np.abs(gaps) < 1e-12):
         raise DegenerateGap("eigenvalue gap below 1e-12")
-    p = _pi_closed(family.s, family.N)
-    outer = family.signs[:, None] * family.signs[None, :]
-    return CouplingMatrix(s=family.s, P=p * outer)
+    return pi_matrix(family.s, family.N)
 
 
 @dataclass(frozen=True)
@@ -429,6 +390,9 @@ def kernel_bound_check(s, n_grid=2400, u_halfwidth=None, refine=True,
 # (1e-12 gives the same), for 15-25% more bisection time.
 FD_BISECTION_TOL = 1e-10
 
+# Cells of the oracle's coarse grid; its Richardson partner has twice as many.
+FD_CELLS = 48000
+
 
 def fd_r_max(s, N):
     """Outer radius of the oracle grid for the N-level family at flux s:
@@ -466,13 +430,42 @@ class FdSpectrum:
                                   f"the oracle solved {self.N}")
         # family.eval_chi restricted to the solved rows (the recurrence for
         # row n reads rows below n only)
-        chi = (_weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
-               * family.signs[: self.N, None])
+        chi = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
         with np.errstate(divide="ignore"):
             g_an = chi * self.r[None, :] ** (-self.s)
         nrm = np.sqrt(np.sum(g_an * g_an * self.mass[None, :], axis=1))
         g_an = g_an / nrm[:, None]
         return np.abs(np.sum(self.g * g_an * self.mass[None, :], axis=1))
+
+
+def _fd_weights(s, faces, h):
+    """Cell masses, their cell averages, the off-diagonal and the diagonal
+    less the potential of the finite-volume operator on ``faces`` (step h)."""
+    mu_face = faces ** (2 * s + 1)
+    mass = np.diff(faces ** (2 * s + 2)) / (2 * s + 2.0)  # integral of mu over cells
+    mbar = mass / h
+    lower = -mu_face[1:-1] / (h * h * np.sqrt(mbar[:-1] * mbar[1:]))
+    kinetic = (mu_face[:-1] + mu_face[1:]) / (h * h * mbar)
+    return mass, mbar, lower, kinetic
+
+
+def fd_grid_representable(s, r_max, m_cells):
+    """Whether the finite-volume solve on ``m_cells`` cells over (0, r_max)
+    forms only finite, nonzero operator terms in double precision.
+
+    The weights r^(2s+1) span (r_max/h)^(2s+1): with growing s the masses
+    underflow next to the origin and r_max^(2s+2) overflows at the outer
+    face.  Every term is monotone in the cell index, so the two end cells
+    at each side decide, evaluated with the solve's own arithmetic.
+    """
+    h = r_max / m_cells
+    for first in (0, m_cells - 2):
+        with np.errstate(all="ignore"):
+            _, _, lower, kinetic = _fd_weights(s, np.arange(first, first + 3) * h, h)
+        # a zero mass makes the diagonal non-finite; lower.all(): nonzero
+        if not (np.isfinite(kinetic).all() and np.isfinite(lower).all() and lower.all()):
+            return False
+    return True
 
 
 def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
@@ -485,17 +478,17 @@ def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
     Returns the lowest N energies, and with ``eigvals_only`` false also the
     modes, cell centers, cell masses and step.  The energies are the same
     bits either way: LAPACK bisects them out (stebz) before any inverse
-    iteration for the vectors (stein).
+    iteration for the vectors (stein).  A grid that fails
+    fd_grid_representable raises ValidationError before any work.
     """
+    if not fd_grid_representable(s, r_max, m_cells):
+        raise ValidationError(
+            f"flux s = {s:g} leaves the double range of the finite-volume "
+            f"weights r^(2s+1) on {m_cells} cells over (0, {r_max:.6g})")
     h = r_max / m_cells
     centers = (np.arange(m_cells) + 0.5) * h
-    faces = np.arange(m_cells + 1) * h
-    mu_face = faces ** (2 * s + 1)
-    mass = np.diff(faces ** (2 * s + 2)) / (2 * s + 2.0)  # integral of mu over cells
-    mbar = mass / h
-    v = s + 0.25 * centers ** 2
-    lower = -mu_face[1:-1] / (h * h * np.sqrt(mbar[:-1] * mbar[1:]))
-    diag = (mu_face[:-1] + mu_face[1:]) / (h * h * mbar) + v
+    mass, mbar, lower, kinetic = _fd_weights(s, np.arange(m_cells + 1) * h, h)
+    diag = kinetic + (s + 0.25 * centers ** 2)
     solved = eigh_tridiagonal(diag, lower, eigvals_only=eigvals_only, select="i",
                               select_range=(0, N - 1), tol=FD_BISECTION_TOL)
     if eigvals_only:
@@ -513,7 +506,7 @@ def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
 
 def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
     """Independent eigensolve of the lowest ``params.N`` levels of the radial
-    operator on a uniform grid of ``m_cells`` cells (default 48000) over
+    operator on a uniform grid of ``m_cells`` cells (default FD_CELLS) over
     (0, r_max).
 
     ``r_max`` defaults to fd_r_max(s, N), the grid of the N-level family; a
@@ -531,7 +524,7 @@ def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
     if r_max is None:
         r_max = fd_r_max(s, N)
     if m_cells is None:
-        m_cells = 48000
+        m_cells = FD_CELLS
     e_h = _fd_solve(s, N, r_max, m_cells, eigvals_only=True)
     e_h2, g, centers, mass, h2 = _fd_solve(s, N, r_max, 2 * m_cells)
     extrap = (4.0 * e_h2 - e_h) / 3.0

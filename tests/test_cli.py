@@ -20,9 +20,14 @@ def read_csv(path):
     return header, np.asarray(rows)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def read_json(path):
+    # strict: NaN, Infinity and -Infinity are not JSON
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def test_classical_roundtrip_and_exit(tmp_path):
@@ -132,6 +137,8 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "inf"],
     ["adiabatic", "--levels", "8", "--out", "{tmp}/missing/x"],
     ["spectral", "--s", "1", "--levels", "8", "--out", "{tmp}/missing/x"],
+    ["spectral", "--s", "30", "--levels", "8", "--check", "oracle"],
+    ["spectral", "--s", "1,30", "--levels", "64", "--check", "all"],
     ["classical", "--config", "{tmp}/missing.conf", "--phi", "0.5", "--q0", "1,0",
      "--p0", "0,0.6", "--s-end", "1"],
 ])
@@ -189,8 +196,8 @@ def test_spectral_oracle_detects_shifted_closed_form(tmp_path, monkeypatch):
     # of the closed-form energies must fail the 1e-6 oracle tolerance
     real = spectral.analytic_spectrum
 
-    def shifted(params, signs=None):
-        fam = real(params, signs)
+    def shifted(params):
+        fam = real(params)
         return dataclasses.replace(fam, energies=fam.energies + 1e-5)
 
     monkeypatch.setattr(spectral, "analytic_spectrum", shifted)
@@ -203,6 +210,16 @@ def test_spectral_oracle_detects_shifted_closed_form(tmp_path, monkeypatch):
     assert 0.9e-5 <= oracle["eigenvalue_error"] <= 1.1e-5
 
 
+def test_spectral_oracle_inside_double_range(tmp_path):
+    # s = 20 at 8 levels stays inside the range of the oracle's weights
+    # (the limit is near s = 23.2); s = 30 is rejected up front above
+    out = str(tmp_path / "s20")
+    code = run(["spectral", "--s", "20", "--levels", "8", "--check", "oracle",
+                "--out", out])
+    assert code == 0
+    assert read_json(out + ".json")["checks"]["20"]["oracle"]["pass"] is True
+
+
 def test_adiabatic_zero_coupling_and_single_epsilon(tmp_path):
     out = str(tmp_path / "ad0")
     code = run(["adiabatic", "--epsilons", "0.2,0.1", "--levels", "8",
@@ -210,6 +227,10 @@ def test_adiabatic_zero_coupling_and_single_epsilon(tmp_path):
     assert code == 0
     _, rows = read_csv(out + ".csv")
     assert np.max(np.abs(rows[:, 2:5])) == 0.0
+    # no exponent can be fitted to zero norms: null, not NaN
+    exponents = read_json(out + ".json")["exponents"]
+    assert exponents == dict.fromkeys(
+        ("twisted_integral", "corrector_minus_id", "uw_minus_uad"))
     out = str(tmp_path / "ad1")
     code = run(["adiabatic", "--epsilons", "0.1", "--levels", "8",
                 "--samples", "6", "--out", out])
@@ -263,6 +284,8 @@ def test_spectral_coupling_check_past_running_product_underflow(tmp_path, capsys
     assert err.count("\n") == 1 and "Traceback" not in err
     coupling = read_json(out + ".json")["checks"]["10000000"]["coupling"]
     assert coupling["hermiticity_defect"] == 0.0 and coupling["diagonal_max"] == 0.0
+    # the envelope factor overflows: null, not Infinity
+    assert coupling["envelope_min"] is None
     assert np.all(np.isfinite(coupling["norms"])) and coupling["pass"] is False
 
 

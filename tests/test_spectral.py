@@ -265,11 +265,11 @@ def test_kernel_grid_too_coarse():
 
 
 def test_sign_sweep_continuity():
+    # the positive-L-coefficient convention needs no sign flip along s
     grid = [sp.SectorParams(s=si, N=16) for si in np.arange(0.0, 0.1 + 1e-12, 0.01)]
-    fams = sp.sign_sweep(grid)
+    fams = [sp.analytic_spectrum(par) for par in grid]
     for a, b in zip(fams, fams[1:]):
         assert np.min(sp.overlap_diag(a, b)) > 0.0
-    assert np.all(fams[-1].signs == 1.0)
 
 
 def test_eval_chi_orthonormal_on_independent_grid():
@@ -283,9 +283,33 @@ def test_eval_chi_orthonormal_on_independent_grid():
     assert_allclose(fam.eval_psi(r), fam.eval_chi(nodes), atol=0)
 
 
+def test_fd_grid_representable_matches_full_grid():
+    # the predicate reads the two end cells only; the terms of the whole
+    # grid must agree with it, on both sides of the underflow limit and
+    # of the outer overflow
+    m_cells = 3000
+    for N in (2, 8, 4096):
+        for s in np.linspace(0.0, 60.0, 121):
+            r_max = sp.fd_r_max(s, N)
+            h = r_max / m_cells
+            with np.errstate(all="ignore"):
+                _, mbar, lower, kinetic = sp._fd_weights(
+                    s, np.arange(m_cells + 1) * h, h)
+            full = bool(np.all(np.isfinite(kinetic)) and np.all(np.isfinite(lower))
+                        and np.all(lower != 0.0) and np.all(mbar > 0.0))
+            assert sp.fd_grid_representable(s, r_max, m_cells) == full, (N, s)
+    assert sp.fd_grid_representable(20.0, sp.fd_r_max(20.0, 8), 2 * sp.FD_CELLS)
+    assert not sp.fd_grid_representable(30.0, sp.fd_r_max(30.0, 8), 2 * sp.FD_CELLS)
+
+
+def test_fd_spectrum_rejects_grid_out_of_double_range():
+    with pytest.raises(ValidationError):
+        sp.fd_spectrum(sp.SectorParams(s=30.0, N=4), r_max=sp.fd_r_max(30.0, 8))
+
+
 def test_degenerate_gap_guard():
     fam = sp.analytic_spectrum(sp.SectorParams(s=1.0, N=8))
     squeezed = sp.SpectralFamily(s=fam.s, N=fam.N, energies=np.ones(8),
-                                 nodes=fam.nodes, qchi=fam.qchi, signs=fam.signs)
+                                 nodes=fam.nodes, qchi=fam.qchi)
     with pytest.raises(Exception):
         sp.coupling_matrix(squeezed)
