@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BranchError,
@@ -34,6 +33,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
+from .ode import sample_times, solve_ivp
 
 R_GUARD = 1e-8
 
@@ -119,6 +119,8 @@ class Trajectory:
     p: np.ndarray  # (n, 2)
     puncture_hit: bool = False
     s_hit: Optional[float] = None
+    # deterministic integrator counters: rhs_evals, steps, rejected_steps
+    diagnostics: Optional[dict] = None
 
     def __len__(self):
         return self.s.size
@@ -167,8 +169,9 @@ def _rhs_flat(s, y, phi):
 def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
     """Integrate the flow from ``initial.s`` to ``s_end`` (either direction).
 
-    ``samples`` may be an int (uniform sample count, default 513) or an
-    explicit monotone array of times inside the span.  Raises PunctureHit
+    ``samples`` may be an int (uniform sample count >= 2, default 513) or
+    an explicit array of times inside the span, strictly monotone in the
+    direction of integration.  Raises PunctureHit
     (with the partial trajectory attached) if |q| reaches the guard
     radius (default 1e-8; a crossing that narrow is only caught when the
     trajectory genuinely lingers near the flux line), StepFailure on
@@ -182,36 +185,33 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
     s_end = float(s_end)
     if not np.isfinite(s_end):
         raise ValidationError(f"s_end must be finite, got {s_end!r}")
-    if s_end == s0:
-        return Trajectory(params=params, s=np.array([s0]),
-                          q=initial.q[None, :].copy(), p=initial.p[None, :].copy())
     if samples is None:
         samples = 513
     if np.isscalar(samples):
+        if int(samples) < 2:
+            raise ValidationError("need at least two samples")
         t_eval = np.linspace(s0, s_end, int(samples))
     else:
-        t_eval = np.asarray(samples, dtype=float)
-        span = sorted((s0, s_end))
-        if np.any(t_eval < span[0] - 1e-12) or np.any(t_eval > span[1] + 1e-12):
-            raise ValidationError("sample times fall outside the integration span")
+        t_eval = sample_times(samples, s0, s_end)
+    if s_end == s0:
+        return Trajectory(params=params, s=np.array([s0]),
+                          q=initial.q[None, :].copy(), p=initial.p[None, :].copy(),
+                          diagnostics={"rhs_evals": 0, "steps": 0, "rejected_steps": 0})
 
-    phi = params.phi
-
-    def puncture_event(s, y, *_args):
+    def puncture_event(s, y):
         return y[0] * y[0] + y[1] * y[1] - r_guard * r_guard
 
-    puncture_event.terminal = True
-
-    y0 = np.concatenate([initial.q, initial.p])
-    sol = solve_ivp(_rhs_flat, (s0, s_end), y0, method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval,
-                    events=puncture_event, args=(phi,), dense_output=False)
+    y0 = (*initial.q, *initial.p)
+    sol = solve_ivp(_rhs_flat, (s0, s_end), y0, tol, tol * 1e-2, t_eval,
+                    args=(params.phi,), event=puncture_event)
     if sol.status == -1:
         raise StepFailure(f"integrator failed: {sol.message}")
+    hit = sol.status == 1
     traj = Trajectory(params=params, s=sol.t, q=sol.y[:2].T.copy(), p=sol.y[2:].T.copy(),
-                      puncture_hit=(sol.status == 1),
-                      s_hit=float(sol.t_events[0][0]) if sol.status == 1 else None)
-    if sol.status == 1:
+                      puncture_hit=hit, s_hit=float(sol.t_events[0][0]) if hit else None,
+                      diagnostics={"rhs_evals": sol.nfev, "steps": sol.steps,
+                                   "rejected_steps": sol.rejected_steps})
+    if hit:
         raise PunctureHit(traj.s_hit, trajectory=traj)
     return traj
 

@@ -157,13 +157,16 @@ def cmd_classical(args):
         traj = classical.integrate(state, args.s_end, params, tol=args.tol,
                                    samples=args.samples)
     except PunctureHit as hit:
-        if hit.trajectory is not None and len(hit.trajectory) > 0:
-            _classical_files(hit.trajectory, params, args.out)
+        if hit.trajectory is not None:
+            summary["diagnostics"] = hit.trajectory.diagnostics
+            if len(hit.trajectory) > 0:
+                _classical_files(hit.trajectory, params, args.out)
         summary["puncture_hit"] = True
         summary["s_hit"] = hit.s_hit
         _write_json(args.out + ".json", summary)
         print(f"puncture reached at s = {hit.s_hit}", file=sys.stderr)
         return EXIT_PUNCTURE
+    summary["diagnostics"] = traj.diagnostics
     K = _classical_files(traj, params, args.out)
     summary["K_drift"] = float(np.max(np.abs(K - K[0])))
     if len(traj) >= 10:

@@ -1,0 +1,262 @@
+"""Explicit Dormand-Prince 8(5,3) integration on float tuples.
+
+``solve_ivp`` reproduces scipy's ``DOP853`` (Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.4-II.6) for a right-hand side ``fun(t, y, *args)``
+that takes and returns a tuple of floats.  It uses scipy's tableau and
+controller unchanged:
+
+* error norm  |h| ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) n), with
+  e5, e3 the two embedded error estimates divided componentwise by
+  atol + rtol max(|y_old|, |y_new|);
+* step factor  min(10, 0.9 err^(-1/8)) on acceptance (at most 1 right
+  after a rejection), max(0.2, 0.9 err^(-1/8)) on rejection;
+* minimum step 10 ulp of t, and the HNW initial step guess.
+
+One deliberate difference: a step size that is not a number (a NaN
+right-hand side at the start) ends the run as a failure, where scipy's
+loop would never terminate.
+
+The saving over scipy is the stage loop: per state dimension, one step,
+the three extra dense-output stages and the 7-coefficient interpolant are
+generated as straight-line Python on the first call, so a step does no
+array work.  Dense output is built only on steps that hold a sample time
+or an event crossing.
+"""
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import brentq
+
+from .errors import ValidationError
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0
+EPS = np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """Samples ``y[:, j]`` at ``t[j]`` (scipy's layout) plus run counters.
+
+    ``status`` is 0 at the end of the span, 1 after the terminal event and
+    -1 when the step fell below its minimum; ``nfev`` counts every call of
+    ``fun``.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    message: str
+    t_events: list
+    nfev: int
+    steps: int
+    rejected_steps: int
+
+
+def sample_times(t_eval, t0, t_bound):
+    """``t_eval`` as a float array, checked to be non-empty, finite, inside
+    the span and strictly monotone in the direction of integration."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or t_eval.size == 0:
+        raise ValidationError("sample times must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(t_eval)):
+        raise ValidationError("sample times must be finite")
+    if np.any(t_eval < min(t0, t_bound)) or np.any(t_eval > max(t0, t_bound)):
+        raise ValidationError("sample times fall outside the integration span")
+    d = np.diff(t_eval) * (1.0 if t_bound >= t0 else -1.0)
+    if np.any(d <= 0):
+        raise ValidationError("sample times must be strictly monotone in the "
+                              "direction of integration")
+    return t_eval
+
+
+def _rms(v):
+    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+
+
+def _initial_step(fun, args, t0, y0, f0, t_bound, direction, rtol, atol):
+    """HNW's starting step guess for an error estimator of order 7."""
+    interval = abs(t_bound - t0)
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = _rms([y / sc for y, sc in zip(y0, scale)])
+    d1 = _rms([f / sc for f, sc in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction,
+             tuple(y + h0 * direction * f for y, f in zip(y0, f0)), *args)
+    d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval)
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
+    """Integrate y' = fun(t, y, *args) over ``t_span``, sampled at ``t_eval``.
+
+    ``event(t, y)``, if given, is terminal: a sign change (or zero) between
+    two step ends is located by brentq on the dense interpolant, the
+    integration stops there with status 1, and ``t_events[0]`` holds the
+    root.  Samples up to the stopping time are returned.
+    """
+    t0, t_bound = float(t_span[0]), float(t_span[1])
+    if t0 == t_bound:
+        raise ValidationError("the integration span is empty")
+    y = tuple(float(v) for v in y0)
+    times = sample_times(t_eval, t0, t_bound).tolist()
+    step, dense, interp = _stepper(len(y))
+    direction = 1.0 if t_bound >= t0 else -1.0
+    towards = direction * math.inf
+
+    f = fun(t0, y, *args)
+    h_abs = _initial_step(fun, args, t0, y, f, t_bound, direction, rtol, atol)
+    nfev, steps, rejected = 2, 0, 0
+    g = event(t0, y) if event is not None else None
+    roots = []
+    ts, ys = [], []
+    i_next, n_eval = 0, len(times)
+    t = t0
+    status, message = None, "The solver reached the end of the integration interval."
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, towards) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if not h_abs >= min_step:
+                status, message = -1, "Required step size is below 10 ulp of t."
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err, stages = step(fun, args, t, y, f, h, rtol, atol)
+            nfev += 12
+            if err < 1:
+                factor = (MAX_FACTOR if err == 0
+                          else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if step_rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        if status is not None:
+            break
+        steps += 1
+        t_stop = t_new
+        coeffs = None
+        if event is not None:
+            g_new = event(t_new, y_new)
+            if (g <= 0 <= g_new) or (g >= 0 >= g_new):
+                coeffs = dense(fun, args, t, h, y, y_new, stages)
+                nfev += 3
+                t_stop = brentq(lambda s: event(s, interp(coeffs, y, (s - t) / h)),
+                                t, t_new, xtol=4 * EPS, rtol=4 * EPS)
+                roots.append(t_stop)
+                status, message = 1, "A termination event occurred."
+            g = g_new
+        while i_next < n_eval and direction * (times[i_next] - t_stop) <= 0:
+            if coeffs is None:
+                coeffs = dense(fun, args, t, h, y, y_new, stages)
+                nfev += 3
+            s = times[i_next]
+            ts.append(s)
+            ys.append(interp(coeffs, y, (s - t) / h))
+            i_next += 1
+        t, y, f = t_new, y_new, f_new
+        if status is None and direction * (t - t_bound) >= 0:
+            status = 0
+    y_out = np.array(ys, dtype=float).T if ys else np.empty((len(y), 0))
+    return OdeResult(t=np.array(ts, dtype=float), y=y_out, status=status,
+                     message=message,
+                     t_events=None if event is None else [np.array(roots, dtype=float)],
+                     nfev=nfev, steps=steps, rejected_steps=rejected)
+
+
+# ---------------------------------------------------------------------------
+# generated stage code
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _stepper(n):
+    """(step, dense, interp) for an n-dimensional state, generated once."""
+    from scipy.integrate._ivp import dop853_coefficients as tableau
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_source(n, tableau), f"<dop853 n={n}>", "exec"), namespace)
+    return namespace["step"], namespace["dense"], namespace["interp"]
+
+
+def _source(n, tab):
+    """Python source of the three straight-line functions for dimension n.
+
+    Stage s of component i is ``k{s}_{i}``; stage 0 is f(t, y), stage 12
+    is f(t + h, y_new), stages 13-15 feed only the interpolant.
+    """
+    ns, ext, power = tab.N_STAGES, tab.N_STAGES_EXTENDED, tab.INTERPOLATOR_POWER
+    A, C = tab.A, tab.C
+    comps = range(n)
+
+    def comb(row, i, upto):
+        return " + ".join(f"{float(c)!r}*k{s}_{i}" for s, c in enumerate(row[:upto]) if c != 0)
+
+    def unpack(name, stage):
+        return f"    {', '.join(f'k{stage}_{i}' for i in comps)}, = {name}"
+
+    def stage_call(s):
+        ys = ", ".join(f"y_{i} + ({comb(A[s], i, s)})*h" for i in comps)
+        return f"    K{s} = fun(t + {float(C[s])!r}*h, ({ys},), *args)"
+
+    ys_all = ", ".join(f"y_{i}" for i in comps)
+    yn_all = ", ".join(f"yn_{i}" for i in comps)
+
+    step = ["def step(fun, args, t, y, f, h, rtol, atol):",
+            f"    {ys_all}, = y", unpack("f", 0)]
+    for s in range(1, ns):
+        step += [stage_call(s), unpack(f"K{s}", s)]
+    step += [f"    yn_{i} = y_{i} + h*({comb(tab.B, i, ns)})" for i in comps]
+    step += [f"    f_new = fun(t + h, ({yn_all},), *args)"]
+    for i in comps:
+        step += [f"    sc_{i} = atol + max(abs(y_{i}), abs(yn_{i}))*rtol",
+                 f"    e5_{i} = ({comb(tab.E5, i, ns)})/sc_{i}",
+                 f"    e3_{i} = ({comb(tab.E3, i, ns)})/sc_{i}"]
+    step += [f"    n5 = {' + '.join(f'e5_{i}*e5_{i}' for i in comps)}",
+             f"    n3 = {' + '.join(f'e3_{i}*e3_{i}' for i in comps)}",
+             "    err = 0.0 if n5 == 0 and n3 == 0 else "
+             f"abs(h)*n5/sqrt((n5 + 0.01*n3)*{n})",
+             f"    return ({yn_all},), f_new, err, "
+             f"(f, {', '.join(f'K{s}' for s in range(1, ns))}, f_new)"]
+
+    dense = ["def dense(fun, args, t, h, y, y_new, stages):",
+             f"    {ys_all}, = y", f"    {yn_all}, = y_new",
+             f"    {', '.join(f'K{s}' for s in range(ns + 1))}, = stages"]
+    dense += [unpack(f"K{s}", s) for s in range(ns + 1)]
+    for s in range(ns + 1, ext):
+        dense += [stage_call(s), unpack(f"K{s}", s)]
+    for i in comps:
+        dense += [f"    d_{i} = yn_{i} - y_{i}",
+                  f"    F0_{i} = d_{i}",
+                  f"    F1_{i} = h*k0_{i} - d_{i}",
+                  f"    F2_{i} = 2*d_{i} - h*(k{ns}_{i} + k0_{i})"]
+        dense += [f"    F{3 + r}_{i} = h*({comb(tab.D[r], i, ext)})"
+                  for r in range(power - 3)]
+    flat = ", ".join(f"F{r}_{i}" for i in comps for r in range(power))
+    dense += [f"    return ({flat},)"]
+
+    # y_old + x (F0 + u (F1 + x (F2 + u (F3 + x (F4 + u (F5 + x F6)))))),
+    # u = 1 - x: scipy's Horner order
+    def horner(i):
+        expr = f"F{power - 1}_{i}"
+        for r in range(power - 2, -1, -1):
+            expr = f"F{r}_{i} + {'x' if (power - 1 - r) % 2 else 'u'}*({expr})"
+        return f"y_{i} + x*({expr})"
+
+    interp = ["def interp(coeffs, y, x):",
+              f"    {flat}, = coeffs", f"    {ys_all}, = y", "    u = 1.0 - x",
+              f"    return ({', '.join(horner(i) for i in comps)},)"]
+    return "\n".join(step + [""] + dense + [""] + interp) + "\n"

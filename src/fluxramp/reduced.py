@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import j0, j1, y0, y1
 
@@ -50,6 +49,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
+from .ode import solve_ivp
 
 _DENOM_FLOOR = 1e-12
 
@@ -327,16 +327,17 @@ def ode_rhs(s, x, phi):
     return (x[0] / s - x[1] + f, x[0])
 
 
-def integrate_ode(phi, s_span, x0, tol=1e-12, t_eval=None, force_zero_f=False):
-    """Integrate the reduced system directly with an adaptive RK method."""
-    def rhs(s, x):
-        if force_zero_f:
-            return (x[0] / s - x[1], x[0])
-        return ode_rhs(s, x, phi)
+def _homogeneous_rhs(s, x):
+    return (x[0] / s - x[1], x[0])
 
-    sol = solve_ivp(rhs, s_span, np.asarray(x0, dtype=float), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval)
-    if not sol.success:
+
+def integrate_ode(phi, s_span, x0, t_eval, tol=1e-12, force_zero_f=False):
+    """Integrate the reduced system directly with an adaptive RK method."""
+    if force_zero_f:
+        sol = solve_ivp(_homogeneous_rhs, s_span, x0, tol, tol * 1e-2, t_eval)
+    else:
+        sol = solve_ivp(ode_rhs, s_span, x0, tol, tol * 1e-2, t_eval, args=(phi,))
+    if sol.status < 0:
         raise NoConvergence(f"reduced ODE integration failed: {sol.message}")
     return sol.t, sol.y[0], sol.y[1]
 

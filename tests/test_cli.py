@@ -45,6 +45,13 @@ def test_classical_roundtrip_and_exit(tmp_path):
     summary = read_json(out + ".json")
     assert summary["puncture_hit"] is False
     assert abs(summary["slope"] - 0.5) < 1e-8
+    assert_positive_counters(summary["diagnostics"])
+
+
+def assert_positive_counters(diagnostics):
+    assert set(diagnostics) == {"rhs_evals", "steps", "rejected_steps"}
+    for value in diagnostics.values():
+        assert isinstance(value, int) and value > 0
 
 
 def test_classical_single_row_when_span_empty(tmp_path):
@@ -78,6 +85,7 @@ def test_classical_puncture_exit(tmp_path, monkeypatch):
     assert code == 3
     summary = read_json(out + ".json")
     assert summary["puncture_hit"] is True and summary["s_hit"] is not None
+    assert_positive_counters(summary["diagnostics"])
     _, rows = read_csv(out + ".csv")
     assert rows.shape[0] >= 1
 
@@ -141,6 +149,12 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["spectral", "--s", "1,30", "--levels", "64", "--check", "all"],
     ["classical", "--config", "{tmp}/missing.conf", "--phi", "0.5", "--q0", "1,0",
      "--p0", "0,0.6", "--s-end", "1"],
+    ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
+     "--samples", "0"],
+    ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
+     "--samples=-5"],
+    ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
+     "--samples", "1"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
