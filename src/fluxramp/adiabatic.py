@@ -10,17 +10,19 @@ pure phase
 and the corrector solves i dC/ds = -W(s) C with the twisted coupling
 W(s) = U_ad^(-1) Pi U_ad, whose entries carry the pure phases
 exp(2i(m-n)s/eps) (the s^2 parts of the phase integrals cancel in the
-differences).  C lives in the fixed initial basis; U_w = U_ad C.
+differences).  C lives in the fixed initial basis; U_w = U_ad C is formed
+from it per sample in run_sweep (and per probe in
+residual_generator_check), never propagated on its own.
 
 Time stepping never resolves the 1/eps phases by brute force: each panel
 integral of W uses a quadratic (Filon) model of the slowly varying Pi
 against exact oscillatory moments, and C advances by the exponential of
-that panel integral (a first-order Magnus step, unitary to rounding via
-the hermitian eigendecomposition).  Panel size is tied to eps only mildly
-(h <= eps/4) to keep the commutator remainder of the Magnus step
-negligible; halving checks are built in.  The twisted integral I(s) is the
-running sum of the same panel integrals, so one walk over the panels
-yields I and C together.
+that panel integral plus its commutator term (a second-order Magnus step,
+made exactly unitary by the diagonal Pade approximant of _magnus_step).
+Panel size is tied to eps only mildly (h <= eps/4) to keep the remainder
+of the Magnus step negligible; twisted_coupling_integral checks panel
+halving.  The twisted integral I(s) is the running sum of the same panel
+integrals, so one walk over the panels yields I and C together.
 
 On the N-level truncation U_ad satisfies its own generator identity
 exactly and U_w satisfies i eps dU_w/ds = H U_w identically (the corrector
@@ -60,25 +62,24 @@ class AdiabaticConfig:
             raise ValidationError("need at least two samples")
         if self.N < 2:
             raise ValidationError("need at least two levels")
+        # a panel's quadratic Filon coefficient divides by 2 c^2, with c the
+        # panel half-width (at most half the sample spacing); once c^2 is
+        # subnormal the rounding noise over it overflows, and inf times the
+        # underflowed moment c^3 turns the panel into nan
+        spacing = self.s_end / (self.n_samples - 1)
+        if not (0.5 * spacing) ** 2 >= np.finfo(float).tiny:
+            raise ValidationError(f"sample spacing {spacing:.3g} is too fine: the "
+                                  f"squared panel half-width is not a normal double")
 
     @property
     def s_grid(self):
         return np.linspace(0.0, self.s_end, self.n_samples)
 
 
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """N x N matrix in the moving eigenbasis at time s."""
-
-    s: float
-    M: np.ndarray
-    kind: str
-
-    def unitarity_defect(self):
-        """||M^H M - id||_2, the largest |eigenvalue| of that hermitian matrix."""
-        n = self.M.shape[0]
-        gram = self.M.conj().T @ self.M - np.eye(n)
-        return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
+def unitarity_defect(m):
+    """||M^H M - id||_2, the largest |eigenvalue| of that hermitian matrix."""
+    gram = m.conj().T @ m - np.eye(m.shape[0])
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def phase_integrals(s, N, epsilon):
@@ -87,13 +88,9 @@ def phase_integrals(s, N, epsilon):
     return ((2 * n + 1) * s + s * s) / epsilon
 
 
-def u_ad(config):
-    """Adiabatic propagator sequence on the sample grid (diagonal phases)."""
-    out = []
-    for s in config.s_grid:
-        phases = np.exp(-1j * phase_integrals(s, config.N, config.epsilon))
-        out.append(PropagatorMatrix(s=float(s), M=np.diag(phases), kind="U_ad"))
-    return out
+def _u_ad(s, N, epsilon):
+    """U_ad(s) = diag exp(-i Theta_n(s)/eps), the adiabatic propagator."""
+    return np.diag(np.exp(-1j * phase_integrals(s, N, epsilon)))
 
 
 def _pi_at(config, s):
@@ -210,7 +207,7 @@ def _propagate(config, stops=None):
         c = _magnus_step(block, omega2) @ c
         if b in sample_at:
             yield float(b), acc, c
-    defect = PropagatorMatrix(s=float(stops[-1]), M=c, kind="C").unitarity_defect()
+    defect = unitarity_defect(c)
     if defect > 1e-8:
         raise StepFailure(f"corrector unitarity defect {defect:.2e}")
 
@@ -235,20 +232,13 @@ def twisted_coupling_integral(config, check_refinement=True):
     return mats, norms
 
 
-def dyson_corrector(config, check_refinement=False):
-    """Corrector sequence: i dC/ds = -W C, C(0) = id, via Magnus-Filon panels.
+def dyson_corrector(config):
+    """Corrector C on the sample grid: i dC/ds = -W C, C(0) = id.
 
-    Each step is exp(i * panel integral of W), made exactly unitary through
-    the hermitian eigendecomposition; StepFailure guards unitarity drift,
-    GridTooCoarse (optional) guards panel-halving stability at s_end.
+    Returns the list of N x N arrays from the Magnus-Filon panel walk;
+    each step is exactly unitary, and StepFailure guards unitarity drift.
     """
-    seq = [PropagatorMatrix(s=s, M=c, kind="C") for s, _, c in _propagate(config)]
-    if check_refinement:
-        ref = dyson_corrector(replace(config, panel_max=config.panel_max / 2.0))
-        drift = np.linalg.norm(seq[-1].M - ref[-1].M, 2)
-        if drift > 1e-6:
-            raise GridTooCoarse(f"corrector moved {drift:.2e} under panel halving")
-    return seq
+    return [c for _, _, c in _propagate(config)]
 
 
 def _magnus_step(block, omega2):
@@ -267,21 +257,6 @@ def _magnus_step(block, omega2):
     return np.linalg.solve(den, num)
 
 
-def u_weak(config, uad_seq, corrector_seq):
-    """U_w = U_ad C on matching grids, with the difference-norm curve."""
-    if len(uad_seq) != len(corrector_seq):
-        raise ValidationError("propagator grids do not match")
-    out = []
-    diff = []
-    for ua, c in zip(uad_seq, corrector_seq):
-        if abs(ua.s - c.s) > 1e-12:
-            raise ValidationError("propagator grids do not match")
-        m = ua.M @ c.M
-        out.append(PropagatorMatrix(s=ua.s, M=m, kind="U_w"))
-        diff.append(np.linalg.norm(m - ua.M, 2))
-    return out, np.asarray(diff)
-
-
 def residual_generator_check(config, probes=None, delta=1e-6):
     """Finite-difference residuals of the generator identities.
 
@@ -298,16 +273,13 @@ def residual_generator_check(config, probes=None, delta=1e-6):
     n = np.arange(config.N)
     eps = config.epsilon
 
-    def uad_matrix(s):
-        return np.diag(np.exp(-1j * phase_integrals(s, config.N, eps)))
-
     stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
     corrector = {s: c for s, _, c in _propagate(config, stops)}
     res_ad, res_w = [], []
     for s in probes:
         pim = _pi_at(config, s)
         h = np.diag((2.0 * n + 2.0 * s + 1.0).astype(complex))
-        up, um, u0 = uad_matrix(s + delta), uad_matrix(s - delta), uad_matrix(s)
+        up, um, u0 = (_u_ad(t, config.N, eps) for t in (s + delta, s - delta, s))
         cp, cm, c0 = corrector[s + delta], corrector[s - delta], corrector[s]
         du_ad = (up - um) / (2 * delta)
         r_ad = 1j * eps * (du_ad - 1j * pim @ u0) - (h + eps * pim) @ u0
@@ -337,28 +309,32 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
     The three tracked quantities are ||I(s)||, ||C - id|| and
     ||U_w - U_ad||; their endpoint values are fitted as power laws in
     epsilon when at least two epsilons are given.  One panel walk per
-    epsilon gives both I and C; only the norms of I are kept.
+    epsilon gives I and C; at each sample U_w = U_ad C is formed from C,
+    and only the norms and the unitarity defects of C and U_w are kept.
     """
     if len(set(epsilons)) != len(epsilons):
         raise ValidationError(f"epsilons must be distinct, got {list(epsilons)!r}")
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     nt, nc, nw, ud = [], [], [], []
     s_grid = None
+    ident = np.eye(N)
     for eps in epsilons:
         cfg = AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples,
                               N=N, force_zero_coupling=force_zero_coupling)
         s_grid = cfg.s_grid
-        norms_i, c_seq = [], []
+        norms_i, norms_c, norms_w, defects_c, defects_w = [], [], [], [], []
         for s, i_mat, c in _propagate(cfg):
+            u = _u_ad(s, N, cfg.epsilon)
+            u_w = u @ c
             norms_i.append(np.linalg.norm(i_mat, 2))
-            c_seq.append(PropagatorMatrix(s=s, M=c, kind="C"))
-        uw_seq, diff = u_weak(cfg, u_ad(cfg), c_seq)
-        ident = np.eye(N)
-        nc.append([np.linalg.norm(c.M - ident, 2) for c in c_seq])
+            norms_c.append(np.linalg.norm(c - ident, 2))
+            norms_w.append(np.linalg.norm(u_w - u, 2))
+            defects_c.append(unitarity_defect(c))
+            defects_w.append(unitarity_defect(u_w))
         nt.append(norms_i)
-        nw.append(diff)
-        ud.append(max(max(p.unitarity_defect() for p in c_seq),
-                      max(p.unitarity_defect() for p in uw_seq)))
+        nc.append(norms_c)
+        nw.append(norms_w)
+        ud.append(max(max(defects_c), max(defects_w)))
     nt, nc, nw = np.asarray(nt), np.asarray(nc), np.asarray(nw)
     exponents = None
     if epsilons.size >= 2:

@@ -39,6 +39,11 @@ R_GUARD = 1e-8
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 
+# forward asymptotics: H is averaged over this trailing share of the samples
+# (at least 8), and a relative spread above SPREAD_TOL means it has not settled
+TAIL_FRACTION = 0.25
+SPREAD_TOL = 0.05
+
 
 def perp(w):
     """Rotate a 2-vector by +90 degrees: (x, y) -> (-y, x)."""
@@ -77,39 +82,6 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class GuidingDecomposition:
-    """Center/velocity split q = c + v_perp with action-angle data.
-
-    I1 = |c|^2/2, I2 = H = |v|^2/2, phi1 = arg c, and phi2 is fixed by
-    q = |c| e(phi1) + |v| e(-phi2) with e(t) = (cos t, sin t); degenerate
-    zero vectors get angle 0 by convention.
-    """
-
-    s: float
-    c: np.ndarray
-    v: np.ndarray
-    I1: float
-    I2: float
-    phi1: float
-    phi2: float
-
-
-@dataclass(frozen=True)
-class MotionConstant:
-    """Value of the conserved K plus per-trajectory branch bookkeeping.
-
-    ``branch`` is the unwrapped arg q used for this sample; passing the
-    instance as ``prev`` to the next motion_constant call continues the
-    branch.  ``s0`` is the trajectory constant of the center-energy law
-    |c|^2/2 - H = phi (s - s0).
-    """
-
-    K: float
-    s0: float
-    branch: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of the flow; arrays indexed by sample."""
 
@@ -124,9 +96,6 @@ class Trajectory:
 
     def __len__(self):
         return self.s.size
-
-    def state(self, i):
-        return PhaseState(s=float(self.s[i]), q=self.q[i], p=self.p[i])
 
 
 def vector_potential(s, q, params):
@@ -150,13 +119,8 @@ def hamiltonian(state, params):
     return 0.5 * float(v @ v)
 
 
-def flow_rhs(state, params):
-    """Canonical equations (dq/ds, dp/ds) at the given state."""
-    vx, vy, dpx, dpy = _rhs_flat(state.s, (*state.q, *state.p), params.phi)
-    return np.array([vx, vy]), np.array([dpx, dpy])
-
-
 def _rhs_flat(s, y, phi):
+    """Canonical equations (dq/ds, dp/ds) on the flat state (qx, qy, px, py)."""
     qx, qy, px, py = y
     r2 = qx * qx + qy * qy
     g = 0.5 - phi * s / r2
@@ -216,63 +180,16 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
     return traj
 
 
-def to_guiding_center(state, params):
-    """Split a state into guiding center c = q - v_perp and velocity v."""
-    q = state.q
-    if np.hypot(q[0], q[1]) == 0.0:
-        raise ValidationError("guiding split undefined at q = 0")
-    v = velocity(state.s, q, state.p, params)
-    c = q - perp(v)
-    nc = np.hypot(c[0], c[1])
-    nv = np.hypot(v[0], v[1])
-    phi1 = float(np.arctan2(c[1], c[0])) if nc > 0 else 0.0
-    # v_perp = |v| e(-phi2)  =>  phi2 = -arg(v_perp)
-    vp = perp(v)
-    phi2 = float(-np.arctan2(vp[1], vp[0])) if nv > 0 else 0.0
-    return GuidingDecomposition(s=float(state.s), c=c, v=v,
-                                I1=0.5 * float(nc * nc), I2=0.5 * float(nv * nv),
-                                phi1=phi1, phi2=phi2)
-
-
 def _wrap_angle(a):
     """Wrap to (-pi, pi]."""
     w = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
     return np.where(w == -np.pi, np.pi, w) if np.ndim(w) else (np.pi if w == -np.pi else w)
 
 
-def motion_constant(decomp, params, prev=None):
-    """Conserved K = I2 - phi * arg(q) with a continuous arg branch.
-
-    The vector sqrt(2 I1) e(phi1) + sqrt(2 I2) e(-phi2) is q itself, so the
-    branch is tracked on arg q.  The first call fixes the branch in
-    (-pi, pi]; subsequent calls must stay within pi of ``prev.branch``,
-    otherwise the sampling is too coarse to unwrap and BranchError is
-    raised.
-    """
-    qvec = (np.sqrt(2.0 * decomp.I1) * np.array([np.cos(decomp.phi1), np.sin(decomp.phi1)])
-            + np.sqrt(2.0 * decomp.I2) * np.array([np.cos(decomp.phi2), -np.sin(decomp.phi2)]))
-    if np.hypot(qvec[0], qvec[1]) == 0.0:
-        raise ValidationError("arg undefined: reconstructed q vanishes")
-    raw = float(np.arctan2(qvec[1], qvec[0]))
-    if prev is None:
-        branch = raw
-    else:
-        delta = _wrap_angle(raw - prev.branch)
-        if abs(delta) >= np.pi * (1.0 - 1e-9):
-            raise BranchError("consecutive samples too far apart to unwrap; refine sampling")
-        branch = prev.branch + delta
-    K = decomp.I2 - params.phi * branch
-    s0 = decomp.s - (decomp.I1 - decomp.I2) / params.phi
-    return MotionConstant(K=float(K), s0=float(s0), branch=branch)
-
-
 def guiding_series(traj):
     """Vectorized guiding data along a trajectory: (c, v, I1, H)."""
-    phi = traj.params.phi
-    r2 = np.sum(traj.q * traj.q, axis=1)
-    g = 0.5 - phi * traj.s / r2
-    v = traj.p - g[:, None] * np.stack([-traj.q[:, 1], traj.q[:, 0]], axis=1)
-    c = traj.q - np.stack([-v[:, 1], v[:, 0]], axis=1)
+    v = velocity(traj.s, traj.q, traj.p, traj.params)
+    c = traj.q - perp(v)
     I1 = 0.5 * np.sum(c * c, axis=1)
     H = 0.5 * np.sum(v * v, axis=1)
     return c, v, I1, H
@@ -327,7 +244,7 @@ class ForwardAsymptotics:
     H_tail_spread: float
 
 
-def asymptotics_forward(traj, params, tail_fraction=0.25, spread_tol=0.05):
+def asymptotics_forward(traj, params):
     """Outgoing-drift diagnostics on the tail of a forward trajectory.
 
     H_limit is the tail average of H, a0 = sqrt(4 phi H_limit), the drift
@@ -339,11 +256,11 @@ def asymptotics_forward(traj, params, tail_fraction=0.25, spread_tol=0.05):
     if traj.s[-1] < 1e3:
         raise ValidationError("forward asymptotics need the trajectory to reach s >= 1e3")
     _, _, I1, H = guiding_series(traj)
-    n_tail = max(8, int(len(traj) * tail_fraction))
+    n_tail = max(8, int(len(traj) * TAIL_FRACTION))
     tail = slice(len(traj) - n_tail, None)
     H_limit = float(np.mean(H[tail]))
     spread = float(np.std(H[tail]) / H_limit) if H_limit > 0 else np.inf
-    if spread > spread_tol:
+    if spread > SPREAD_TOL:
         raise NotConverged(f"tail of H has not settled (relative spread {spread:.3g})")
     a0 = float(np.sqrt(4.0 * params.phi * H_limit))
     ang = np.arctan2(traj.q[tail, 1], traj.q[tail, 0])

@@ -53,6 +53,16 @@ from .ode import solve_ivp
 
 _DENOM_FLOOR = 1e-12
 
+# the residual's independent rule: this many times the panels of the solve,
+# each with this many more Gauss nodes
+RESIDUAL_REFINE = 2
+RESIDUAL_EXTRA_ORDER = 2
+
+# constant extraction fits the trailing half of the solution grid and
+# calls a homogeneous amplitude c1^2 + c2^2 below DEGENERATE_TOL zero
+WINDOW_FRACTION = 0.5
+DEGENERATE_TOL = 1e-12
+
 
 def _bessel_arg(name, order, x):
     if order not in (0, 1):
@@ -82,15 +92,6 @@ def bessel_y(order, x):
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    """Unknowns of the integral equations at one time."""
-
-    s: float
-    x1: float
-    x2: float
-
-
-@dataclass(frozen=True)
 class IntegralEqConfig:
     """Truncation, quadrature and iteration controls.
 
@@ -111,6 +112,9 @@ class IntegralEqConfig:
     def __post_init__(self):
         if not np.isfinite(self.s_max) or self.s_max <= 0:
             raise ValidationError(f"s_max must be positive, got {self.s_max!r}")
+        if not (np.isfinite(self.c1) and np.isfinite(self.c2)):
+            raise ValidationError(
+                f"c1 and c2 must be finite, got {self.c1!r} and {self.c2!r}")
         if self.quad_nodes < 2:
             raise ValidationError("quad_nodes must be >= 2")
         if self.panel_width <= 0:
@@ -293,7 +297,7 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
                            forced_zero_f=force_zero_f)
 
 
-def residual(solution, refine=2, extra_order=2):
+def residual(solution):
     """Substitute the solution back with an independent, finer quadrature.
 
     Returns (res1, res2) on the solution grid; their sup norm is the
@@ -301,8 +305,10 @@ def residual(solution, refine=2, extra_order=2):
     """
     cfg = solution.config
     s = solution.grid
-    n_panels = max(4, int(np.ceil((cfg.s_max - solution.s_start) / cfg.panel_width))) * refine
-    quad = _PanelQuadrature(solution.s_start, cfg.s_max, n_panels, cfg.quad_nodes + extra_order)
+    n_panels = (max(4, int(np.ceil((cfg.s_max - solution.s_start) / cfg.panel_width)))
+                * RESIDUAL_REFINE)
+    quad = _PanelQuadrature(solution.s_start, cfg.s_max, n_panels,
+                            cfg.quad_nodes + RESIDUAL_EXTRA_ORDER)
     sp1, sp2 = solution.spline()
     tau = quad.nodes
     if solution.forced_zero_f:
@@ -414,8 +420,7 @@ class ExtractedConstants:
     fit_residual: float
 
 
-def extract_constants(solution, phi, window_fraction=0.5, fit_threshold=None,
-                      degenerate_tol=1e-12):
+def extract_constants(solution, phi):
     """Recover (c1, c2) and the outgoing energy scale a0 from the tail.
 
     (c1, c2) come from a joint least-squares fit of both components
@@ -429,7 +434,7 @@ def extract_constants(solution, phi, window_fraction=0.5, fit_threshold=None,
     if solution.config.s_max < 1e3 * (1 - 1e-9):
         raise ValidationError("constant extraction needs the solution to reach s >= 1e3")
     s = solution.grid
-    mask = s >= s[0] + window_fraction * (s[-1] - s[0])
+    mask = s >= s[0] + WINDOW_FRACTION * (s[-1] - s[0])
     sw = s[mask]
     basis = np.concatenate([
         np.stack([sw * bessel_j(0, sw), sw * bessel_y(0, sw)], axis=1),
@@ -439,11 +444,8 @@ def extract_constants(solution, phi, window_fraction=0.5, fit_threshold=None,
     coef, res2, _, _ = np.linalg.lstsq(basis, target, rcond=None)
     c1, c2 = float(coef[0]), float(coef[1])
     fit_residual = float(np.sqrt(res2[0] / target.size)) if res2.size else 0.0
-    if fit_threshold is not None and fit_residual > fit_threshold:
-        raise NotConverged(f"homogeneous-basis fit residual {fit_residual:.3g} "
-                           f"exceeds {fit_threshold:.3g}")
     amp2 = c1 * c1 + c2 * c2
-    if amp2 < degenerate_tol:
+    if amp2 < DEGENERATE_TOL:
         raise NotConverged("degenerate amplitude: homogeneous part is numerically zero")
     jred = np.sqrt(solution.x1[mask] ** 2 + (solution.x2[mask] - phi) ** 2 + (phi * sw) ** 2)
     H_limit = float(np.mean(0.5 * (jred - phi * sw)))

@@ -327,8 +327,12 @@ class KernelBoundResult:
     n_grid: int
 
 
-def kernel_bound_check(s, n_grid=2400, u_halfwidth=None, refine=True,
-                       drift_limit=5e-3):
+# Half-width of the kernel check's u-grid in decay lengths 1/(s + 1/2):
+# the truncated kernel tail exp(-36) ~ 2e-16 sits at double rounding.
+KERNEL_DECAY_LENGTHS = 36.0
+
+
+def kernel_bound_check(s, n_grid=2400, refine=True, drift_limit=5e-3):
     """Numerical norm of the comparison integral operator on L^2((0,inf), dx).
 
     The kernel K(x,y) = -(i/y)(x/y)^s for x < y and (i/x)(y/x)^s for x > y
@@ -344,8 +348,7 @@ def kernel_bound_check(s, n_grid=2400, u_halfwidth=None, refine=True,
     if s < 0:
         raise ValidationError("kernel bound requires s >= 0")
     sigma = s + 0.5
-    if u_halfwidth is None:
-        u_halfwidth = 36.0 / sigma
+    u_halfwidth = KERNEL_DECAY_LENGTHS / sigma
     tail = float(np.exp(-sigma * u_halfwidth))
 
     def discrete_norm(n):

@@ -17,6 +17,13 @@ def state(s, q, p):
     return cl.PhaseState(s=s, q=np.asarray(q, float), p=np.asarray(p, float))
 
 
+def trajectory(states, params=PHI):
+    """The given phase states as the samples of one Trajectory."""
+    return cl.Trajectory(params=params, s=np.array([st.s for st in states]),
+                         q=np.array([st.q for st in states]),
+                         p=np.array([st.p for st in states]))
+
+
 def test_flux_params_rejects_nonpositive():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValidationError):
@@ -39,10 +46,10 @@ def test_hamiltonian_examples():
     assert_allclose(cl.hamiltonian(state(0.0, [1.0, 0.0], [0.0, 1.5]), PHI), 0.5,
                     rtol=1e-15)
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        st = state(rng.uniform(-2, 2), rng.uniform(0.3, 2, 2), rng.uniform(-2, 2, 2))
-        d = cl.to_guiding_center(st, PHI)
-        assert_allclose(cl.hamiltonian(st, PHI), 0.5 * (d.v @ d.v), rtol=1e-13)
+    states = [state(rng.uniform(-2, 2), rng.uniform(0.3, 2, 2), rng.uniform(-2, 2, 2))
+              for _ in range(25)]
+    _, _, _, H = cl.guiding_series(trajectory(states))
+    assert_allclose([cl.hamiltonian(st, PHI) for st in states], H, rtol=1e-13)
 
 
 def test_flow_rhs_matches_finite_differences():
@@ -54,8 +61,8 @@ def test_flow_rhs_matches_finite_differences():
         if np.hypot(*q) < 0.3:
             q = q / np.hypot(*q) * 0.5
         p = rng.uniform(-2, 2, 2)
-        st = state(s, q, p)
-        dq, dp = cl.flow_rhs(st, PHI)
+        vx, vy, dpx, dpy = cl._rhs_flat(s, (*q, *p), PHI.phi)
+        dq, dp = np.array([vx, vy]), np.array([dpx, dpy])
         grad_q = np.zeros(2)
         grad_p = np.zeros(2)
         for k in range(2):
@@ -71,7 +78,7 @@ def test_flow_rhs_matches_finite_differences():
 
 def test_flow_rhs_velocity_component():
     st = state(0.7, [1.2, -0.3], [0.4, 0.8])
-    dq, _ = cl.flow_rhs(st, PHI)
+    dq = cl._rhs_flat(st.s, (*st.q, *st.p), PHI.phi)[:2]
     assert_allclose(dq, cl.velocity(st.s, st.q, st.p, PHI), rtol=1e-15)
 
 
@@ -116,67 +123,60 @@ def test_puncture_event_reported():
 
 
 def test_guiding_center_examples():
-    # q = (1, 0), v = (0, 1): c = q - v_perp = (2, 0), I1 = 2, I2 = 1/2
+    # q = (1, 0), v = (0, 1): c = q - v_perp = (2, 0), I1 = 2, H = 1/2;
+    # zero velocity: c = q, H = 0
     q = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
-    st = state(0.4, q, v + cl.vector_potential(0.4, q, PHI))
-    d = cl.to_guiding_center(st, PHI)
-    assert_allclose(d.c, [2.0, 0.0], atol=1e-14)
-    assert_allclose([d.I1, d.I2], [2.0, 0.5], rtol=1e-14)
-    # zero velocity: c = q, I2 = 0, angle convention phi2 = 0
-    st = state(1.0, q, cl.vector_potential(1.0, q, PHI))
-    d = cl.to_guiding_center(st, PHI)
-    assert_allclose(d.c, q, atol=1e-15)
-    assert d.I2 == 0.0 and d.phi2 == 0.0
+    moving = state(0.4, q, v + cl.vector_potential(0.4, q, PHI))
+    resting = state(1.0, q, cl.vector_potential(1.0, q, PHI))
+    c, _, I1, H = cl.guiding_series(trajectory([moving, resting]))
+    assert_allclose(c[0], [2.0, 0.0], atol=1e-14)
+    assert_allclose([I1[0], H[0]], [2.0, 0.5], rtol=1e-14)
+    assert_allclose(c[1], q, atol=1e-15)
+    assert H[1] == 0.0
 
 
 def test_guiding_roundtrip_random():
     rng = np.random.default_rng(123)
+    states = []
     for _ in range(1000):
         st = state(rng.uniform(-5, 5), rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2))
-        if np.hypot(*st.q) < 1e-6:
-            continue
-        d = cl.to_guiding_center(st, PHI)
-        vperp = np.array([-d.v[1], d.v[0]])
-        assert np.max(np.abs(d.c + vperp - st.q)) <= 1e-12 * (1 + np.max(np.abs(st.q)))
-        qrec = (np.sqrt(2 * d.I1) * np.array([np.cos(d.phi1), np.sin(d.phi1)])
-                + np.sqrt(2 * d.I2) * np.array([np.cos(d.phi2), -np.sin(d.phi2)]))
-        assert np.max(np.abs(qrec - st.q)) <= 1e-12 * (1 + np.max(np.abs(st.q)))
+        if np.hypot(*st.q) >= 1e-6:
+            states.append(st)
+    traj = trajectory(states)
+    c, v, _, _ = cl.guiding_series(traj)
+    vperp = np.stack([-v[:, 1], v[:, 0]], axis=1)
+    scale = 1 + np.max(np.abs(traj.q), axis=1)
+    assert np.all(np.max(np.abs(c + vperp - traj.q), axis=1) <= 1e-12 * scale)
 
 
 def test_motion_constant_equals_h_minus_phi_arg():
     st = state(0.9, [0.8, 0.7], [-0.2, 0.4])
-    d = cl.to_guiding_center(st, PHI)
-    mc = cl.motion_constant(d, PHI)
-    expected = d.I2 - PHI.phi * np.arctan2(st.q[1], st.q[0])
-    assert_allclose(mc.K, expected, rtol=1e-13)
-    # s0 from the center-energy relation
-    assert_allclose(mc.s0, st.s - (d.I1 - d.I2) / PHI.phi, rtol=1e-13)
+    traj = trajectory([st])
+    _, _, _, H = cl.guiding_series(traj)
+    K = cl.motion_constant_series(traj)
+    assert_allclose(K[0], H[0] - PHI.phi * np.arctan2(st.q[1], st.q[0]), rtol=1e-13)
 
 
 def test_motion_constant_zero_flux_is_energy():
-    st = state(0.0, [1.0, 0.4], [0.3, 0.6])
-    d = cl.to_guiding_center(st, PHI_ZERO)
-    mc = cl.motion_constant(d, PHI_ZERO)
-    assert_allclose(mc.K, d.I2, rtol=0, atol=1e-15)
+    traj = trajectory([state(0.0, [1.0, 0.4], [0.3, 0.6])], PHI_ZERO)
+    _, _, _, H = cl.guiding_series(traj)
+    assert_allclose(cl.motion_constant_series(traj), H, rtol=0, atol=1e-15)
 
 
 def test_motion_constant_branch_continuation_and_error():
     st1 = state(0.0, [1.0, 0.0], [0.0, 0.6])
-    d1 = cl.to_guiding_center(st1, PHI)
-    mc1 = cl.motion_constant(d1, PHI)
+
+    def rotated(angle):
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        return state(0.0, rot @ st1.q, rot @ st1.p)
+
     # rotate position by 0.5 rad: unwrap continues fine
-    rot = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
-    st2 = state(0.0, rot @ st1.q, rot @ st1.p)
-    d2 = cl.to_guiding_center(st2, PHI)
-    mc2 = cl.motion_constant(d2, PHI, prev=mc1)
-    assert_allclose(mc2.branch - mc1.branch, 0.5, atol=1e-12)
-    # a near-pi jump is ambiguous and must be refused
-    rot = np.array([[np.cos(np.pi), -np.sin(np.pi)], [np.sin(np.pi), np.cos(np.pi)]])
-    st3 = state(0.0, rot @ st1.q, rot @ st1.p)
-    d3 = cl.to_guiding_center(st3, PHI)
+    branch = cl.unwrapped_arg(trajectory([st1, rotated(0.5)]))
+    assert_allclose(branch[1] - branch[0], 0.5, atol=1e-12)
+    # a near-pi jump is ambiguous and must be refused on the CLI's K path
     with pytest.raises(BranchError):
-        cl.motion_constant(d3, PHI, prev=mc1)
+        cl.motion_constant_series(trajectory([st1, rotated(np.pi)]))
 
 
 def test_k_conservation_along_trajectory():

@@ -155,6 +155,10 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
      "--samples=-5"],
     ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
      "--samples", "1"],
+    ["reduced", "--phi", "0.5", "--c1", "nan", "--s-max", "120"],
+    ["reduced", "--phi", "0.5", "--c2", "inf", "--s-max", "120"],
+    ["adiabatic", "--epsilons", "0.2,0.1", "--levels", "4", "--samples", "3",
+     "--s-end", "1e-160"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):

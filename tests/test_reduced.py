@@ -18,6 +18,14 @@ from fluxramp.errors import (
 PHI = 0.5
 
 
+def center_energy_s0(init, params):
+    """s0 of |c|^2/2 - H = phi (s - s0) at the initial state, via guiding_series."""
+    traj = cl.Trajectory(params=params, s=np.array([init.s]),
+                         q=init.q[None, :], p=init.p[None, :])
+    _, _, I1, H = cl.guiding_series(traj)
+    return init.s - (I1[0] - H[0]) / params.phi
+
+
 def test_f_exact_cancellation():
     for s in (0.5, 3.0, 40.0):
         assert rd.f_nonlinearity(s, 0.0, PHI, PHI) == pytest.approx(0.0, abs=1e-15)
@@ -132,8 +140,7 @@ def test_crosscheck_against_classical_flow():
     # match the homogeneous constants at the right end, and compare curves
     params = cl.FluxParams(PHI)
     init = cl.PhaseState(0.0, np.array([1.3, -0.4]), np.array([0.2, 0.9]))
-    d0 = cl.to_guiding_center(init, params)
-    s0 = init.s - (d0.I1 - d0.I2) / PHI
+    s0 = center_energy_s0(init, params)
     traj = cl.integrate(init, s0 + 157.0, params, tol=1e-12, samples=3000)
     t, x1, x2, s0_fit = rd.to_reduced(traj, params)
     assert_allclose(s0_fit, s0, atol=1e-9)
@@ -199,8 +206,7 @@ def test_perturbed_constant_sensitivity():
 def test_a0_cross_module_agreement():
     params = cl.FluxParams(PHI)
     init = cl.PhaseState(0.0, np.array([1.3, -0.4]), np.array([0.2, 0.9]))
-    d0 = cl.to_guiding_center(init, params)
-    s0 = init.s - (d0.I1 - d0.I2) / PHI
+    s0 = center_energy_s0(init, params)
     traj = cl.integrate(init, s0 + 1005.0, params, tol=1e-11, samples=4000)
     t, x1, x2, _ = rd.to_reduced(traj, params)
     i_end = int(np.argmax(t >= 1000.0))
