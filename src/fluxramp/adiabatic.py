@@ -32,6 +32,7 @@ truncation bookkeeping, not a mathematical gap; they are reported, not
 asserted small.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -40,6 +41,12 @@ from .errors import GridTooCoarse, StepFailure, ValidationError
 from .spectral import pi_matrix
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
+
+# Most Filon/Magnus panels one epsilon may ask for, ceil(s_end / panel width):
+# a panel costs about 0.17 ms at 4 levels and 1.4 ms at 64 on one core, so
+# the budget is about 17 s (4 levels) to 2.5 min (64 levels) per epsilon.
+# The README and benchmark sweeps use at most 400.
+MAX_PANELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,17 @@ class AdiabaticConfig:
         if not (0.5 * spacing) ** 2 >= np.finfo(float).tiny:
             raise ValidationError(f"sample spacing {spacing:.3g} is too fine: the "
                                   f"squared panel half-width is not a normal double")
+        width = self.panel_width
+        panels = math.ceil(self.s_end / width) if width > 0 else math.inf
+        if panels > MAX_PANELS:
+            raise ValidationError(f"epsilon {self.epsilon:g} up to s_end {self.s_end:g} "
+                                  f"needs {panels:.3g} panels, above the budget of "
+                                  f"{MAX_PANELS}")
+
+    @property
+    def panel_width(self):
+        """Widest Filon/Magnus panel: min(panel_max, epsilon/4)."""
+        return min(self.panel_max, self.epsilon / 4.0)
 
     @property
     def s_grid(self):
@@ -119,7 +137,7 @@ class _FilonPanels:
 
     def __init__(self, config, stops):
         self.config = config
-        width = min(config.panel_max, config.epsilon / 4.0)
+        width = config.panel_width
         self.intervals = []
         for a, b in zip(stops[:-1], stops[1:]):
             # a linspace grid leaves ulp noise in b - a; an interval that is
@@ -218,12 +236,14 @@ def twisted_coupling_integral(config, check_refinement=True):
     Returns (matrices at the sample points, norms).  With
     ``check_refinement`` the number of panels is doubled and the endpoint
     norm compared; a change above 1e-6 raises GridTooCoarse.  The walk also
-    advances C, so its StepFailure guard applies.
+    advances C, so its StepFailure guard applies.  The refined config, which
+    may exceed the panel budget, is validated before either walk.
     """
+    if check_refinement:
+        fine = replace(config, panel_max=config.panel_max / 2.0)
     mats = [i_mat for _, i_mat, _ in _propagate(config)]
     norms = np.array([np.linalg.norm(m, 2) for m in mats])
     if check_refinement:
-        fine = replace(config, panel_max=config.panel_max / 2.0)
         _, norms_fine = twisted_coupling_integral(fine, check_refinement=False)
         if abs(norms_fine[-1] - norms[-1]) > 1e-6:
             raise GridTooCoarse(
@@ -315,12 +335,14 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
     if len(set(epsilons)) != len(epsilons):
         raise ValidationError(f"epsilons must be distinct, got {list(epsilons)!r}")
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
+    # every epsilon is validated (panel budget included) before any walk
+    configs = [AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples,
+                               N=N, force_zero_coupling=force_zero_coupling)
+               for eps in epsilons]
     nt, nc, nw, ud = [], [], [], []
     s_grid = None
     ident = np.eye(N)
-    for eps in epsilons:
-        cfg = AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples,
-                              N=N, force_zero_coupling=force_zero_coupling)
+    for cfg in configs:
         s_grid = cfg.s_grid
         norms_i, norms_c, norms_w, defects_c, defects_w = [], [], [], [], []
         for s, i_mat, c in _propagate(cfg):

@@ -259,7 +259,7 @@ def _check_oracle(s, n_levels):
     ev_err = float(np.max(np.abs(fd.energies[:half] - fam.energies[:half])))
     min_overlap = float(np.min(fd.overlaps_with_analytic(fam)[:half]))
     return {"eigenvalue_error": ev_err, "min_overlap": min_overlap,
-            "levels_solved": fd.N, "cells_coarse": fd.r.size // 2,
+            "levels_solved": fd.N, "cells_coarse": fd.r.size // 4,
             "cells_fine": fd.r.size, "bisection_tol": spectral.FD_BISECTION_TOL,
             "pass": bool(ev_err <= 1e-6 and min_overlap >= 1.0 - 1e-6)}
 
@@ -320,9 +320,9 @@ def cmd_spectral(args):
     params = [spectral.SectorParams(s=s, N=args.levels) for s in s_values]
     which = args.check
     if which in ("oracle", "all"):
-        for s in s_values:  # the oracle's fine grid leaves the double range first
+        for s in s_values:  # the oracle's finest grid leaves the double range first
             if not spectral.fd_grid_representable(s, spectral.fd_r_max(s, args.levels),
-                                                  2 * spectral.FD_CELLS):
+                                                  4 * spectral.FD_CELLS):
                 raise ValidationError(f"--s {s:g} at {args.levels} levels is beyond the "
                                       f"double range of the oracle's weights r^(2s+1)")
     fams = [spectral.analytic_spectrum(par) for par in params]

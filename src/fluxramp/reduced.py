@@ -33,6 +33,7 @@ docs/derivations.md and is protected by crosscheck_ode against both the
 direct reduced ODE and mapped trajectories of the full flow.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,18 +128,32 @@ class IntegralEqConfig:
 
 
 def f_nonlinearity(s, x1, x2, phi):
-    """The nonlinearity F; raises DenominatorVanishes outside its region."""
-    s = np.asarray(s, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if np.any(s <= 0):
+    """The nonlinearity F; raises DenominatorVanishes outside its region.
+
+    Plain floats (the ODE right-hand side, once per stage) take a
+    plain-float path, anything else the array path; one formula serves
+    both.  ``** 2`` is libm pow on floats and exact squaring on arrays;
+    the two differ in the last bit for about 1 square in 1200, so the paths
+    agree to rounding, not bit for bit.  Products in place of the squares
+    would make them agree, but would move the reduced ODE solution, and the
+    crosscheck's ode_deviation, by about 1e-14.
+    """
+    scalar = type(s) is float and type(x1) is float and type(x2) is float
+    if scalar:
+        sqrt, any_ = math.sqrt, bool
+    else:
+        s = np.asarray(s, dtype=float)
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        sqrt, any_ = np.sqrt, np.any
+    if any_(s <= 0):
         raise ValidationError("F is defined for s > 0")
-    root = np.sqrt(x1 * x1 + (x2 - phi) ** 2 + (phi * s) ** 2)
+    root = sqrt(x1 * x1 + (x2 - phi) ** 2 + (phi * s) ** 2)
     denom = root + x1
-    if np.any(denom <= _DENOM_FLOOR * (1.0 + root)):
+    if any_(denom <= _DENOM_FLOOR * (1.0 + root)):
         raise DenominatorVanishes("sqrt(x1^2+(x2-phi)^2+phi^2 s^2) + x1 vanished")
     out = phi - x1 / s - phi * phi * s / denom
-    return float(out) if out.ndim == 0 else out
+    return out if not scalar and out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -417,7 +432,6 @@ class ExtractedConstants:
     a0: float
     H_limit: float
     a0_from_amplitude: float
-    fit_residual: float
 
 
 def extract_constants(solution, phi):
@@ -441,9 +455,8 @@ def extract_constants(solution, phi):
         np.stack([sw * bessel_j(1, sw), sw * bessel_y(1, sw)], axis=1),
     ])
     target = np.concatenate([solution.x1[mask], solution.x2[mask]])
-    coef, res2, _, _ = np.linalg.lstsq(basis, target, rcond=None)
+    coef = np.linalg.lstsq(basis, target, rcond=None)[0]
     c1, c2 = float(coef[0]), float(coef[1])
-    fit_residual = float(np.sqrt(res2[0] / target.size)) if res2.size else 0.0
     amp2 = c1 * c1 + c2 * c2
     if amp2 < DEGENERATE_TOL:
         raise NotConverged("degenerate amplitude: homogeneous part is numerically zero")
@@ -452,5 +465,4 @@ def extract_constants(solution, phi):
     return ExtractedConstants(c1=c1, c2=c2,
                               a0=float(np.sqrt(4.0 * phi * max(H_limit, 0.0))),
                               H_limit=H_limit,
-                              a0_from_amplitude=float(np.sqrt(2.0 * amp2 / np.pi)),
-                              fit_residual=fit_residual)
+                              a0_from_amplitude=float(np.sqrt(2.0 * amp2 / np.pi)))

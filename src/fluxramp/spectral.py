@@ -386,15 +386,16 @@ def kernel_bound_check(s, n_grid=2400, refine=True, drift_limit=5e-3):
 # ---------------------------------------------------------------------------
 
 # Absolute bisection tolerance of the oracle eigensolves.  LAPACK's default
-# (tol <= 0) stops at ulp * ||T||_1, about 5.7e-9 on the 96k-cell grid of
-# 64 levels: as large as the Richardson error the oracle reports, and it
+# (tol <= 0) stops at ulp * ||T||_1, about 5.7e-9 on a 96k-cell grid of
+# 64 levels: larger than the Richardson error the oracle reports, and it
 # shifts with the number of levels requested (up to 7e-9 between 32 and 64).
-# At 1e-10 the extrapolated error falls to its rounding floor, about 6e-10
-# (1e-12 gives the same), for 15-25% more bisection time.
+# At 1e-10 the extrapolated error sits at its rounding floor (1e-12 gives
+# the same), for 15-25% more bisection time.
 FD_BISECTION_TOL = 1e-10
 
-# Cells of the oracle's coarse grid; its Richardson partner has twice as many.
-FD_CELLS = 48000
+# Cells of the oracle's coarsest grid; its two Richardson partners have 2x
+# and 4x as many (12k/24k/48k), and only the finest one computes vectors.
+FD_CELLS = 12000
 
 
 def fd_r_max(s, N):
@@ -409,8 +410,10 @@ def fd_r_max(s, N):
 class FdSpectrum:
     """Eigendata of the discretized operator (independent of the closed form).
 
-    Energies are Richardson-extrapolated from steps h and h/2; the grid,
-    mode values and cell masses refer to the finer grid.  ``g`` holds the
+    Energies are Richardson-extrapolated over the steps h, h/2 and h/4
+    (fourth order removed); ``energies_coarse`` are the raw energies of the
+    h grid.  The grid, mode values, cell masses and step refer to the
+    finest (h/4) grid, the only one solved with vectors.  ``g`` holds the
     smooth part of the eigenfunctions, psi_n(r) = r^s g_n(r), normalized so
     that sum(g^2 * mass) = 1, which makes overlaps in L^2(r dr) plain
     weighted dot products.
@@ -507,21 +510,33 @@ def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
     return energies, g, centers, mass, h
 
 
+def _richardson(e_h, e_h2, e_h4):
+    """Three-level Richardson value of energies on the steps h, h/2, h/4.
+
+    The raw error is c2 h^2 + c4 h^4 + ...; R(h) = (4 E(h/2) - E(h))/3
+    removes the h^2 term, and (16 R(h/2) - R(h))/15 the h^4 term.
+    """
+    r_h = (4.0 * e_h2 - e_h) / 3.0
+    r_h2 = (4.0 * e_h4 - e_h2) / 3.0
+    return (16.0 * r_h2 - r_h) / 15.0
+
+
 def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
     """Independent eigensolve of the lowest ``params.N`` levels of the radial
-    operator on a uniform grid of ``m_cells`` cells (default FD_CELLS) over
-    (0, r_max).
+    operator on uniform grids over (0, r_max), the coarsest of ``m_cells``
+    cells (default FD_CELLS).
 
     ``r_max`` defaults to fd_r_max(s, N), the grid of the N-level family; a
     caller that checks only the lower levels of a larger family passes that
-    family's radius and solves no more levels than it compares.  Richardson
-    extrapolation over the pair (h, h/2) removes the leading O(h^2) error;
-    with ``check_refinement`` a third solve at h/4 verifies that the
-    extrapolated eigenvalues are stable to 1e-6 and raises GridTooCoarse
-    otherwise.  Only the h/2 solve computes eigenvectors: the coarse and
-    refinement solves feed eigenvalues alone.  Every solve bisects to the
-    absolute tolerance FD_BISECTION_TOL.  The closed form sets the default
-    grid extent only; no closed-form value is used as a shift or a bracket.
+    family's radius and solves no more levels than it compares.  Three-level
+    Richardson extrapolation over the steps (h, h/2, h/4), see _richardson,
+    removes the O(h^2) and O(h^4) errors; with ``check_refinement`` a fourth
+    solve at h/8 verifies that the value from (h/2, h/4, h/8) agrees to 1e-6,
+    raises GridTooCoarse otherwise, and is returned.  Only the h/4 solve
+    computes eigenvectors (the overlaps, second order in h); the others feed
+    eigenvalues alone.  Every solve bisects to the absolute tolerance
+    FD_BISECTION_TOL.  The closed form sets the default grid extent only; no
+    closed-form value is used as a shift or a bracket.
     """
     s, N = params.s, params.N
     if r_max is None:
@@ -529,15 +544,16 @@ def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
     if m_cells is None:
         m_cells = FD_CELLS
     e_h = _fd_solve(s, N, r_max, m_cells, eigvals_only=True)
-    e_h2, g, centers, mass, h2 = _fd_solve(s, N, r_max, 2 * m_cells)
-    extrap = (4.0 * e_h2 - e_h) / 3.0
+    e_h2 = _fd_solve(s, N, r_max, 2 * m_cells, eigvals_only=True)
+    e_h4, g, centers, mass, h4 = _fd_solve(s, N, r_max, 4 * m_cells)
+    extrap = _richardson(e_h, e_h2, e_h4)
     if check_refinement:
-        e_h4 = _fd_solve(s, N, r_max, 4 * m_cells, eigvals_only=True)
-        extrap_fine = (4.0 * e_h4 - e_h2) / 3.0
+        e_h8 = _fd_solve(s, N, r_max, 8 * m_cells, eigvals_only=True)
+        extrap_fine = _richardson(e_h2, e_h4, e_h8)
         if np.max(np.abs(extrap_fine - extrap)) > 1e-6:
             raise GridTooCoarse(
                 f"extrapolated eigenvalues moved "
                 f"{np.max(np.abs(extrap_fine - extrap)):.2e} under refinement x2")
         extrap = extrap_fine
     return FdSpectrum(s=s, N=N, energies=extrap, energies_coarse=e_h,
-                      r=centers, g=g, mass=mass, step=h2)
+                      r=centers, g=g, mass=mass, step=h4)

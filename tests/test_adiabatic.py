@@ -29,6 +29,30 @@ def test_config_validation():
         ad.AdiabaticConfig(epsilon=0.1, s_end=-1.0)
 
 
+def test_config_panel_budget():
+    # the walk splits (0, s_end) into panels of width min(panel_max, eps/4);
+    # a config is built right at the budget and refused one panel above it
+    at_budget = ad.AdiabaticConfig(epsilon=1e-3, s_end=ad.MAX_PANELS * 2.5e-4)
+    assert at_budget.panel_width == 2.5e-4
+    with pytest.raises(ValidationError, match="budget"):
+        ad.AdiabaticConfig(epsilon=1e-3, s_end=(ad.MAX_PANELS + 1) * 2.5e-4)
+    with pytest.raises(ValidationError, match="inf panels"):
+        ad.AdiabaticConfig(epsilon=5e-324)
+
+
+def test_refinement_check_validates_panel_budget_before_walking(monkeypatch):
+    # panel halving doubles the walk; past the budget that fails up front
+    monkeypatch.setattr(ad, "MAX_PANELS", 200)
+    config = cfg(0.1, n_samples=3, N=4)  # 200 panels of 0.01
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("walk started before the refined config was checked")
+
+    monkeypatch.setattr(ad, "_FilonPanels", unreachable)
+    with pytest.raises(ValidationError, match="400 panels"):
+        ad.twisted_coupling_integral(config)
+
+
 def test_u_ad_identity_and_phases():
     assert_allclose(ad._u_ad(0.0, N_SMALL, 1.0), np.eye(N_SMALL), atol=0)
     # n = 0, eps = 1, s = 1: phase integral (2n+1)s + s^2 = 2 -> exp(-2i)

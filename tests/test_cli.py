@@ -159,6 +159,9 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["reduced", "--phi", "0.5", "--c2", "inf", "--s-max", "120"],
     ["adiabatic", "--epsilons", "0.2,0.1", "--levels", "4", "--samples", "3",
      "--s-end", "1e-160"],
+    ["adiabatic", "--epsilons", "1e-300", "--levels", "4", "--samples", "3"],
+    ["adiabatic", "--epsilons", "1e-6"],
+    ["adiabatic", "--epsilons", "0.2,1e-6", "--levels", "4", "--samples", "3"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -205,7 +208,7 @@ def test_spectral_all_checks_small(tmp_path):
     # the oracle solves the checked lower half of the 12 levels
     oracle = entry["oracle"]
     assert oracle["levels_solved"] == 6
-    assert (oracle["cells_coarse"], oracle["cells_fine"]) == (48000, 96000)
+    assert (oracle["cells_coarse"], oracle["cells_fine"]) == (12000, 48000)
     assert oracle["bisection_tol"] == spectral.FD_BISECTION_TOL
 
 
@@ -230,12 +233,29 @@ def test_spectral_oracle_detects_shifted_closed_form(tmp_path, monkeypatch):
 
 def test_spectral_oracle_inside_double_range(tmp_path):
     # s = 20 at 8 levels stays inside the range of the oracle's weights
-    # (the limit is near s = 23.2); s = 30 is rejected up front above
+    # (the limit is near s = 25.6); s = 30 is rejected up front above
     out = str(tmp_path / "s20")
     code = run(["spectral", "--s", "20", "--levels", "8", "--check", "oracle",
                 "--out", out])
     assert code == 0
     assert read_json(out + ".json")["checks"]["20"]["oracle"]["pass"] is True
+
+
+def test_spectral_oracle_passes_just_below_double_range_limit(tmp_path):
+    # on the 48k-cell vector grid the product of the two innermost masses
+    # underflows from s = 25.612 at 8 levels; just below it the subnormal
+    # masses near the origin are harmless and the oracle still agrees
+    s = 25.61
+    assert spectral.fd_grid_representable(s, spectral.fd_r_max(s, 8),
+                                          4 * spectral.FD_CELLS)
+    assert not spectral.fd_grid_representable(25.62, spectral.fd_r_max(25.62, 8),
+                                              4 * spectral.FD_CELLS)
+    out = str(tmp_path / "edge")
+    code = run(["spectral", "--s", str(s), "--levels", "8", "--check", "oracle",
+                "--out", out])
+    assert code == 0
+    [oracle] = [entry["oracle"] for entry in read_json(out + ".json")["checks"].values()]
+    assert oracle["pass"] is True
 
 
 def test_adiabatic_zero_coupling_and_single_epsilon(tmp_path):

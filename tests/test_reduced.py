@@ -53,6 +53,30 @@ def test_f_denominator_guard():
         rd.f_nonlinearity(-1.0, 0.0, 0.0, PHI)
 
 
+def test_f_scalar_path_matches_array_path():
+    # the ODE right-hand side calls F on plain floats, Picard on arrays; the
+    # squares round as libm pow on floats and exactly on arrays, so the
+    # paths agree to a few ulp of F's largest term, and mostly bit for bit
+    rng = np.random.default_rng(7)
+    s = np.exp(rng.uniform(-3.0, 8.0, 2000))
+    x1, x2 = rng.normal(0.0, 3.0, (2, 2000))
+    arr = rd.f_nonlinearity(s, x1, x2, PHI)
+    one = np.array([rd.f_nonlinearity(*args, PHI)
+                    for args in zip(s.tolist(), x1.tolist(), x2.tolist())])
+    assert type(rd.f_nonlinearity(2.0, 0.1, 0.2, PHI)) is float
+    root = np.sqrt(x1 * x1 + (x2 - PHI) ** 2 + (PHI * s) ** 2)
+    scale = PHI + np.abs(x1) / s + PHI * PHI * s / (root + x1)
+    assert np.all(np.abs(one - arr) <= 4.0 * np.finfo(float).eps * scale)
+    assert np.mean(one == arr) >= 0.99
+    for args, err in (((1e-9, -1.0, PHI), DenominatorVanishes),
+                      ((-1.0, 0.0, 0.0), ValidationError),
+                      ((0.0, 0.0, 0.0), ValidationError)):
+        with pytest.raises(err):
+            rd.f_nonlinearity(*args, PHI)
+        with pytest.raises(err):
+            rd.f_nonlinearity(*(np.array([v]) for v in args), PHI)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         rd.IntegralEqConfig(s_max=-5.0)

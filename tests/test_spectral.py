@@ -53,21 +53,39 @@ def test_oscillator_limit_eigenvalues():
 def test_fd_oracle_agreement(s):
     par = sp.SectorParams(s=s, N=16)
     fam = sp.analytic_spectrum(par)
-    fd = sp.fd_spectrum(par, m_cells=16000)
+    fd = sp.fd_spectrum(par, m_cells=8000)
     half = slice(0, 8)
     assert np.max(np.abs(fd.energies[half] - fam.energies[half])) <= 1e-6
     assert np.min(fd.overlaps_with_analytic(fam)[half]) >= 1.0 - 1e-6
+
+
+def test_fd_three_level_richardson_is_fourth_order():
+    # the raw error is c2 h^2 + c4 h^4 + ...: the two-level values R
+    # remove h^2 and fall 16x per halving, and the three-level value
+    # removes h^4 as well; grids coarse enough to stay far above the
+    # bisection floor
+    s, n, m = 0.5, 6, 250
+    r_max = sp.fd_r_max(s, n)
+    exact = 2.0 * np.arange(n) + 2.0 * s + 1.0
+    e = [sp._fd_solve(s, n, r_max, m * 2 ** k, eigvals_only=True) for k in range(4)]
+    err_r = [np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact))
+             for coarse, fine in zip(e, e[1:])]
+    for coarse, fine in zip(err_r, err_r[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+    err_three = np.max(np.abs(sp.fd_spectrum(sp.SectorParams(s=s, N=n), r_max=r_max,
+                                             m_cells=m).energies - exact))
+    assert err_three <= 1e-2 * min(err_r[0], err_r[1])
 
 
 def test_fd_half_solve_matches_full_solve_on_same_grid():
     # the CLI oracle solves only the checked lower half of the levels on the
     # grid of the full family; with an explicit bisection tolerance those
     # energies do not depend on how many levels were requested (the default
-    # LAPACK stop at ulp * ||T||_1 moved them by 4.4e-9 here)
+    # LAPACK stop at ulp * ||T||_1 moved them by 4.8e-9 here)
     s, n = 0.5, 16
     r_max = sp.fd_r_max(s, n)
-    full = sp.fd_spectrum(sp.SectorParams(s=s, N=n), m_cells=24000)
-    half = sp.fd_spectrum(sp.SectorParams(s=s, N=n // 2), r_max=r_max, m_cells=24000)
+    full = sp.fd_spectrum(sp.SectorParams(s=s, N=n), m_cells=12000)
+    half = sp.fd_spectrum(sp.SectorParams(s=s, N=n // 2), r_max=r_max, m_cells=12000)
     assert half.energies.shape == (n // 2,)
     assert np.max(np.abs(half.energies - full.energies[: n // 2])) <= 1e-9
     assert np.max(np.abs(half.energies_coarse - full.energies_coarse[: n // 2])) <= 1e-9
@@ -97,7 +115,7 @@ def test_fd_overlaps_need_the_solved_levels():
 
 def test_fd_refinement_check_passes_on_fine_grid():
     par = sp.SectorParams(s=0.5, N=6)
-    fd = sp.fd_spectrum(par, m_cells=12000, check_refinement=True)
+    fd = sp.fd_spectrum(par, m_cells=6000, check_refinement=True)
     assert fd.energies.shape == (6,)
 
 
@@ -298,8 +316,8 @@ def test_fd_grid_representable_matches_full_grid():
             full = bool(np.all(np.isfinite(kinetic)) and np.all(np.isfinite(lower))
                         and np.all(lower != 0.0) and np.all(mbar > 0.0))
             assert sp.fd_grid_representable(s, r_max, m_cells) == full, (N, s)
-    assert sp.fd_grid_representable(20.0, sp.fd_r_max(20.0, 8), 2 * sp.FD_CELLS)
-    assert not sp.fd_grid_representable(30.0, sp.fd_r_max(30.0, 8), 2 * sp.FD_CELLS)
+    assert sp.fd_grid_representable(20.0, sp.fd_r_max(20.0, 8), 4 * sp.FD_CELLS)
+    assert not sp.fd_grid_representable(30.0, sp.fd_r_max(30.0, 8), 4 * sp.FD_CELLS)
 
 
 def test_fd_spectrum_rejects_grid_out_of_double_range():
