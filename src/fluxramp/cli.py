@@ -30,16 +30,34 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
 
 
+# rows formatted by one bytes %-format each: large enough that the per-call
+# overhead is a few percent of the formatting, small enough that one block's
+# floats, as Python objects, and its text (0.3-0.7 MB at 5-10 columns) do
+# not raise the peak memory of a run; 4096-row blocks raised it by about 1 MB
+_CSV_ROWS = 1024
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write the columns as CSV rows of ``%.17g`` floats with ``\\n`` line ends.
+
+    Rows run to the shortest column.  Bytes %-formatting of a float gives
+    the same digits as ``_fmt``, NaN and inf included; it is applied to one
+    block of ``_CSV_ROWS`` rows at a time, so no copy of the whole table
+    is made.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = min(map(len, columns))
+    row = (",".join(["%.17g"] * len(columns)) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n_rows, _CSV_ROWS):
+            stop = min(start + _CSV_ROWS, n_rows)
+            block = np.column_stack([c[start:stop] for c in columns])
+            fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def _finite_or_null(value):
@@ -226,7 +244,10 @@ def cmd_reduced(args):
                "tail_estimate": sol.tail_estimate,
                "residual_sup": float(max(np.max(np.abs(res1)), np.max(np.abs(res2)))),
                "c1": args.c1, "c2": args.c2,
-               "c1_fit": None, "c2_fit": None, "a0": None}
+               "c1_fit": None, "c2_fit": None, "a0": None,
+               "diagnostics": {"picard_deltas": sol.deltas.tolist(),
+                               "quad_nodes": sol.grid.size,
+                               "residual_nodes": config.residual_nodes(sol.s_start)}}
     if config.s_max >= 1e3 and not args.force_zero_f:
         ext = reduced.extract_constants(sol, args.phi)
         summary.update(c1_fit=ext.c1, c2_fit=ext.c2, a0=ext.a0,
@@ -364,19 +385,12 @@ def cmd_adiabatic(args):
                               n_samples=args.samples,
                               force_zero_coupling=args.force_zero_coupling)
     n_eps, n_s = res.norm_twisted.shape
-    eps_col, s_col, ni, nc, nw, ud = [], [], [], [], [], []
-    for i in range(n_eps):
-        for k in range(n_s):
-            eps_col.append(res.epsilons[i])
-            s_col.append(res.s_grid[k])
-            ni.append(res.norm_twisted[i, k])
-            nc.append(res.norm_c_minus_id[i, k])
-            nw.append(res.norm_uw_minus_uad[i, k])
-            ud.append(res.unitarity_defect[i])
     _write_csv(args.out + ".csv",
                ["epsilon", "s", "norm_I", "norm_C_minus_id",
                 "norm_Uw_minus_Uad", "unitarity_defect"],
-               [eps_col, s_col, ni, nc, nw, ud])
+               [np.repeat(res.epsilons, n_s), np.tile(res.s_grid, n_eps),
+                res.norm_twisted.ravel(), res.norm_c_minus_id.ravel(),
+                res.norm_uw_minus_uad.ravel(), np.repeat(res.unitarity_defect, n_s)])
     window = (0.8, 1.2)
     summary = {"epsilons": sorted(epsilons, reverse=True), "s_end": args.s_end,
                "levels": args.levels, "exponents": res.exponents,

@@ -59,6 +59,13 @@ _DENOM_FLOOR = 1e-12
 RESIDUAL_REFINE = 2
 RESIDUAL_EXTRA_ORDER = 2
 
+# Most nodes the residual's grid, the largest a run builds, may have.  Peak
+# memory grows by about 250 bytes per node (a `reduced` run peaked at 132 MiB
+# at s_max 3000, 191,360 nodes, and 244 MiB at s_max 10000), so the budget
+# is about 0.6 GB; s_max 31250 at the default panels reaches it.  The README
+# and benchmark runs use at most 191,360 nodes.
+MAX_QUAD_NODES = 2_000_000
+
 # constant extraction fits the trailing half of the solution grid and
 # calls a homogeneous amplitude c1^2 + c2^2 below DEGENERATE_TOL zero
 WINDOW_FRACTION = 0.5
@@ -125,6 +132,22 @@ class IntegralEqConfig:
                 f"picard_tol must lie in [1e-12, 1e-6], got {self.picard_tol!r}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        # s_start > 0 only shortens the grid, so bound it from s_max alone
+        finite = np.isfinite(self.s_max / self.panel_width)
+        nodes = self.residual_nodes(0.0) if finite else math.inf
+        if nodes > MAX_QUAD_NODES:
+            raise ValidationError(f"s_max {self.s_max:g} needs {nodes:.4g} residual "
+                                  f"quadrature nodes, above the budget of "
+                                  f"{MAX_QUAD_NODES}")
+
+    def panels(self, s_start):
+        """Gauss-Legendre panels of the Picard grid on [s_start, s_max]."""
+        return max(4, math.ceil((self.s_max - s_start) / self.panel_width))
+
+    def residual_nodes(self, s_start):
+        """Nodes of the residual's finer grid on [s_start, s_max]."""
+        return (RESIDUAL_REFINE * self.panels(s_start)
+                * (self.quad_nodes + RESIDUAL_EXTRA_ORDER))
 
 
 def f_nonlinearity(s, x1, x2, phi):
@@ -259,8 +282,8 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
     if not np.isfinite(phi) or phi <= 0:
         raise ValidationError(f"phi must be positive and finite, got {phi!r}")
 
-    n_panels = max(4, int(np.ceil((config.s_max - s_start) / config.panel_width)))
-    quad = _PanelQuadrature(s_start, config.s_max, n_panels, config.quad_nodes)
+    quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start),
+                            config.quad_nodes)
     s = quad.nodes
 
     j0, j1 = bessel_j(0, s), bessel_j(1, s)
@@ -320,9 +343,8 @@ def residual(solution):
     """
     cfg = solution.config
     s = solution.grid
-    n_panels = (max(4, int(np.ceil((cfg.s_max - solution.s_start) / cfg.panel_width)))
-                * RESIDUAL_REFINE)
-    quad = _PanelQuadrature(solution.s_start, cfg.s_max, n_panels,
+    quad = _PanelQuadrature(solution.s_start, cfg.s_max,
+                            RESIDUAL_REFINE * cfg.panels(solution.s_start),
                             cfg.quad_nodes + RESIDUAL_EXTRA_ORDER)
     sp1, sp2 = solution.spline()
     tau = quad.nodes

@@ -123,6 +123,14 @@ def test_reduced_default_run_and_crosscheck(tmp_path):
     assert summary["ode_deviation"] <= 1e-6
     assert summary["classical_deviation"] <= 1e-5
     assert summary["iters"] >= 2
+    # counters: one delta per sweep, the last within tolerance; the CSV has
+    # a row per solution node; the residual has twice the panels, 8 nodes each
+    diag = summary["diagnostics"]
+    assert set(diag) == {"picard_deltas", "quad_nodes", "residual_nodes"}
+    assert len(diag["picard_deltas"]) == summary["iters"]
+    assert diag["picard_deltas"][-1] <= 1e-8
+    assert diag["quad_nodes"] == read_csv(out + ".csv")[1].shape[0] == 560 * 6
+    assert diag["residual_nodes"] == 2 * 560 * 8
 
 
 def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
@@ -162,6 +170,7 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["adiabatic", "--epsilons", "1e-300", "--levels", "4", "--samples", "3"],
     ["adiabatic", "--epsilons", "1e-6"],
     ["adiabatic", "--epsilons", "0.2,1e-6", "--levels", "4", "--samples", "3"],
+    ["reduced", "--phi", "0.5", "--s-max", "1e9"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -392,3 +401,23 @@ def test_seventeen_digit_floats_roundtrip(tmp_path):
         first = fh.readline().strip().split(",")
     # %.17g representation reparses to the identical double
     assert float(first[1]) == 1.3 and float(first[2]) == -0.4
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_ROWS, cli._CSV_ROWS + 1,
+                                    2 * cli._CSV_ROWS + 3])
+def test_csv_writer_matches_per_value_format(tmp_path, n_rows):
+    # reference: one f-string per value, as the CSV contract states it
+    special = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0,
+               5e-324, 1e16, 1e17, 1e-5, 1e-4, 0.1]
+    rng = np.random.default_rng(n_rows)
+    values = np.concatenate([special, rng.standard_normal(n_rows) * 1e3])
+    floats = values[:n_rows]
+    columns = [floats,
+               [np.float64(v) for v in floats[::-1]],
+               list(range(-7, n_rows - 7)),
+               np.arange(n_rows + 5, dtype=float)]  # rows run to the shortest
+    path = tmp_path / "w.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d"], columns)
+    lines = ["a,b,c,d"] + [",".join(f"{float(v):.17g}" for v in row)
+                           for row in zip(*columns)]
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()

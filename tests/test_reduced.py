@@ -88,6 +88,19 @@ def test_config_validation():
         rd.picard_solve(rd.IntegralEqConfig(s_max=50.0), PHI, 10.0)  # < 10 s_start
 
 
+def test_config_quadrature_node_budget():
+    # the residual grid has RESIDUAL_REFINE * ceil(s_max / panel_width) panels
+    # of quad_nodes + RESIDUAL_EXTRA_ORDER nodes; a config is built right at
+    # the budget and refused one panel above it, before any work
+    per_panel = rd.RESIDUAL_REFINE * (6 + rd.RESIDUAL_EXTRA_ORDER)
+    s_max = rd.MAX_QUAD_NODES // per_panel * 0.25
+    assert rd.IntegralEqConfig(s_max=s_max).residual_nodes(0.0) == rd.MAX_QUAD_NODES
+    with pytest.raises(ValidationError, match="budget"):
+        rd.IntegralEqConfig(s_max=s_max + 0.25)
+    with pytest.raises(ValidationError, match="inf residual"):
+        rd.IntegralEqConfig(s_max=1e308)
+
+
 def test_forced_zero_f_gives_homogeneous():
     cfg = rd.IntegralEqConfig(s_max=120.0, c1=1.0, c2=-2.0)
     sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
