@@ -78,7 +78,9 @@ class AdiabaticConfig:
             raise ValidationError(f"sample spacing {spacing:.3g} is too fine: the "
                                   f"squared panel half-width is not a normal double")
         width = self.panel_width
-        panels = math.ceil(self.s_end / width) if width > 0 else math.inf
+        # a subnormal width can overflow the quotient to inf
+        quotient = self.s_end / width if width > 0 else math.inf
+        panels = math.ceil(quotient) if quotient < math.inf else math.inf
         if panels > MAX_PANELS:
             raise ValidationError(f"epsilon {self.epsilon:g} up to s_end {self.s_end:g} "
                                   f"needs {panels:.3g} panels, above the budget of "
@@ -115,7 +117,7 @@ def _pi_at(config, s):
     """Coupling Pi(s) on the truncation, or zero under the test hook."""
     if config.force_zero_coupling:
         return np.zeros((config.N, config.N), dtype=complex)
-    return pi_matrix(s, config.N).P
+    return pi_matrix(s, config.N)
 
 
 class _FilonPanels:

@@ -149,6 +149,9 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
     s_end = float(s_end)
     if not np.isfinite(s_end):
         raise ValidationError(f"s_end must be finite, got {s_end!r}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hamiltonian(initial, params)):
+            raise ValidationError("the initial energy H = |p - a|^2/2 overflows a double")
     if samples is None:
         samples = 513
     if np.isscalar(samples):

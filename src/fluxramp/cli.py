@@ -295,20 +295,20 @@ def _check_kernel(s):
 
 def _check_coupling(s, n_levels):
     fam = spectral.analytic_spectrum(spectral.SectorParams(s=s, N=n_levels))
-    mat = spectral.coupling_matrix(fam)
-    herm = float(np.linalg.norm(mat.P - mat.P.conj().T, 2))
-    diag = float(np.max(np.abs(np.diag(mat.P))))
+    pi = spectral.coupling_matrix(fam)
+    herm = float(np.linalg.norm(pi - pi.conj().T, 2))
+    diag = float(np.max(np.abs(np.diag(pi))))
     ratios = []
     for d in range(1, n_levels // 2 + 1):
         m = np.arange(0, n_levels - d)
         # at large s (from about 400 at 64 levels) the factor overflows to
         # inf; the true ratio is far above the window, which then fails
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(mat.P[m, m + d]) * d * ((m + d + 1) / (m + 1)) ** (s / 2.0)
+            vals = np.abs(pi[m, m + d]) * d * ((m + d + 1) / (m + 1)) ** (s / 2.0)
         ratios.extend(vals.tolist())
     ratios = np.asarray(ratios) if ratios else np.array([1.0])
     norm_est = spectral.coupling_norm(
-        mat, [max(2, n_levels // 4), max(3, n_levels // 2), n_levels])
+        pi, [max(2, n_levels // 4), max(3, n_levels // 2), n_levels])
     envelope_ok = bool(s == 0.0 or (ratios.min() >= 0.1 and ratios.max() <= 10.0))
     return {"hermiticity_defect": herm, "diagonal_max": diag,
             "envelope_min": float(ratios.min()), "envelope_max": float(ratios.max()),
@@ -320,9 +320,9 @@ def _check_coupling(s, n_levels):
 
 def _check_gamma(s, n_levels):
     fam = spectral.analytic_spectrum(spectral.SectorParams(s=s, N=n_levels))
-    mat = spectral.coupling_matrix(fam)
-    gam = spectral.gamma_potential(mat, fam)
-    resid = spectral.commutator_residual(gam, mat, fam)
+    pi = spectral.coupling_matrix(fam)
+    gam = spectral.gamma_potential(pi, fam)
+    resid = spectral.commutator_residual(gam, pi, fam)
     h = 1e-3
     gm_s = max(s - h, 0.0)
     gp = spectral.gamma_potential(spectral.pi_matrix(s + h, n_levels), fam)

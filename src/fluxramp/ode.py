@@ -13,8 +13,9 @@ controller unchanged:
 * minimum step 10 ulp of t, and the HNW initial step guess.
 
 One deliberate difference: a step size that is not a number (a NaN
-right-hand side at the start) ends the run as a failure, where scipy's
-loop would never terminate.
+right-hand side at the start, or one whose scaled norm overflows) ends
+the run as a failure, where scipy's loop would never terminate or divide
+by a zero step guess.
 
 The saving over scipy is the stage loop: per state dimension, one step,
 the three extra dense-output stages and the 7-coefficient interpolant are
@@ -87,6 +88,10 @@ def _initial_step(fun, args, t0, y0, f0, t_bound, direction, rtol, atol):
     d1 = _rms([f / sc for f, sc in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if not h0 > 0:
+        # d1 overflowed (or is NaN): no step can be sized; solve_ivp ends
+        # the run on a NaN step as a failure
+        return math.nan
     f1 = fun(t0 + h0 * direction,
              tuple(y + h0 * direction * f for y, f in zip(y0, f0)), *args)
     d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f0, scale)]) / h0
@@ -116,7 +121,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
 
     f = fun(t0, y, *args)
     h_abs = _initial_step(fun, args, t0, y, f, t_bound, direction, rtol, atol)
-    nfev, steps, rejected = 2, 0, 0
+    # the guess calls fun once more, unless it gave up with NaN
+    nfev, steps, rejected = 1 if math.isnan(h_abs) else 2, 0, 0
     g = event(t0, y) if event is not None else None
     roots = []
     ts, ys = [], []

@@ -197,10 +197,6 @@ class ReducedSolution:
     def spline(self):
         return (CubicSpline(self.grid, self.x1), CubicSpline(self.grid, self.x2))
 
-    def at(self, s):
-        s1, s2 = self.spline()
-        return np.asarray(s1(s)), np.asarray(s2(s))
-
 
 class _PanelQuadrature:
     """Composite Gauss-Legendre panels with per-panel polynomial antiderivatives.

@@ -11,12 +11,10 @@ functions
     chi_n(x) = x^(s/2) e^(-x/2) lag_n(x),
     lag_n = sqrt(n!/Gamma(n+s+1)) L_n^(s),     E_n(s) = 2n + 2s + 1,
 
-which this module treats as the primary representation; an independent
+which this module treats as the primary representation: every mode value
+comes from the stable recurrence of _weighted_laguerre.  An independent
 finite-difference eigensolver acts as the oracle for both eigenvalues and
-eigenfunctions.  Quadrature uses Golub-Welsch nodes for the weight
-x^s e^(-x), carried entirely through the normalized eigenvector matrix of
-the Jacobi operator, so no overflowing weight or polynomial value is ever
-formed.
+eigenfunctions.
 
 The inter-level coupling Pi(s) = i sum_n (d_s P_n) P_n has, in this basis,
 
@@ -33,9 +31,9 @@ where (s)_k is the rising factorial.  The sum equals (s+1)_j/j! with
 j = min(m, n), so the entry reduces to u_{max(m,n)}/u_{min(m,n)} times the gap
 factor, a product of sqrt(k/(k+s)) <= 1.  The closed form stays finite as
 s -> 0+ (limit i/(2(n-m))): the operator domain moves with s, so the
-coupling does not vanish with d_s H -> 1.  Both the quadrature route and
-the closed form are kept; they are compared in the tests and against an
-extended-precision derivative of the exact eigenfunctions.
+coupling does not vanish with d_s H -> 1.  The tests compare the closed
+form with a plain Gauss-Laguerre quadrature and with an extended-precision
+derivative of the exact eigenfunctions.
 
 A note on norms: truncated ||Pi(s)|| decreases with s at fixed truncation
 (the ((m+1)/(n+1))^(s/2) envelope suppresses every entry), while the
@@ -46,7 +44,6 @@ trivially, but the measured norms themselves are not increasing in s.
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -60,62 +57,29 @@ DEFAULT_LEVELS = 64
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Flux value s >= 0, retained levels N, quadrature size."""
+    """Flux value s >= 0 and retained levels N."""
 
     s: float
     N: int = DEFAULT_LEVELS
-    quad_size: Optional[int] = None
 
     def __post_init__(self):
         if not np.isfinite(self.s) or self.s < 0:
             raise ValidationError(f"flux parameter s must be >= 0, got {self.s!r}")
         if self.N < 2:
             raise ValidationError("at least two levels are required")
-        if self.quad_size is None:
-            object.__setattr__(self, "quad_size", 2 * self.N + 16)
-        if self.quad_size < self.N + 1:
-            raise ValidationError("quadrature size must exceed the level count")
-
-
-def gauss_weight_nodes(alpha, size):
-    """Golub-Welsch data for the weight x^alpha e^(-x) on (0, inf).
-
-    Returns (nodes, qmat) where qmat[k, i] = sqrt(w_i) * p_k(x_i) for the
-    orthonormal polynomials p_k with positive leading coefficient; the
-    rows stay O(1) for any size, unlike raw weights and polynomial values.
-    """
-    if alpha <= -1:
-        raise ValidationError("Gauss weight requires alpha > -1")
-    k = np.arange(size)
-    diag = 2 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    nodes, vec = eigh_tridiagonal(diag, off)
-    # orient columns by the first component; it underflows to zero at far
-    # nodes, where the orientation is immaterial (products cancel the sign)
-    s0 = np.sign(vec[0:1, :])
-    vec = vec * np.where(s0 != 0.0, s0, 1.0)
-    return nodes, vec.T.copy()  # qmat[i, k]: node i, polynomial order k
 
 
 @dataclass(frozen=True)
 class SpectralFamily:
     """Eigendata of H(s) on the retained levels.
 
-    ``qchi[n, i]`` equals sqrt(w_i) * lag_n(x_i) in the sign convention
-    "coefficient of L_n^(s) positive", so that inner products
-    <chi_m, g chi_n> are plain weighted sums; no level changes sign along
-    an s-sweep in this convention.
+    Modes are evaluated in the sign convention "coefficient of L_n^(s)
+    positive", in which no level changes sign along an s-sweep.
     """
 
     s: float
     N: int
     energies: np.ndarray
-    nodes: np.ndarray
-    qchi: np.ndarray
-
-    def inner_matrix(self, g_nodes):
-        """Matrix <chi_m, g chi_n> for g given by its values on the nodes."""
-        return (self.qchi * g_nodes[None, :]) @ self.qchi.T
 
     def eval_chi(self, x):
         """chi_n(x) on an arbitrary positive grid, stable weighted recurrence."""
@@ -151,11 +115,8 @@ def analytic_spectrum(params):
     The finite-difference oracle fd_spectrum exists precisely to validate
     these formulas; see the tests and the acceptance suite.
     """
-    s, N, Q = params.s, params.N, params.quad_size
-    nodes, qall = gauss_weight_nodes(s, Q)
-    qchi = qall[:, :N].T * ((-1.0) ** np.arange(N))[:, None]
-    return SpectralFamily(s=s, N=N, energies=2.0 * np.arange(N) + 2.0 * s + 1.0,
-                          nodes=nodes, qchi=qchi)
+    s, N = params.s, params.N
+    return SpectralFamily(s=s, N=N, energies=2.0 * np.arange(N) + 2.0 * s + 1.0)
 
 
 def _dx_quadrature(alpha, size):
@@ -183,20 +144,10 @@ def overlap_diag(fam_a, fam_b):
     """<chi_n(s_a), chi_n(s_b)> per level, exact mixed-weight quadrature."""
     if fam_a.N != fam_b.N:
         raise ValidationError("families must retain the same level count")
-    alpha = 0.5 * (fam_a.s + fam_b.s)
-    size = max(fam_a.nodes.size, fam_b.nodes.size)
-    nodes, fold = _dx_quadrature(alpha, size)
+    nodes, fold = _dx_quadrature(0.5 * (fam_a.s + fam_b.s), 2 * fam_a.N + 16)
     ca = fam_a.eval_chi(nodes) * fold[None, :]
     cb = fam_b.eval_chi(nodes) * fold[None, :]
     return np.sum(ca * cb, axis=1)
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Truncated Pi(s) in the moving eigenbasis: hermitian, zero diagonal."""
-
-    s: float
-    P: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,8 +161,11 @@ def _pi_gaps(N):
     return gap
 
 
-def _pi_closed(s, N):
-    """Closed-form Pi entries (w_{max(m,n)} / w_{min(m,n)}) i/(2(n-m)), where
+def pi_matrix(s, N):
+    """Truncated Pi(s) in the moving eigenbasis: the hermitian N x N array,
+    zero on the diagonal, of the closed-form entries
+
+        Pi_mn = (w_{max(m,n)} / w_{min(m,n)}) i/(2(n-m)),   where
 
         w_n = sqrt(Gamma(s+1)) u_n = prod_{k<=n} sqrt(k/(k+s))
 
@@ -235,15 +189,10 @@ def _pi_closed(s, N):
     return ratio * gap
 
 
-def pi_matrix(s, N):
-    """Fast closed-form coupling matrix (validated against quadrature and
-    an extended-precision eigenfunction derivative in the tests)."""
-    return CouplingMatrix(s=s, P=_pi_closed(s, N))
-
-
 def coupling_matrix(family):
     """Pi of an analytic family, <chi_m, d_sH chi_n> / (E_n - E_m) in the
-    closed form of pi_matrix, behind a guard against degenerate gaps."""
+    closed form of pi_matrix (the same array), behind a guard against
+    degenerate gaps."""
     gaps = np.diff(family.energies)
     if np.any(np.abs(gaps) < 1e-12):
         raise DegenerateGap("eigenvalue gap below 1e-12")
@@ -257,7 +206,7 @@ class CouplingNormEstimate:
     extrapolated: float
 
 
-def coupling_norm(matrix, truncations):
+def coupling_norm(pi, truncations):
     """Spectral norms of leading principal submatrices plus extrapolation.
 
     The extrapolation assumes geometric decay of successive differences
@@ -265,9 +214,9 @@ def coupling_norm(matrix, truncations):
     returned unextrapolated.
     """
     truncs = np.asarray(sorted(truncations), dtype=int)
-    if truncs[-1] > matrix.P.shape[0]:
+    if truncs[-1] > pi.shape[0]:
         raise ValidationError("truncation exceeds matrix size")
-    norms = np.array([np.linalg.norm(matrix.P[:t, :t], 2) for t in truncs])
+    norms = np.array([np.linalg.norm(pi[:t, :t], 2) for t in truncs])
     if truncs.size >= 3:
         d1, d2 = norms[-2] - norms[-3], norms[-1] - norms[-2]
         if d1 != 0.0 and 0.0 < d2 / d1 < 1.0:
@@ -296,7 +245,7 @@ def empirical_m_table(s_grid, N, truncations=None):
     return rows
 
 
-def gamma_potential(matrix, family):
+def gamma_potential(pi, family):
     """Gamma with i[H, Gamma] = Pi on the truncation: Gamma_mn = -i Pi_mn/(E_m - E_n)."""
     energy = family.energies
     gaps = energy[:, None] - energy[None, :]
@@ -304,15 +253,15 @@ def gamma_potential(matrix, family):
         raise DegenerateGap("eigenvalue gap below 1e-12")
     n = np.arange(family.N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = -1j * matrix.P / gaps
+        g = -1j * pi / gaps
     g[n, n] = 0.0
     return g
 
 
-def commutator_residual(gamma, matrix, family):
+def commutator_residual(gamma, pi, family):
     """|| i [diag(E), Gamma] - Pi ||, zero by construction up to rounding."""
     h = np.diag(family.energies.astype(complex))
-    return float(np.linalg.norm(1j * (h @ gamma - gamma @ h) - matrix.P, 2))
+    return float(np.linalg.norm(1j * (h @ gamma - gamma @ h) - pi, 2))
 
 
 @dataclass(frozen=True)
@@ -324,26 +273,31 @@ class KernelBoundResult:
     extrapolated: float
     refinement_drift: float
     tail_estimate: float
-    n_grid: int
 
 
 # Half-width of the kernel check's u-grid in decay lengths 1/(s + 1/2):
 # the truncated kernel tail exp(-36) ~ 2e-16 sits at double rounding.
 KERNEL_DECAY_LENGTHS = 36.0
 
+# Points of the kernel check's u-grid (its refinement has twice as many),
+# and the largest norm change under that refinement the check accepts.
+KERNEL_GRID = 2400
+KERNEL_DRIFT_LIMIT = 5e-3
 
-def kernel_bound_check(s, n_grid=2400, refine=True, drift_limit=5e-3):
+
+def kernel_bound_check(s):
     """Numerical norm of the comparison integral operator on L^2((0,inf), dx).
 
     The kernel K(x,y) = -(i/y)(x/y)^s for x < y and (i/x)(y/x)^s for x > y
     is homogeneous of degree -1; the unitary substitution x = e^u maps it
     to the convolution kernel i sign(u-t) e^(-(s+1/2)|u-t|) on L^2(du),
     whose exact norm is (s+1/2)^(-1).  The discretization is a Nystrom
-    trapezoid rule on a uniform u-grid (a hermitian Toeplitz operator
-    applied via FFT), so the measured norm approaches the bound from
-    below, first order in the step; the reported extrapolation removes
-    that leading deficit.  GridTooCoarse fires if doubling the grid moves
-    the norm by more than ``drift_limit``.
+    trapezoid rule on a uniform u-grid of KERNEL_GRID points (a hermitian
+    Toeplitz operator applied via FFT), so the measured norm approaches the
+    bound from below, first order in the step; the reported extrapolation
+    from the grid and its doubling removes that leading deficit.
+    GridTooCoarse fires if the doubling moves the norm by more than
+    KERNEL_DRIFT_LIMIT.
     """
     if s < 0:
         raise ValidationError("kernel bound requires s >= 0")
@@ -369,16 +323,14 @@ def kernel_bound_check(s, n_grid=2400, refine=True, drift_limit=5e-3):
                      v0=start)
         return float(np.abs(vals[0]))
 
-    norm = discrete_norm(n_grid)
-    refined = discrete_norm(2 * n_grid) if refine else norm
+    norm = discrete_norm(KERNEL_GRID)
+    refined = discrete_norm(2 * KERNEL_GRID)
     drift = abs(refined - norm)
-    if refine and drift > drift_limit:
+    if drift > KERNEL_DRIFT_LIMIT:
         raise GridTooCoarse(f"kernel norm moved {drift:.2e} under refinement")
-    extrapolated = 2.0 * refined - norm if refine else norm
     return KernelBoundResult(s=s, bound=1.0 / sigma, norm=norm, refined_norm=refined,
-                             extrapolated=float(extrapolated),
-                             refinement_drift=float(drift),
-                             tail_estimate=tail, n_grid=n_grid)
+                             extrapolated=float(2.0 * refined - norm),
+                             refinement_drift=float(drift), tail_estimate=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,12 @@ def test_criterion_08a_coupling_structure():
     worst_h, worst_d = 0.0, 0.0
     env_lo, env_hi = np.inf, 0.0
     for s in (0.5, 1.0, 2.0):
-        mat = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=s, N=64)))
-        worst_h = max(worst_h, float(np.linalg.norm(mat.P - mat.P.conj().T, 2)))
-        worst_d = max(worst_d, float(np.max(np.abs(np.diag(mat.P)))))
+        pi = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=s, N=64)))
+        worst_h = max(worst_h, float(np.linalg.norm(pi - pi.conj().T, 2)))
+        worst_d = max(worst_d, float(np.max(np.abs(np.diag(pi)))))
         for d in range(1, 33):
             m = np.arange(0, 64 - d)
-            ratios = np.abs(mat.P[m, m + d]) * d * ((m + d + 1) / (m + 1)) ** (s / 2)
+            ratios = np.abs(pi[m, m + d]) * d * ((m + d + 1) / (m + 1)) ** (s / 2)
             env_lo, env_hi = min(env_lo, ratios.min()), max(env_hi, ratios.max())
     ok = worst_h <= 1e-10 and worst_d <= 1e-10 and env_lo >= 0.1 and env_hi <= 10.0
     assert report("8a", ok, f"hermiticity {worst_h:.1e}, diagonal {worst_d:.1e} "
@@ -191,9 +191,9 @@ def test_criterion_09_gamma_construction():
     bound_curve = []
     for s in np.linspace(0.0, 5.0, 11):
         fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=64))
-        mat = sp.coupling_matrix(fam)
-        gam = sp.gamma_potential(mat, fam)
-        worst_resid = max(worst_resid, sp.commutator_residual(gam, mat, fam))
+        pi = sp.coupling_matrix(fam)
+        gam = sp.gamma_potential(pi, fam)
+        worst_resid = max(worst_resid, sp.commutator_residual(gam, pi, fam))
         h = 1e-4
         gp = sp.gamma_potential(sp.coupling_matrix(
             sp.analytic_spectrum(sp.SectorParams(s=s + h, N=64))), fam)

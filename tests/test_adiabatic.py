@@ -38,6 +38,9 @@ def test_config_panel_budget():
         ad.AdiabaticConfig(epsilon=1e-3, s_end=(ad.MAX_PANELS + 1) * 2.5e-4)
     with pytest.raises(ValidationError, match="inf panels"):
         ad.AdiabaticConfig(epsilon=5e-324)
+    # a subnormal panel width overflows s_end / width to inf
+    with pytest.raises(ValidationError, match="inf panels"):
+        ad.AdiabaticConfig(epsilon=1e-310)
 
 
 def test_refinement_check_validates_panel_budget_before_walking(monkeypatch):
@@ -187,7 +190,7 @@ def _panel_reference(N, eps, a, b):
     n = np.arange(N)
     omega = 2.0 * (n[:, None] - n[None, :]) / eps
     c, mid = 0.5 * (b - a), 0.5 * (a + b)
-    pa, pm, pb = (pi_matrix(t, N).P for t in (a, mid, b))
+    pa, pm, pb = (pi_matrix(t, N) for t in (a, mid, b))
     beta = (pb - pa) / (2.0 * c)
     gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
     m0, m1, m2 = ad._FilonPanels._moments(omega, c)

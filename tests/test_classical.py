@@ -107,6 +107,15 @@ def test_integrate_identity_and_validation():
         cl.integrate(st, 1.0, PHI, tol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrate_rejects_overflowing_initial_energy():
+    # |v|^2 overflows: refused quietly, even on the empty span
+    st = state(0.0, [1.0, 0.0], [1e200, 1e200])
+    for s_end in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="overflows"):
+            cl.integrate(st, s_end, PHI)
+
+
 def test_puncture_event_reported():
     # at zero flux the orbit is the circle through the origin when |c| = |v|;
     # a widened guard makes the measure-zero crossing resolvable

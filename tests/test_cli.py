@@ -171,6 +171,9 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["adiabatic", "--epsilons", "1e-6"],
     ["adiabatic", "--epsilons", "0.2,1e-6", "--levels", "4", "--samples", "3"],
     ["reduced", "--phi", "0.5", "--s-max", "1e9"],
+    ["adiabatic", "--epsilons", "1e-310", "--levels", "4", "--samples", "3"],
+    ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "1e200,1e200", "--s-end", "0",
+     "--samples", "5"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -343,6 +346,17 @@ def test_reduced_non_finite_delta_exit(tmp_path, monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_classical_overflowing_step_guess_exit(tmp_path, capsys):
+    # H = |p|^2/2 is finite at |p0| = 1e150, but the step guess's scaled
+    # RHS norm overflows: a StepFailure, not a ZeroDivisionError
+    code = run(["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "1e150,0",
+                "--s-end", "1", "--out", str(tmp_path / "huge")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_spectral_check_failure_exit(tmp_path, monkeypatch):

@@ -114,6 +114,17 @@ def test_nan_rhs_fails_cleanly(monkeypatch):
         rd.integrate_ode(0.5, (10.0, 20.0), (1.0, 0.0), [10.0, 20.0])
 
 
+def test_overflowing_rhs_in_step_guess_fails_cleanly():
+    # the scaled RHS norm of the step guess overflows to inf, so the guess
+    # h0 = 0.01 d0/d1 is zero: the run fails instead of dividing by it
+    def huge(t, y):
+        return (1e200, 1e200)
+
+    sol = ode.solve_ivp(huge, (0.0, 1.0), (1.0, 1.0), 1e-10, 1e-12, [0.0, 1.0])
+    assert sol.status == -1
+    assert sol.t.size == 0 and sol.steps == 0 and sol.nfev == 1
+
+
 @pytest.mark.parametrize("samples", [[], [0.0, np.nan, 2.0], [0.0, 2.0, 1.0],
                                      [0.0, 1.0, 1.0], [0.0, 6.0]])
 def test_bad_sample_arrays_rejected(samples):

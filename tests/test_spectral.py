@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln, roots_genlaguerre
 
+from fluxramp import adiabatic as ad
 from fluxramp import spectral as sp
 from fluxramp.errors import GridTooCoarse, ValidationError
 
@@ -31,14 +32,14 @@ def test_sector_params_validation():
         sp.SectorParams(s=-0.1)
     with pytest.raises(ValidationError):
         sp.SectorParams(s=1.0, N=1)
-    par = sp.SectorParams(s=1.0, N=8)
-    assert par.quad_size == 2 * 8 + 16
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
 def test_orthonormality_and_gaps(s):
     fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=64))
-    gram = fam.inner_matrix(np.ones_like(fam.nodes))
+    nodes, fold = sp._dx_quadrature(s, 2 * 64 + 16)
+    ch = fam.eval_chi(nodes) * fold[None, :]
+    gram = ch @ ch.T
     assert np.max(np.abs(gram - np.eye(64))) <= 1e-10
     assert np.all(np.diff(fam.energies) == 2.0)
     assert fam.energies[0] == 2.0 * s + 1.0
@@ -122,7 +123,7 @@ def test_fd_refinement_check_passes_on_fine_grid():
 def test_coupling_against_extended_precision_oracle():
     for (s, m, n), ref in COUPLING_ORACLE.items():
         fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=8))
-        got = sp.coupling_matrix(fam).P[m, n]
+        got = sp.coupling_matrix(fam)[m, n]
         assert got.real == 0.0
         assert abs(got.imag - ref) < 1e-11, (s, m, n)
 
@@ -147,20 +148,20 @@ def test_coupling_against_float_quadrature():
             for n in range(N):
                 if m != n:
                     p_quad[m, n] = 1j * s * overlap[m, n] / (2.0 * (n - m))
-        assert np.max(np.abs(p_quad - sp.coupling_matrix(fam).P)) < 1e-7
+        assert np.max(np.abs(p_quad - sp.coupling_matrix(fam))) < 1e-7
 
 
 def test_coupling_structure():
     for s in (0.0, 0.5, 2.0):
-        mat = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=s, N=48)))
-        assert np.linalg.norm(mat.P - mat.P.conj().T, 2) <= 1e-10
-        assert np.max(np.abs(np.diag(mat.P))) <= 1e-10
+        pi = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=s, N=48)))
+        assert np.linalg.norm(pi - pi.conj().T, 2) <= 1e-10
+        assert np.max(np.abs(np.diag(pi))) <= 1e-10
 
 
 def test_coupling_envelope_band():
     for s in (0.5, 1.0, 2.0):
         N = 64
-        p = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=s, N=N))).P
+        p = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=s, N=N)))
         for d in range(1, N // 2 + 1):
             m = np.arange(0, N - d)
             ratio = np.abs(p[m, m + d]) * d * ((m + d + 1) / (m + 1)) ** (s / 2.0)
@@ -188,7 +189,7 @@ def _pi_unfactored(s, N):
 @pytest.mark.parametrize("s", [0.0, 0.3, 1.7, 5.0])
 def test_pi_matrix_matches_unfactored_form(s):
     ref = _pi_unfactored(s, 8)
-    got = sp.pi_matrix(s, 8).P
+    got = sp.pi_matrix(s, 8)
     off = ref != 0
     assert np.array_equal(off, got != 0)
     assert np.max(np.abs(got[off] - ref[off]) / np.abs(ref[off])) <= 1e-13
@@ -196,7 +197,7 @@ def test_pi_matrix_matches_unfactored_form(s):
 
 @pytest.mark.parametrize("s", [171.0, 200.0])
 def test_pi_matrix_finite_beyond_gamma_overflow(s):
-    p = sp.pi_matrix(s, 8).P
+    p = sp.pi_matrix(s, 8)
     assert np.all(np.isfinite(p))
     assert np.array_equal(p, p.conj().T)
     assert np.all(np.diag(p) == 0.0) and np.all(p[~np.eye(8, dtype=bool)] != 0.0)
@@ -207,7 +208,7 @@ def test_pi_matrix_past_running_product_underflow(s, n):
     # prod_{k<N} k/(k+s) underflows a double from s = 1.9e6 at 64 levels
     # and s = 1.3e4 at 128; entries against 40-digit w_n/w_m i/(2(n-m))
     mp = pytest.importorskip("mpmath")
-    p = sp.pi_matrix(s, n).P
+    p = sp.pi_matrix(s, n)
     assert np.all(np.isfinite(p)) and np.array_equal(p, p.conj().T)
     with mp.workdps(40):
         log_w = [mp.mpf(0)]
@@ -219,20 +220,30 @@ def test_pi_matrix_past_running_product_underflow(s, n):
             assert abs(float((mp.mpf(p[m, k].imag) - ref) / ref)) <= 1e-12, (m, k)
 
 
+@pytest.mark.parametrize("s", [0.0, 1.3, 2e6])
+def test_pi_is_one_array(s):
+    # the closed form, the family's coupling and the propagators' Pi are
+    # one ndarray, bit for bit
+    p = sp.pi_matrix(s, 16)
+    assert type(p) is np.ndarray and p.shape == (16, 16)
+    fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=16))
+    assert np.array_equal(sp.coupling_matrix(fam), p)
+    assert np.array_equal(ad._pi_at(ad.AdiabaticConfig(epsilon=0.1, N=16), s), p)
+
+
 def test_coupling_exact_value_at_s_one():
     # at s = 1 the closed form collapses to sqrt((m+1)/(n+1))/(2(n-m))
-    p = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=1.0, N=12))).P
+    p = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=1.0, N=12)))
     m, n = 3, 7
     assert_allclose(p[m, n].imag, np.sqrt((m + 1) / (n + 1)) / (2 * (n - m)),
                     rtol=1e-13)
 
 
 def test_coupling_norm_zero_matrix_and_shrinking_differences():
-    zero = sp.CouplingMatrix(s=1.0, P=np.zeros((16, 16), dtype=complex))
-    est = sp.coupling_norm(zero, [4, 8, 16])
+    est = sp.coupling_norm(np.zeros((16, 16), dtype=complex), [4, 8, 16])
     assert est.extrapolated == 0.0
-    mat = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=1.0, N=64)))
-    est = sp.coupling_norm(mat, [8, 16, 32, 64])
+    pi = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=1.0, N=64)))
+    est = sp.coupling_norm(pi, [8, 16, 32, 64])
     diffs = np.diff(est.norms)
     assert np.all(diffs > 0) and np.all(np.diff(diffs) < 0)
     assert est.extrapolated >= est.norms[-1]
@@ -250,9 +261,9 @@ def test_gamma_commutator_and_bounds():
     consts = []
     for s in np.linspace(0.0, 5.0, 6):
         fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=32))
-        mat = sp.coupling_matrix(fam)
-        gam = sp.gamma_potential(mat, fam)
-        assert sp.commutator_residual(gam, mat, fam) <= 1e-10
+        pi = sp.coupling_matrix(fam)
+        gam = sp.gamma_potential(pi, fam)
+        assert sp.commutator_residual(gam, pi, fam) <= 1e-10
         assert np.max(np.abs(gam - gam.conj().T)) <= 1e-12
         assert np.max(np.abs(np.diag(gam))) == 0.0
         h = 1e-4
@@ -265,21 +276,23 @@ def test_gamma_commutator_and_bounds():
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 5.0])
 def test_kernel_bound(s):
-    res = sp.kernel_bound_check(s, n_grid=1600)
+    res = sp.kernel_bound_check(s)
     assert res.refined_norm <= res.bound + 1e-6
     assert res.norm <= res.refined_norm <= res.bound
     assert res.tail_estimate < 1e-6
 
 
 def test_kernel_norm_nonincreasing_in_s():
-    norms = [sp.kernel_bound_check(s, n_grid=1200, refine=False).norm
+    norms = [sp.kernel_bound_check(s).norm
              for s in (0.0, 0.5, 1.0, 2.0, 5.0)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
-def test_kernel_grid_too_coarse():
+def test_kernel_grid_too_coarse(monkeypatch):
+    monkeypatch.setattr(sp, "KERNEL_GRID", 40)
+    monkeypatch.setattr(sp, "KERNEL_DRIFT_LIMIT", 1e-9)
     with pytest.raises(GridTooCoarse):
-        sp.kernel_bound_check(0.0, n_grid=40, drift_limit=1e-9)
+        sp.kernel_bound_check(0.0)
 
 
 def test_sign_sweep_continuity():
@@ -327,7 +340,6 @@ def test_fd_spectrum_rejects_grid_out_of_double_range():
 
 def test_degenerate_gap_guard():
     fam = sp.analytic_spectrum(sp.SectorParams(s=1.0, N=8))
-    squeezed = sp.SpectralFamily(s=fam.s, N=fam.N, energies=np.ones(8),
-                                 nodes=fam.nodes, qchi=fam.qchi)
+    squeezed = sp.SpectralFamily(s=fam.s, N=fam.N, energies=np.ones(8))
     with pytest.raises(Exception):
         sp.coupling_matrix(squeezed)
