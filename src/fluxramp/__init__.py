@@ -8,6 +8,10 @@ Y0, Y1 from scipy.special), ``spectral`` (the Landau-type
 eigenfamily, coupling operator and kernel bound), ``adiabatic``
 (propagators and error scaling), ``ode`` (the DOP853 stepper behind
 the flow and the reduced ODE), ``cli`` (file-emitting front end).
+
+Every study runs in a fresh process, so no module imports scipy at module
+level: each scipy name is imported inside the function that calls it, and
+a classical, adiabatic or closed-form spectral run loads no scipy module.
 """
 
 __version__ = "0.1.0"

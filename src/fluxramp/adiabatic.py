@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from .errors import GridTooCoarse, StepFailure, ValidationError
+from .errors import GridTooCoarse, StepFailure, ValidationError, check_working_set
 from .spectral import pi_matrix
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
@@ -48,10 +48,22 @@ DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
 # The README and benchmark sweeps use at most 400.
 MAX_PANELS = 100_000
 
+# Working set of one epsilon's walk, from peak memory measured on one core:
+# about 40 N x N complex arrays (36-39 at 256 and 512 levels: the panel
+# tables, Pi and its Filon terms, the Magnus step, LAPACK work of the
+# sample norms) and about 700 bytes per sample (its interval's panel edges,
+# norms and CSV rows; 680 at 40001 samples).
+N2_ARRAYS = 40
+BYTES_PER_SAMPLE = 700
+
 
 @dataclass(frozen=True)
 class AdiabaticConfig:
-    """Adiabatic parameter, output grid, truncation and panel control."""
+    """Adiabatic parameter, output grid, truncation and panel control.
+
+    A config whose walk would exceed MAX_PANELS panels, or whose levels and
+    samples would exceed the working-set budget, is refused.
+    """
 
     epsilon: float
     s_end: float = 2.0
@@ -69,6 +81,8 @@ class AdiabaticConfig:
             raise ValidationError("need at least two samples")
         if self.N < 2:
             raise ValidationError("need at least two levels")
+        check_working_set(16 * N2_ARRAYS * self.N ** 2 + BYTES_PER_SAMPLE * self.n_samples,
+                          f"{self.N} levels and {self.n_samples} samples")
         # a panel's quadratic Filon coefficient divides by 2 c^2, with c the
         # panel half-width (at most half the sample spacing); once c^2 is
         # subnormal the rounding noise over it overflows, and inf times the
@@ -125,10 +139,11 @@ class _FilonPanels:
 
     The quadratic model of Pi uses the panel endpoints and midpoint against
     the exact oscillatory moments int tau^k exp(i omega tau) dtau
-    (omega = 2(m-n)/eps).  ``stops`` is any ascending sequence of times;
-    each interval between consecutive stops is split into equal panels no
-    wider than min(panel_max, eps/4), so every stop is a panel edge and
-    propagation can halt there.
+    (omega = 2(m-n)/eps).  ``stops`` is any ascending sequence of times
+    (default: the sample grid); each interval between consecutive stops is
+    split into equal panels no wider than min(panel_max, eps/4), so every
+    stop is a panel edge and propagation can halt there.  ``count`` is the
+    number of panels the walk integrates.
 
     Moments, phases and commutator factors depend on (m, n) only through
     d = m - n, so they are evaluated on the 2N-1 values of d and gathered
@@ -137,15 +152,19 @@ class _FilonPanels:
     costs 2N-1 exponentials (its phase) plus the matrix products.
     """
 
-    def __init__(self, config, stops):
+    def __init__(self, config, stops=None):
         self.config = config
+        self.stops = config.s_grid if stops is None else stops
         width = config.panel_width
         self.intervals = []
-        for a, b in zip(stops[:-1], stops[1:]):
+        for a, b in zip(self.stops[:-1], self.stops[1:]):
             # a linspace grid leaves ulp noise in b - a; an interval that is
             # a whole number of panels to within rounding must not gain one
             per = max(1, int(np.ceil((b - a) / width * (1.0 - 1e-12))))
             self.intervals.append(np.linspace(a, b, per + 1))
+        # panel_integrals skips an edge pair that rounding collapsed
+        self.count = sum(int(np.count_nonzero(np.diff(edges) > 0))
+                         for edges in self.intervals)
         n = np.arange(config.N)
         self.omega_d = 2.0 * np.arange(1 - config.N, config.N) / config.epsilon
         self.by_d = n[:, None] - n[None, :] + (config.N - 1)
@@ -210,14 +229,13 @@ class _FilonPanels:
                 yield a, b, block, omega2
 
 
-def _propagate(config, stops=None):
-    """Yields (s, I, C) at each of the ascending ``stops`` (default: the
-    sample grid), from I = 0 and C = id at the first stop: one panel walk
-    sums the panel integrals of W into I, in panel order, and advances C by
-    their Magnus steps.  Yielded arrays are never written afterwards.
-    StepFailure guards the unitarity drift of the last C."""
-    stops = config.s_grid if stops is None else stops
-    panels = _FilonPanels(config, stops)
+def _propagate(panels):
+    """Yields (s, I, C) at each stop of the ``panels`` walk, from I = 0 and
+    C = id at the first stop: the walk sums the panel integrals of W into
+    I, in panel order, and advances C by their Magnus steps.  Yielded
+    arrays are never written afterwards.  StepFailure guards the unitarity
+    drift of the last C."""
+    config, stops = panels.config, panels.stops
     acc = np.zeros((config.N, config.N), dtype=complex)
     c = np.eye(config.N, dtype=complex)
     yield float(stops[0]), acc, c
@@ -243,7 +261,7 @@ def twisted_coupling_integral(config, check_refinement=True):
     """
     if check_refinement:
         fine = replace(config, panel_max=config.panel_max / 2.0)
-    mats = [i_mat for _, i_mat, _ in _propagate(config)]
+    mats = [i_mat for _, i_mat, _ in _propagate(_FilonPanels(config))]
     norms = np.array([np.linalg.norm(m, 2) for m in mats])
     if check_refinement:
         _, norms_fine = twisted_coupling_integral(fine, check_refinement=False)
@@ -260,7 +278,7 @@ def dyson_corrector(config):
     Returns the list of N x N arrays from the Magnus-Filon panel walk;
     each step is exactly unitary, and StepFailure guards unitarity drift.
     """
-    return [c for _, _, c in _propagate(config)]
+    return [c for _, _, c in _propagate(_FilonPanels(config))]
 
 
 def _magnus_step(block, omega2):
@@ -296,7 +314,7 @@ def residual_generator_check(config, probes=None, delta=1e-6):
     eps = config.epsilon
 
     stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
-    corrector = {s: c for s, _, c in _propagate(config, stops)}
+    corrector = {s: c for s, _, c in _propagate(_FilonPanels(config, stops))}
     res_ad, res_w = [], []
     for s in probes:
         pim = _pi_at(config, s)
@@ -322,6 +340,7 @@ class SweepResult:
     norm_uw_minus_uad: np.ndarray
     unitarity_defect: np.ndarray    # (n_eps,) worst over the grid
     exponents: Optional[dict]
+    panels: np.ndarray              # (n_eps,) Filon/Magnus panels walked
 
 
 def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
@@ -341,13 +360,14 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
     configs = [AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples,
                                N=N, force_zero_coupling=force_zero_coupling)
                for eps in epsilons]
-    nt, nc, nw, ud = [], [], [], []
+    nt, nc, nw, ud, panels = [], [], [], [], []
     s_grid = None
     ident = np.eye(N)
     for cfg in configs:
         s_grid = cfg.s_grid
         norms_i, norms_c, norms_w, defects_c, defects_w = [], [], [], [], []
-        for s, i_mat, c in _propagate(cfg):
+        walk = _FilonPanels(cfg)
+        for s, i_mat, c in _propagate(walk):
             u = _u_ad(s, N, cfg.epsilon)
             u_w = u @ c
             norms_i.append(np.linalg.norm(i_mat, 2))
@@ -359,6 +379,7 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
         nc.append(norms_c)
         nw.append(norms_w)
         ud.append(max(max(defects_c), max(defects_w)))
+        panels.append(walk.count)
     nt, nc, nw = np.asarray(nt), np.asarray(nc), np.asarray(nw)
     exponents = None
     if epsilons.size >= 2:
@@ -376,4 +397,5 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
                 exponents[name] = float("nan")
     return SweepResult(epsilons=epsilons, s_grid=s_grid, norm_twisted=nt,
                        norm_c_minus_id=nc, norm_uw_minus_uad=nw,
-                       unitarity_defect=np.asarray(ud), exponents=exponents)
+                       unitarity_defect=np.asarray(ud), exponents=exponents,
+                       panels=np.asarray(panels))

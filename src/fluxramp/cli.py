@@ -395,7 +395,8 @@ def cmd_adiabatic(args):
     summary = {"epsilons": sorted(epsilons, reverse=True), "s_end": args.s_end,
                "levels": args.levels, "exponents": res.exponents,
                "window": list(window),
-               "unitarity_defect_max": float(res.unitarity_defect.max())}
+               "unitarity_defect_max": float(res.unitarity_defect.max()),
+               "diagnostics": {"filon_panels": res.panels.tolist()}}
     ok = True
     if res.exponents is not None and not args.force_zero_coupling:
         for value in res.exponents.values():

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the working-set budget
+every study's validator holds a run to.
 
 The CLI maps these onto its exit-code contract, so the distinctions matter:
 validation problems are caught before any computation starts, physical events
@@ -63,3 +64,18 @@ class GridTooCoarse(FluxrampError):
 
 class DegenerateGap(FluxrampError):
     """Two eigenvalues are too close to divide by their gap."""
+
+
+# Most memory, in bytes, a run may plan for.  Each study estimates its
+# working set from its sizes (levels, samples) and refuses a larger run
+# before any work; the README and benchmark runs plan for at most 60 MiB.
+WORKING_SET_BUDGET = 1 << 30
+
+
+def check_working_set(nbytes, what):
+    """ValidationError when ``nbytes``, the estimated working set of a run
+    of ``what``, exceeds WORKING_SET_BUDGET."""
+    if nbytes > WORKING_SET_BUDGET:
+        size = f"about {nbytes / 2 ** 20:.0f} MiB" if nbytes < 2 ** 1000 else "more"
+        raise ValidationError(f"{what} need {size}, above the working-set budget "
+                              f"of {WORKING_SET_BUDGET >> 20} MiB")

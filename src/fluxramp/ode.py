@@ -2,8 +2,10 @@
 
 ``solve_ivp`` reproduces scipy's ``DOP853`` (Hairer, Norsett and Wanner,
 *Solving ODEs I*, II.4-II.6) for a right-hand side ``fun(t, y, *args)``
-that takes and returns a tuple of floats.  It uses scipy's tableau and
-controller unchanged:
+that takes and returns a tuple of floats.  It uses the same tableau,
+frozen below as module constants (the tests hold it bit for bit to
+``scipy.integrate._ivp.dop853_coefficients``), and scipy's controller
+unchanged:
 
 * error norm  |h| ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) n), with
   e5, e3 the two embedded error estimates divided componentwise by
@@ -22,6 +24,9 @@ the three extra dense-output stages and the 7-coefficient interpolant are
 generated as straight-line Python on the first call, so a step does no
 array work.  Dense output is built only on steps that hold a sample time
 or an event crossing.
+
+The module imports no scipy: only a run whose terminal event fires loads
+``scipy.optimize`` for brentq.
 """
 
 import functools
@@ -29,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 
@@ -160,6 +164,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
         if event is not None:
             g_new = event(t_new, y_new)
             if (g <= 0 <= g_new) or (g >= 0 >= g_new):
+                from scipy.optimize import brentq
                 coeffs = dense(fun, args, t, h, y, y_new, stages)
                 nfev += 3
                 t_stop = brentq(lambda s: event(s, interp(coeffs, y, (s - t) / h)),
@@ -186,26 +191,135 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
 
 
 # ---------------------------------------------------------------------------
+# Dormand-Prince 8(5,3) tableau
+# ---------------------------------------------------------------------------
+
+# Stages of one step (f at the new point is stage N_STAGES), stages with the
+# dense output's extra ones, and coefficients of the interpolant.
+N_STAGES = 12
+N_STAGES_EXTENDED = 16
+INTERPOLATOR_POWER = 7
+
+
+def _tableau(shape, entries):
+    """A float array of ``shape``, zero but for ``entries``, a dict keyed by
+    index (rows of a 2-D array map to dicts of their own)."""
+    out = np.zeros(shape)
+    for i, value in entries.items():
+        if isinstance(value, dict):
+            out[i, list(value)] = list(value.values())
+        else:
+            out[i] = value
+    return out
+
+
+# The 169 nonzero coefficients, each written with repr, so every array
+# holds the same bits as scipy's: A (stage weights, lower triangular),
+# B (8th-order weights), C (stage nodes), D (dense-output coefficients),
+# E3, E5 (the two embedded error estimates).
+A = _tableau((16, 16), {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386,
+         4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+         5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998,
+         4: 0.10726203044637328, 5: -0.015319437748624402,
+         6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+         5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+         5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+         8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+    13: {0: 0.056167502283047954, 6: 0.25350021021662483,
+         7: -0.2462390374708025, 8: -0.12419142326381637,
+         9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+    14: {0: 0.03183464816350214, 5: 0.028300909672366776,
+         6: 0.053541988307438566, 7: -0.05492374857139099,
+         10: -0.00010834732869724932, 11: 0.0003825710908356584,
+         12: -0.00034046500868740456, 13: 0.1413124436746325},
+    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+         7: 4.06898981839711, 8: 0.3567271874552811,
+         12: -0.0013990241651590145, 13: 2.9475147891527724,
+         14: -9.15095847217987},
+})
+D = _tableau((4, 16), {
+    0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+         7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+         10: 2.2404374302607883, 11: 0.6315787787694688,
+         12: -0.08899033645133331, 13: 18.148505520854727,
+         14: -9.194632392478356, 15: -4.436036387594894},
+    1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+         7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+         10: -30.674084731089398, 11: -9.332130526430229,
+         12: 15.697238121770845, 13: -31.139403219565178,
+         14: -9.35292435884448, 15: 35.81684148639408},
+    2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+         7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+         10: -1.0006050966910838, 11: 0.7777137798053443,
+         12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
+         15: 11.99229113618279},
+    3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+         7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+         10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+         13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+})
+B = _tableau((12,), {
+    0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+    7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+    10: 0.20136540080403034, 11: 0.04471061572777259
+})
+C = _tableau((16,), {
+    1: 0.05260015195876773, 2: 0.0789002279381516, 3: 0.1183503419072274,
+    4: 0.2816496580927726, 5: 0.3333333333333333, 6: 0.25,
+    7: 0.3076923076923077, 8: 0.6512820512820513, 9: 0.6,
+    10: 0.8571428571428571, 11: 1.0, 12: 1.0, 13: 0.1, 14: 0.2,
+    15: 0.7777777777777778
+})
+E3 = _tableau((13,), {
+    0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+    7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+    10: 0.20136540080403034, 11: 0.02265179219836082
+})
+E5 = _tableau((13,), {
+    0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+    7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+    10: 0.08192320648511571, 11: -0.022355307863886294
+})
+
+
+# ---------------------------------------------------------------------------
 # generated stage code
 # ---------------------------------------------------------------------------
 
 @functools.cache
 def _stepper(n):
     """(step, dense, interp) for an n-dimensional state, generated once."""
-    from scipy.integrate._ivp import dop853_coefficients as tableau
     namespace = {"sqrt": math.sqrt}
-    exec(compile(_source(n, tableau), f"<dop853 n={n}>", "exec"), namespace)
+    exec(compile(_source(n), f"<dop853 n={n}>", "exec"), namespace)
     return namespace["step"], namespace["dense"], namespace["interp"]
 
 
-def _source(n, tab):
+def _source(n):
     """Python source of the three straight-line functions for dimension n.
 
     Stage s of component i is ``k{s}_{i}``; stage 0 is f(t, y), stage 12
     is f(t + h, y_new), stages 13-15 feed only the interpolant.
     """
-    ns, ext, power = tab.N_STAGES, tab.N_STAGES_EXTENDED, tab.INTERPOLATOR_POWER
-    A, C = tab.A, tab.C
+    ns, ext, power = N_STAGES, N_STAGES_EXTENDED, INTERPOLATOR_POWER
     comps = range(n)
 
     def comb(row, i, upto):
@@ -225,12 +339,12 @@ def _source(n, tab):
             f"    {ys_all}, = y", unpack("f", 0)]
     for s in range(1, ns):
         step += [stage_call(s), unpack(f"K{s}", s)]
-    step += [f"    yn_{i} = y_{i} + h*({comb(tab.B, i, ns)})" for i in comps]
+    step += [f"    yn_{i} = y_{i} + h*({comb(B, i, ns)})" for i in comps]
     step += [f"    f_new = fun(t + h, ({yn_all},), *args)"]
     for i in comps:
         step += [f"    sc_{i} = atol + max(abs(y_{i}), abs(yn_{i}))*rtol",
-                 f"    e5_{i} = ({comb(tab.E5, i, ns)})/sc_{i}",
-                 f"    e3_{i} = ({comb(tab.E3, i, ns)})/sc_{i}"]
+                 f"    e5_{i} = ({comb(E5, i, ns)})/sc_{i}",
+                 f"    e3_{i} = ({comb(E3, i, ns)})/sc_{i}"]
     step += [f"    n5 = {' + '.join(f'e5_{i}*e5_{i}' for i in comps)}",
              f"    n3 = {' + '.join(f'e3_{i}*e3_{i}' for i in comps)}",
              "    err = 0.0 if n5 == 0 and n3 == 0 else "
@@ -249,7 +363,7 @@ def _source(n, tab):
                   f"    F0_{i} = d_{i}",
                   f"    F1_{i} = h*k0_{i} - d_{i}",
                   f"    F2_{i} = 2*d_{i} - h*(k{ns}_{i} + k0_{i})"]
-        dense += [f"    F{3 + r}_{i} = h*({comb(tab.D[r], i, ext)})"
+        dense += [f"    F{3 + r}_{i} = h*({comb(D[r], i, ext)})"
                   for r in range(power - 3)]
     flat = ", ".join(f"F{r}_{i}" for i in comps for r in range(power))
     dense += [f"    return ({flat},)"]

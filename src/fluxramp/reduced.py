@@ -38,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
-from scipy.special import j0, j1, y0, y1
 
 from . import classical
 from .errors import (
@@ -83,6 +81,7 @@ def _bessel_arg(name, order, x):
 
 def bessel_j(order, x):
     """Bessel function of the first kind J_0 or J_1 (scipy.special), x >= 0."""
+    from scipy.special import j0, j1
     x = _bessel_arg("bessel_j", order, x)
     if np.any(x < 0):
         raise ValidationError("bessel_j requires x >= 0")
@@ -92,6 +91,7 @@ def bessel_j(order, x):
 
 def bessel_y(order, x):
     """Bessel function of the second kind Y_0 or Y_1 (scipy.special), x > 0."""
+    from scipy.special import y0, y1
     x = _bessel_arg("bessel_y", order, x)
     if np.any(x <= 0):
         raise ValidationError("bessel_y requires x > 0")
@@ -195,6 +195,7 @@ class ReducedSolution:
     forced_zero_f: bool = False
 
     def spline(self):
+        from scipy.interpolate import CubicSpline
         return (CubicSpline(self.grid, self.x1), CubicSpline(self.grid, self.x2))
 
 
@@ -254,12 +255,6 @@ def homogeneous(j, s, c1, c2):
     if j not in (1, 2):
         raise ValidationError("component index j must be 1 or 2")
     return c1 * s * bessel_j(j - 1, s) + c2 * s * bessel_y(j - 1, s)
-
-
-def kernel_factor(j, s, tau):
-    """Y_{j-1}(s) J_1(tau) - J_{j-1}(s) Y_1(tau); at tau = s this equals
-    2/(pi s) for j = 1 (cylinder Wronskian) and 0 for j = 2."""
-    return bessel_y(j - 1, s) * bessel_j(1, tau) - bessel_j(j - 1, s) * bessel_y(1, tau)
 
 
 def picard_solve(config, phi, s_start, force_zero_f=False):
@@ -337,6 +332,7 @@ def residual(solution):
     Returns (res1, res2) on the solution grid; their sup norm is the
     advertised self-consistency figure.
     """
+    from scipy.interpolate import CubicSpline
     cfg = solution.config
     s = solution.grid
     quad = _PanelQuadrature(solution.s_start, cfg.s_max,
@@ -432,15 +428,6 @@ def crosscheck_ode(solution, trajectory=None, params=None, ode_tol=1e-12,
     dev = max(np.max(np.abs(x1[mask] - sp1(t[mask]))),
               np.max(np.abs(x2[mask] - sp2(t[mask]))))
     return float(dev)
-
-
-def match_constants_at(s, x1, x2):
-    """Solve the 2x2 system giving (c1, c2) of the homogeneous part that
-    passes through (x1, x2) at time s;  determinant is the Wronskian
-    -2 s / pi, never zero."""
-    a = np.array([[s * bessel_j(0, s), s * bessel_y(0, s)],
-                  [s * bessel_j(1, s), s * bessel_y(1, s)]])
-    return tuple(np.linalg.solve(a, np.array([x1, x2])))
 
 
 @dataclass(frozen=True)

@@ -46,18 +46,17 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, eigsh
-from scipy.special import gammaln
 
-from .errors import DegenerateGap, GridTooCoarse, ValidationError
+from .errors import DegenerateGap, GridTooCoarse, ValidationError, check_working_set
 
 DEFAULT_LEVELS = 64
 
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Flux value s >= 0 and retained levels N."""
+    """Flux value s >= 0 and retained levels N; N is refused when the checks
+    of the family would need more than the working-set budget (about 990
+    levels)."""
 
     s: float
     N: int = DEFAULT_LEVELS
@@ -67,31 +66,27 @@ class SectorParams:
             raise ValidationError(f"flux parameter s must be >= 0, got {self.s!r}")
         if self.N < 2:
             raise ValidationError("at least two levels are required")
+        check_working_set(ORACLE_BYTES_PER_LEVEL * self.N
+                          + DENSE_BYTES_PER_ENTRY * self.N ** 2, f"{self.N} levels")
 
 
 @dataclass(frozen=True)
 class SpectralFamily:
-    """Eigendata of H(s) on the retained levels.
-
-    Modes are evaluated in the sign convention "coefficient of L_n^(s)
-    positive", in which no level changes sign along an s-sweep.
-    """
+    """Eigendata of H(s) on the retained levels; the modes are
+    _weighted_laguerre(s, N, x)."""
 
     s: float
     N: int
     energies: np.ndarray
 
-    def eval_chi(self, x):
-        """chi_n(x) on an arbitrary positive grid, stable weighted recurrence."""
-        return _weighted_laguerre(self.s, self.N, np.asarray(x, dtype=float))
-
-    def eval_psi(self, r):
-        """Radial eigenfunctions psi_n(r) = chi_n(r^2/2), L^2(r dr)-normalized."""
-        return self.eval_chi(0.5 * np.asarray(r, dtype=float) ** 2)
-
 
 def _weighted_laguerre(s, N, x):
-    """Rows n = 0..N-1 of x^(s/2) e^(-x/2) lag_n(x); bounded for all x >= 0."""
+    """Rows n = 0..N-1 of x^(s/2) e^(-x/2) lag_n(x); bounded for all x >= 0.
+
+    Modes are in the sign convention "coefficient of L_n^(s) positive", in
+    which no level changes sign along an s-sweep.
+    """
+    from scipy.special import gammaln
     x = np.atleast_1d(x)
     out = np.zeros((N, x.size))
     with np.errstate(divide="ignore"):
@@ -117,37 +112,6 @@ def analytic_spectrum(params):
     """
     s, N = params.s, params.N
     return SpectralFamily(s=s, N=N, energies=2.0 * np.arange(N) + 2.0 * s + 1.0)
-
-
-def _dx_quadrature(alpha, size):
-    """Nodes and plain-measure folds for integrating products of weighted
-    Laguerre-type functions against dx.
-
-    For f, g containing the factor x^(alpha/2) e^(-x/2), the integral
-    int f g dx equals sum_i fold_i^2 f(x_i) g(x_i) with
-    fold_i = sqrt(w_i) x_i^(-alpha/2) e^(x_i/2)
-           = 1 / sqrt(sum_k W_k(x_i)^2),
-    the Christoffel sum of the weighted orthonormal functions W_k, which
-    the recurrence produces with O(1) magnitudes (no raw weight or
-    polynomial value, hence no under/overflow at far nodes).
-    """
-    k = np.arange(size)
-    nodes = eigh_tridiagonal(2 * k + alpha + 1.0,
-                             np.sqrt(k[1:] * (k[1:] + alpha)),
-                             eigvals_only=True)
-    w = _weighted_laguerre(alpha, size, nodes)
-    fold = 1.0 / np.sqrt(np.sum(w * w, axis=0))
-    return nodes, fold
-
-
-def overlap_diag(fam_a, fam_b):
-    """<chi_n(s_a), chi_n(s_b)> per level, exact mixed-weight quadrature."""
-    if fam_a.N != fam_b.N:
-        raise ValidationError("families must retain the same level count")
-    nodes, fold = _dx_quadrature(0.5 * (fam_a.s + fam_b.s), 2 * fam_a.N + 16)
-    ca = fam_a.eval_chi(nodes) * fold[None, :]
-    cb = fam_b.eval_chi(nodes) * fold[None, :]
-    return np.sum(ca * cb, axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,22 +193,6 @@ def coupling_norm(pi, truncations):
     return CouplingNormEstimate(truncations=truncs, norms=norms, extrapolated=float(extrap))
 
 
-def empirical_m_table(s_grid, N, truncations=None):
-    """Norm data of Pi over an s-grid: per-s truncation norms, extrapolation,
-    and the running-maximum majorant (the smallest nondecreasing table
-    dominating the measurements)."""
-    if truncations is None:
-        truncations = [N // 4, N // 2, N]
-    rows = []
-    running = 0.0
-    for s in s_grid:
-        est = coupling_norm(pi_matrix(s, N), truncations)
-        running = max(running, est.extrapolated)
-        rows.append({"s": float(s), "norms": est.norms.tolist(),
-                     "extrapolated": est.extrapolated, "majorant": running})
-    return rows
-
-
 def gamma_potential(pi, family):
     """Gamma with i[H, Gamma] = Pi on the truncation: Gamma_mn = -i Pi_mn/(E_m - E_n)."""
     energy = family.energies
@@ -301,6 +249,7 @@ def kernel_bound_check(s):
     """
     if s < 0:
         raise ValidationError("kernel bound requires s >= 0")
+    from scipy.sparse.linalg import LinearOperator, eigsh
     sigma = s + 0.5
     u_halfwidth = KERNEL_DECAY_LENGTHS / sigma
     tail = float(np.exp(-sigma * u_halfwidth))
@@ -349,6 +298,13 @@ FD_BISECTION_TOL = 1e-10
 # and 4x as many (12k/24k/48k), and only the finest one computes vectors.
 FD_CELLS = 12000
 
+# Working set of the checks of an N-level family, from peak memory measured
+# on one core (0.92 MiB per level at 64-256 levels, oracle included): the
+# oracle holds about five arrays on its finest grid per level it solves, the
+# lower half; the coupling and gamma checks about eight N x N complex arrays.
+ORACLE_BYTES_PER_LEVEL = 5 * 8 * 4 * FD_CELLS // 2
+DENSE_BYTES_PER_ENTRY = 8 * 16
+
 
 def fd_r_max(s, N):
     """Outer radius of the oracle grid for the N-level family at flux s:
@@ -386,8 +342,8 @@ class FdSpectrum:
         if family.N < self.N:
             raise ValidationError(f"family retains {family.N} levels, "
                                   f"the oracle solved {self.N}")
-        # family.eval_chi restricted to the solved rows (the recurrence for
-        # row n reads rows below n only)
+        # the family's modes restricted to the solved rows (the recurrence
+        # for row n reads rows below n only)
         chi = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
         with np.errstate(divide="ignore"):
             g_an = chi * self.r[None, :] ** (-self.s)
@@ -443,6 +399,7 @@ def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
         raise ValidationError(
             f"flux s = {s:g} leaves the double range of the finite-volume "
             f"weights r^(2s+1) on {m_cells} cells over (0, {r_max:.6g})")
+    from scipy.linalg import eigh_tridiagonal
     h = r_max / m_cells
     centers = (np.arange(m_cells) + 0.5) * h
     mass, mbar, lower, kinetic = _fd_weights(s, np.arange(m_cells + 1) * h, h)

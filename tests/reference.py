@@ -1,0 +1,89 @@
+"""Reference computations that only the tests use.
+
+Mode evaluation, an exact Gauss-type quadrature for mode overlaps, the
+running-maximum table of coupling norms, and the Bessel kernel factor and
+homogeneous-constant match of the reduced equations.  The package computes
+none of these on a CLI path; the tests use them as independent checks of
+``spectral`` and ``reduced``.
+"""
+
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
+
+from fluxramp import reduced, spectral
+from fluxramp.errors import ValidationError
+
+
+def eval_chi(family, x):
+    """chi_n(x) of ``family`` on an arbitrary positive grid, stable weighted
+    recurrence."""
+    return spectral._weighted_laguerre(family.s, family.N, np.asarray(x, dtype=float))
+
+
+def eval_psi(family, r):
+    """Radial eigenfunctions psi_n(r) = chi_n(r^2/2), L^2(r dr)-normalized."""
+    return eval_chi(family, 0.5 * np.asarray(r, dtype=float) ** 2)
+
+
+def dx_quadrature(alpha, size):
+    """Nodes and plain-measure folds for integrating products of weighted
+    Laguerre-type functions against dx.
+
+    For f, g containing the factor x^(alpha/2) e^(-x/2), the integral
+    int f g dx equals sum_i fold_i^2 f(x_i) g(x_i) with
+    fold_i = sqrt(w_i) x_i^(-alpha/2) e^(x_i/2)
+           = 1 / sqrt(sum_k W_k(x_i)^2),
+    the Christoffel sum of the weighted orthonormal functions W_k, which
+    the recurrence produces with O(1) magnitudes (no raw weight or
+    polynomial value, hence no under/overflow at far nodes).  The nodes
+    are the Golub-Welsch eigenvalues of the Jacobi matrix.
+    """
+    k = np.arange(size)
+    nodes = eigh_tridiagonal(2 * k + alpha + 1.0,
+                             np.sqrt(k[1:] * (k[1:] + alpha)),
+                             eigvals_only=True)
+    w = spectral._weighted_laguerre(alpha, size, nodes)
+    fold = 1.0 / np.sqrt(np.sum(w * w, axis=0))
+    return nodes, fold
+
+
+def overlap_diag(fam_a, fam_b):
+    """<chi_n(s_a), chi_n(s_b)> per level, exact mixed-weight quadrature."""
+    if fam_a.N != fam_b.N:
+        raise ValidationError("families must retain the same level count")
+    nodes, fold = dx_quadrature(0.5 * (fam_a.s + fam_b.s), 2 * fam_a.N + 16)
+    ca = eval_chi(fam_a, nodes) * fold[None, :]
+    cb = eval_chi(fam_b, nodes) * fold[None, :]
+    return np.sum(ca * cb, axis=1)
+
+
+def empirical_m_table(s_grid, N, truncations=None):
+    """Norm data of Pi over an s-grid: per-s truncation norms, extrapolation,
+    and the running-maximum majorant (the smallest nondecreasing table
+    dominating the measurements)."""
+    if truncations is None:
+        truncations = [N // 4, N // 2, N]
+    rows = []
+    running = 0.0
+    for s in s_grid:
+        est = spectral.coupling_norm(spectral.pi_matrix(s, N), truncations)
+        running = max(running, est.extrapolated)
+        rows.append({"s": float(s), "norms": est.norms.tolist(),
+                     "extrapolated": est.extrapolated, "majorant": running})
+    return rows
+
+
+def kernel_factor(j, s, tau):
+    """Y_{j-1}(s) J_1(tau) - J_{j-1}(s) Y_1(tau); at tau = s this equals
+    2/(pi s) for j = 1 (cylinder Wronskian) and 0 for j = 2."""
+    return (reduced.bessel_y(j - 1, s) * reduced.bessel_j(1, tau)
+            - reduced.bessel_j(j - 1, s) * reduced.bessel_y(1, tau))
+
+
+def match_constants_at(s, x1, x2):
+    """Solve the 2x2 system giving (c1, c2) of the homogeneous part that
+    passes through (x1, x2) at time s;  determinant is the Wronskian
+    -2 s / pi, never zero."""
+    a = np.array([[s * reduced.bessel_j(0, s), s * reduced.bessel_y(0, s)],
+                  [s * reduced.bessel_j(1, s), s * reduced.bessel_y(1, s)]])
+    return tuple(np.linalg.solve(a, np.array([x1, x2])))

@@ -1,5 +1,7 @@
 """Propagators in the moving eigenbasis: phases, corrector, scaling laws."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fluxramp import adiabatic as ad
-from fluxramp.errors import ValidationError
+from fluxramp.errors import WORKING_SET_BUDGET, ValidationError
 from fluxramp.spectral import pi_matrix
 
 N_SMALL = 16
@@ -41,6 +43,19 @@ def test_config_panel_budget():
     # a subnormal panel width overflows s_end / width to inf
     with pytest.raises(ValidationError, match="inf panels"):
         ad.AdiabaticConfig(epsilon=1e-310)
+
+
+def test_config_working_set_budget():
+    # about 40 N x N complex arrays plus 700 bytes per sample; configs are
+    # built right at the budget and refused one level or sample above it
+    n_max = math.isqrt(WORKING_SET_BUDGET // (16 * ad.N2_ARRAYS))
+    ad.AdiabaticConfig(epsilon=0.1, N=n_max)
+    with pytest.raises(ValidationError, match="working-set budget"):
+        ad.AdiabaticConfig(epsilon=0.1, N=n_max + 1)
+    k_max = (WORKING_SET_BUDGET - 16 * ad.N2_ARRAYS * 4) // ad.BYTES_PER_SAMPLE
+    ad.AdiabaticConfig(epsilon=0.1, N=2, n_samples=k_max)
+    with pytest.raises(ValidationError, match="working-set budget"):
+        ad.AdiabaticConfig(epsilon=0.1, N=2, n_samples=k_max + 1)
 
 
 def test_refinement_check_validates_panel_budget_before_walking(monkeypatch):
@@ -231,6 +246,7 @@ def test_panel_walk_matches_per_panel_formulas(N, eps, start, gaps, panel_max):
         assert _rel_gap(block.conj().T, block) <= 1e-14
         ends.append(b)
     assert set(stops[1:].tolist()) <= set(ends)
+    assert len(ends) == panels.count
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-10, 1e-6, 1e-2])

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxramp import classical as cl
-from fluxramp.errors import BranchError, PunctureHit, ValidationError
+from fluxramp.errors import WORKING_SET_BUDGET, BranchError, PunctureHit, ValidationError
 
 PHI = cl.FluxParams(0.5)
 # numerically indistinguishable from the homogeneous-field limit phi = 0,
@@ -114,6 +114,25 @@ def test_integrate_rejects_overflowing_initial_energy():
     for s_end in (0.0, 1.0):
         with pytest.raises(ValidationError, match="overflows"):
             cl.integrate(st, s_end, PHI)
+
+
+def test_integrate_sample_budget(monkeypatch):
+    # the largest admitted sample count reaches the stepper; one more, or an
+    # absurd count, is refused before its sample grid is built
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cl, "solve_ivp", reached)
+    st = state(0.0, [1.0, 0.0], [0.0, 0.6])
+    n_max = WORKING_SET_BUDGET // cl.BYTES_PER_SAMPLE
+    with pytest.raises(Reached):
+        cl.integrate(st, 5.0, PHI, samples=n_max)
+    for n in (n_max + 1, 10 ** 40):
+        with pytest.raises(ValidationError, match="working-set budget"):
+            cl.integrate(st, 5.0, PHI, samples=n)
 
 
 def test_puncture_event_reported():

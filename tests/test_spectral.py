@@ -7,7 +7,9 @@ from scipy.special import gammaln, roots_genlaguerre
 
 from fluxramp import adiabatic as ad
 from fluxramp import spectral as sp
-from fluxramp.errors import GridTooCoarse, ValidationError
+from fluxramp.errors import WORKING_SET_BUDGET, GridTooCoarse, ValidationError
+
+import reference as ref
 
 # i <chi_m, d_s chi_n> computed once from the exact normalized
 # eigenfunctions with a 50-digit central difference (delta = 1e-12)
@@ -34,11 +36,24 @@ def test_sector_params_validation():
         sp.SectorParams(s=1.0, N=1)
 
 
+def test_sector_params_working_set_budget():
+    # the oracle's finest-grid arrays grow with N, the dense checks with
+    # N^2; the largest admitted family and one level more (validators only)
+    def bytes_at(n):
+        return sp.ORACLE_BYTES_PER_LEVEL * n + sp.DENSE_BYTES_PER_ENTRY * n * n
+
+    n_max = max(n for n in range(2, 4096) if bytes_at(n) <= WORKING_SET_BUDGET)
+    assert sp.SectorParams(s=1.0, N=n_max).N == n_max >= 2 * sp.DEFAULT_LEVELS
+    for n in (n_max + 1, 10 ** 40):
+        with pytest.raises(ValidationError, match="working-set budget"):
+            sp.SectorParams(s=1.0, N=n)
+
+
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
 def test_orthonormality_and_gaps(s):
     fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=64))
-    nodes, fold = sp._dx_quadrature(s, 2 * 64 + 16)
-    ch = fam.eval_chi(nodes) * fold[None, :]
+    nodes, fold = ref.dx_quadrature(s, 2 * 64 + 16)
+    ch = ref.eval_chi(fam, nodes) * fold[None, :]
     gram = ch @ ch.T
     assert np.max(np.abs(gram - np.eye(64))) <= 1e-10
     assert np.all(np.diff(fam.energies) == 2.0)
@@ -250,7 +265,7 @@ def test_coupling_norm_zero_matrix_and_shrinking_differences():
 
 
 def test_empirical_m_table_majorant_nondecreasing():
-    rows = sp.empirical_m_table([0.0, 0.5, 1.0, 2.0, 4.0], N=32)
+    rows = ref.empirical_m_table([0.0, 0.5, 1.0, 2.0, 4.0], N=32)
     maj = [r["majorant"] for r in rows]
     assert all(b >= a for a, b in zip(maj, maj[1:]))
     for r in rows:
@@ -300,18 +315,18 @@ def test_sign_sweep_continuity():
     grid = [sp.SectorParams(s=si, N=16) for si in np.arange(0.0, 0.1 + 1e-12, 0.01)]
     fams = [sp.analytic_spectrum(par) for par in grid]
     for a, b in zip(fams, fams[1:]):
-        assert np.min(sp.overlap_diag(a, b)) > 0.0
+        assert np.min(ref.overlap_diag(a, b)) > 0.0
 
 
 def test_eval_chi_orthonormal_on_independent_grid():
     # direct evaluation plus Christoffel folds reproduces orthonormality,
     # tying eval_chi, eval_psi and the quadrature machinery together
     fam = sp.analytic_spectrum(sp.SectorParams(s=0.7, N=8))
-    nodes, fold = sp._dx_quadrature(0.7, 64)
-    ch = fam.eval_chi(nodes) * fold[None, :]
+    nodes, fold = ref.dx_quadrature(0.7, 64)
+    ch = ref.eval_chi(fam, nodes) * fold[None, :]
     assert np.max(np.abs(ch @ ch.T - np.eye(8))) < 1e-12
     r = np.sqrt(2.0 * nodes)
-    assert_allclose(fam.eval_psi(r), fam.eval_chi(nodes), atol=0)
+    assert_allclose(ref.eval_psi(fam, r), ref.eval_chi(fam, nodes), atol=0)
 
 
 def test_fd_grid_representable_matches_full_grid():
