@@ -42,7 +42,7 @@ from .spectral import pi_matrix
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
 
-# Most Filon/Magnus panels one epsilon may ask for, ceil(s_end / panel width):
+# Most Filon/Magnus panels one epsilon may walk (AdiabaticConfig.panels):
 # a panel costs about 0.17 ms at 4 levels and 1.4 ms at 64 on one core, so
 # the budget is about 17 s (4 levels) to 2.5 min (64 levels) per epsilon.
 # The README and benchmark sweeps use at most 400.
@@ -91,13 +91,10 @@ class AdiabaticConfig:
         if not (0.5 * spacing) ** 2 >= np.finfo(float).tiny:
             raise ValidationError(f"sample spacing {spacing:.3g} is too fine: the "
                                   f"squared panel half-width is not a normal double")
-        width = self.panel_width
-        # a subnormal width can overflow the quotient to inf
-        quotient = self.s_end / width if width > 0 else math.inf
-        panels = math.ceil(quotient) if quotient < math.inf else math.inf
-        if panels > MAX_PANELS:
+        if self.panels > MAX_PANELS:
             raise ValidationError(f"epsilon {self.epsilon:g} up to s_end {self.s_end:g} "
-                                  f"needs {panels:.3g} panels, above the budget of "
+                                  f"over {self.n_samples} samples needs "
+                                  f"{self.panels:.3g} panels, above the budget of "
                                   f"{MAX_PANELS}")
 
     @property
@@ -106,8 +103,24 @@ class AdiabaticConfig:
         return min(self.panel_max, self.epsilon / 4.0)
 
     @property
+    def panels(self):
+        """Panels of the walk over the sample grid, in closed form: each of
+        the n_samples - 1 intervals takes _interval_panels of its spacing."""
+        spacing = self.s_end / (self.n_samples - 1)
+        return (self.n_samples - 1) * _interval_panels(spacing, self.panel_width)
+
+    @property
     def s_grid(self):
         return np.linspace(0.0, self.s_end, self.n_samples)
+
+
+def _interval_panels(length, width):
+    """Equal panels no wider than ``width`` over an interval of ``length``,
+    at least one; inf when a subnormal or zero width overflows the count.
+    A linspace grid leaves ulp noise in the length, so an interval that is
+    a whole number of panels to within rounding does not gain one."""
+    quotient = length / width * (1.0 - 1e-12) if width > 0 else math.inf
+    return max(1, math.ceil(quotient)) if quotient < math.inf else math.inf
 
 
 def unitarity_defect(m):
@@ -158,10 +171,7 @@ class _FilonPanels:
         width = config.panel_width
         self.intervals = []
         for a, b in zip(self.stops[:-1], self.stops[1:]):
-            # a linspace grid leaves ulp noise in b - a; an interval that is
-            # a whole number of panels to within rounding must not gain one
-            per = max(1, int(np.ceil((b - a) / width * (1.0 - 1e-12))))
-            self.intervals.append(np.linspace(a, b, per + 1))
+            self.intervals.append(np.linspace(a, b, _interval_panels(b - a, width) + 1))
         # panel_integrals skips an edge pair that rounding collapsed
         self.count = sum(int(np.count_nonzero(np.diff(edges) > 0))
                          for edges in self.intervals)

@@ -290,6 +290,8 @@ def _check_kernel(s):
     return {"bound": res.bound, "norm": res.norm, "refined_norm": res.refined_norm,
             "extrapolated": res.extrapolated, "refinement_drift": res.refinement_drift,
             "tail_estimate": res.tail_estimate,
+            "grid_points": list(res.grid_points),
+            "lanczos_matvecs": list(res.lanczos_matvecs),
             "pass": bool(res.refined_norm <= res.bound + 1e-6)}
 
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGap, GridTooCoarse, ValidationError, check_working_set
+from .errors import (DegenerateGap, GridTooCoarse, NoConvergence, ValidationError,
+                     check_working_set)
 
 DEFAULT_LEVELS = 64
 
@@ -101,7 +102,8 @@ def _weighted_laguerre(s, N, x):
             out[k + 1] = ((x - (2 * k + s + 1.0)) * out[k]
                           - np.sqrt(k * (k + s)) * out[k - 1]) / np.sqrt((k + 1) * (k + 1 + s))
     # Jacobi recurrence generates positive-leading polynomials (-1)^n lag_n.
-    return out * ((-1.0) ** np.arange(N))[:, None]
+    out *= ((-1.0) ** np.arange(N))[:, None]
+    return out
 
 
 def analytic_spectrum(params):
@@ -221,6 +223,8 @@ class KernelBoundResult:
     extrapolated: float
     refinement_drift: float
     tail_estimate: float
+    grid_points: tuple      # u-grid sizes of the norm and the refined norm
+    lanczos_matvecs: tuple  # operator applications eigsh made on each grid
 
 
 # Half-width of the kernel check's u-grid in decay lengths 1/(s + 1/2):
@@ -255,13 +259,17 @@ def kernel_bound_check(s):
     tail = float(np.exp(-sigma * u_halfwidth))
 
     def discrete_norm(n):
+        """The norm on n grid points and the matvecs eigsh spent on it."""
         u = np.linspace(-u_halfwidth, u_halfwidth, n)
         du = u[1] - u[0]
         col = 1j * np.sign(u - u[0]) * np.exp(-sigma * np.abs(u - u[0])) * du
         emb = np.concatenate([col, [0.0], np.conj(col[1:][::-1])])
         femb = np.fft.fft(emb)
+        matvecs = 0
 
         def matvec(v):
+            nonlocal matvecs
+            matvecs += 1
             v = np.asarray(v, dtype=complex).ravel()
             padded = np.concatenate([v, np.zeros(n, dtype=complex)])
             return np.fft.ifft(np.fft.fft(padded) * femb)[:n]
@@ -270,32 +278,35 @@ def kernel_bound_check(s):
         start = np.ones(n) / np.sqrt(n)  # deterministic Lanczos start
         vals = eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-10,
                      v0=start)
-        return float(np.abs(vals[0]))
+        return float(np.abs(vals[0])), matvecs
 
-    norm = discrete_norm(KERNEL_GRID)
-    refined = discrete_norm(2 * KERNEL_GRID)
+    grid = (KERNEL_GRID, 2 * KERNEL_GRID)
+    (norm, coarse_matvecs), (refined, fine_matvecs) = map(discrete_norm, grid)
     drift = abs(refined - norm)
     if drift > KERNEL_DRIFT_LIMIT:
         raise GridTooCoarse(f"kernel norm moved {drift:.2e} under refinement")
     return KernelBoundResult(s=s, bound=1.0 / sigma, norm=norm, refined_norm=refined,
                              extrapolated=float(2.0 * refined - norm),
-                             refinement_drift=float(drift), tail_estimate=tail)
+                             refinement_drift=float(drift), tail_estimate=tail,
+                             grid_points=grid,
+                             lanczos_matvecs=(coarse_matvecs, fine_matvecs))
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-# Absolute bisection tolerance of the oracle eigensolves.  LAPACK's default
-# (tol <= 0) stops at ulp * ||T||_1, about 5.7e-9 on a 96k-cell grid of
-# 64 levels: larger than the Richardson error the oracle reports, and it
-# shifts with the number of levels requested (up to 7e-9 between 32 and 64).
-# At 1e-10 the extrapolated error sits at its rounding floor (1e-12 gives
-# the same), for 15-25% more bisection time.
+# Absolute bisection tolerance of the oracle's two bisected grids (12k and
+# 24k cells).  LAPACK's default (tol <= 0) stops at ulp * ||T||_1, about
+# 5.7e-9 on a 96k-cell grid of 64 levels: larger than the Richardson error
+# the oracle reports, and it shifts with the number of levels requested (up
+# to 7e-9 between 32 and 64).  At 1e-10 the extrapolated error sits at its
+# rounding floor (1e-12 gives the same), for 15-25% more bisection time.
 FD_BISECTION_TOL = 1e-10
 
 # Cells of the oracle's coarsest grid; its two Richardson partners have 2x
-# and 4x as many (12k/24k/48k), and only the finest one computes vectors.
+# and 4x as many (12k/24k/48k).  Only the finest one computes vectors, and
+# it is refined from the other two instead of bisected (_fd_refine).
 FD_CELLS = 12000
 
 # Working set of the checks of an N-level family, from peak memory measured
@@ -343,13 +354,16 @@ class FdSpectrum:
             raise ValidationError(f"family retains {family.N} levels, "
                                   f"the oracle solved {self.N}")
         # the family's modes restricted to the solved rows (the recurrence
-        # for row n reads rows below n only)
-        chi = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
+        # for row n reads rows below n only), scaled in place to g and
+        # compared row by row: no further N x cells array
+        g_an = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
         with np.errstate(divide="ignore"):
-            g_an = chi * self.r[None, :] ** (-self.s)
-        nrm = np.sqrt(np.sum(g_an * g_an * self.mass[None, :], axis=1))
-        g_an = g_an / nrm[:, None]
-        return np.abs(np.sum(self.g * g_an * self.mass[None, :], axis=1))
+            g_an *= self.r ** (-self.s)
+        out = np.empty(self.N)
+        for n, (g_fd, g_n) in enumerate(zip(self.g, g_an)):
+            weighted = g_n * self.mass
+            out[n] = abs(np.dot(weighted, g_fd)) / np.sqrt(np.dot(weighted, g_n))
+        return out
 
 
 def _fd_weights(s, faces, h):
@@ -382,40 +396,90 @@ def fd_grid_representable(s, r_max, m_cells):
     return True
 
 
-def _fd_solve(s, N, r_max, m_cells, eigvals_only=False):
-    """Finite-volume eigensolve of -g'' - ((2s+1)/r) g' + (s + r^2/4) g = E g
-    in L^2(r^(2s+1) dr), the exact substitution psi = r^s g of the radial
-    operator.  g is smooth and even, so the scheme is cleanly O(h^2) for
-    every s >= 0; the vanishing inner face flux enforces the regular
-    behavior automatically.
-
-    Returns the lowest N energies, and with ``eigvals_only`` false also the
-    modes, cell centers, cell masses and step.  The energies are the same
-    bits either way: LAPACK bisects them out (stebz) before any inverse
-    iteration for the vectors (stein).  A grid that fails
-    fd_grid_representable raises ValidationError before any work.
-    """
+def _fd_operator(s, r_max, m_cells):
+    """The finite-volume operator on ``m_cells`` cells over (0, r_max) as
+    the symmetric tridiagonal (diag, lower) in the mass-scaled unknowns
+    sqrt(mbar) g, with the step, cell centers, cell masses, mass densities
+    mbar and the potential at the centers.  A grid that fails
+    fd_grid_representable raises ValidationError before any work."""
     if not fd_grid_representable(s, r_max, m_cells):
         raise ValidationError(
             f"flux s = {s:g} leaves the double range of the finite-volume "
             f"weights r^(2s+1) on {m_cells} cells over (0, {r_max:.6g})")
-    from scipy.linalg import eigh_tridiagonal
     h = r_max / m_cells
     centers = (np.arange(m_cells) + 0.5) * h
     mass, mbar, lower, kinetic = _fd_weights(s, np.arange(m_cells + 1) * h, h)
-    diag = kinetic + (s + 0.25 * centers ** 2)
-    solved = eigh_tridiagonal(diag, lower, eigvals_only=eigvals_only, select="i",
-                              select_range=(0, N - 1), tol=FD_BISECTION_TOL)
-    if eigvals_only:
-        return solved
-    energies, vec = solved
-    g = vec.T / np.sqrt(mbar)[None, :]
-    g = g / np.sqrt(np.sum(g * g * mass[None, :], axis=1))[:, None]
-    # orient like the analytic modes: positive value near the origin times (-1)^0;
-    # the analytic g_n(0) has the sign of L_n^s(0) > 0, so demand g(first cells) > 0
+    potential = s + 0.25 * centers ** 2
+    return kinetic + potential, lower, h, centers, mass, mbar, potential
+
+
+def _fd_solve(s, N, r_max, m_cells):
+    """Lowest N energies of the finite-volume discretization of
+    -g'' - ((2s+1)/r) g' + (s + r^2/4) g = E g in L^2(r^(2s+1) dr), the
+    exact substitution psi = r^s g of the radial operator, bisected (LAPACK
+    stebz) to the absolute tolerance FD_BISECTION_TOL.  g is smooth and
+    even, so the scheme is cleanly O(h^2) for every s >= 0; the vanishing
+    inner face flux enforces the regular behavior automatically.
+    """
+    diag, lower = _fd_operator(s, r_max, m_cells)[:2]
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(diag, lower, eigvals_only=True, select="i",
+                            select_range=(0, N - 1), tol=FD_BISECTION_TOL)
+
+
+def _fd_refine(s, r_max, m_cells, shifts):
+    """Eigenpairs of the ``m_cells`` grid next to the ascending ``shifts``,
+    without bisection: inverse iteration at each shift (LAPACK stein, the
+    step eigh_tridiagonal runs after stebz), then each energy as the
+    Rayleigh quotient of its mode g in the positive form
+
+        E = [sum_f mu_f (g_(i+1) - g_i)^2 / h + sum V mass g^2] / sum mass g^2
+
+    over the faces f (mu_f = r_f^(2s+1), zero at the origin; g = 0 past the
+    outer face), whose terms do not cancel.  Its error is quadratic in the
+    error of the mode, so no bisection tolerance enters: bisection on the
+    same grid sits 1e-10 to 5e-10 off (its rounding floor, about
+    0.05 ulp * ||T||_1), the quotients much closer.
+
+    Returns the energies, the modes (normalized to sum(g^2 * mass) = 1 and
+    oriented positive next to the origin, like the analytic g_n(0) with the
+    sign of L_n^s(0) > 0), the cell centers, cell masses and step.
+    NoConvergence when stein leaves a mode unconverged; GridTooCoarse when
+    the shifts or the energies do not increase strictly, or an energy lies
+    nearer a neighbouring shift than its own, so a shift caught the wrong
+    level.
+    """
+    if not np.all(np.diff(shifts) > 0):
+        raise GridTooCoarse(f"Richardson shifts for {m_cells} cells do not increase")
+    from scipy.linalg import lapack
+    diag, lower, h, centers, mass, mbar, potential = _fd_operator(s, r_max, m_cells)
+    # T as one block: stebz splits it only where an off-diagonal is
+    # negligible, to save work, and inverse iteration needs no split
+    vec, info = lapack.dstein(diag, lower, shifts, np.ones(m_cells, dtype=np.intc),
+                              np.full(m_cells, m_cells, dtype=np.intc))
+    if info > 0:
+        raise NoConvergence(f"inverse iteration left {info} of {shifts.size} oracle "
+                            f"modes unconverged on {m_cells} cells")
+    g = vec.T  # C-ordered rows; scaled in place, row by row below
+    g /= np.sqrt(mbar)
+    face_weight = (np.arange(1, m_cells + 1) * h) ** (2 * s + 1) / h
+    v_mass = potential * mass
+    energies = np.empty(shifts.size)
+    for n, g_n in enumerate(g):
+        step = np.diff(g_n, append=0.0)
+        norm2 = np.dot(mass * g_n, g_n)
+        energies[n] = (np.dot(face_weight * step, step)
+                       + np.dot(v_mass * g_n, g_n)) / norm2
+        g_n /= np.sqrt(norm2)
+    own = np.abs(energies - shifts)
+    if not (np.all(np.diff(energies) > 0)
+            and np.all(np.abs(energies[1:] - shifts[:-1]) >= own[1:])
+            and np.all(np.abs(energies[:-1] - shifts[1:]) >= own[:-1])):
+        raise GridTooCoarse(f"oracle energies on {m_cells} cells do not follow "
+                            f"their Richardson shifts")
     lead = np.sign(np.sum(g[:, : max(4, m_cells // 256)], axis=1))
     lead[lead == 0] = 1.0
-    g = g * lead[:, None]
+    g *= lead[:, None]
     return energies, g, centers, mass, h
 
 
@@ -439,25 +503,29 @@ def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
     caller that checks only the lower levels of a larger family passes that
     family's radius and solves no more levels than it compares.  Three-level
     Richardson extrapolation over the steps (h, h/2, h/4), see _richardson,
-    removes the O(h^2) and O(h^4) errors; with ``check_refinement`` a fourth
-    solve at h/8 verifies that the value from (h/2, h/4, h/8) agrees to 1e-6,
-    raises GridTooCoarse otherwise, and is returned.  Only the h/4 solve
-    computes eigenvectors (the overlaps, second order in h); the others feed
-    eigenvalues alone.  Every solve bisects to the absolute tolerance
-    FD_BISECTION_TOL.  The closed form sets the default grid extent only; no
-    closed-form value is used as a shift or a bracket.
+    removes the O(h^2) and O(h^4) errors.  The h and h/2 grids are bisected
+    to the absolute tolerance FD_BISECTION_TOL (_fd_solve).  The h/4 grid,
+    the only one with eigenvectors (the overlaps, second order in h), is not
+    bisected: _fd_refine runs inverse iteration at the oracle's own
+    two-level values R(h) = (4 E(h/2) - E(h))/3 and takes the Rayleigh
+    quotients of the modes.  With ``check_refinement`` a fourth grid at h/8,
+    refined the same way from the shifts of (h/2, h/4), verifies that the
+    value from (h/2, h/4, h/8) agrees to 1e-6, raises GridTooCoarse
+    otherwise, and is returned.  The closed form sets the default grid
+    extent only; no closed-form value is used as a shift or a bracket.
     """
     s, N = params.s, params.N
     if r_max is None:
         r_max = fd_r_max(s, N)
     if m_cells is None:
         m_cells = FD_CELLS
-    e_h = _fd_solve(s, N, r_max, m_cells, eigvals_only=True)
-    e_h2 = _fd_solve(s, N, r_max, 2 * m_cells, eigvals_only=True)
-    e_h4, g, centers, mass, h4 = _fd_solve(s, N, r_max, 4 * m_cells)
+    e_h = _fd_solve(s, N, r_max, m_cells)
+    e_h2 = _fd_solve(s, N, r_max, 2 * m_cells)
+    e_h4, g, centers, mass, h4 = _fd_refine(s, r_max, 4 * m_cells,
+                                            (4.0 * e_h2 - e_h) / 3.0)
     extrap = _richardson(e_h, e_h2, e_h4)
     if check_refinement:
-        e_h8 = _fd_solve(s, N, r_max, 8 * m_cells, eigvals_only=True)
+        e_h8 = _fd_refine(s, r_max, 8 * m_cells, (4.0 * e_h4 - e_h2) / 3.0)[0]
         extrap_fine = _richardson(e_h2, e_h4, e_h8)
         if np.max(np.abs(extrap_fine - extrap)) > 1e-6:
             raise GridTooCoarse(

@@ -229,7 +229,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         ["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
          "--s-end", "20", "--samples", "201"],
         ["reduced", "--phi", "0.5", "--s-max", "120"],
-        ["spectral", "--s", "0.5", "--levels", "8", "--check", "kernel"],
+        ["spectral", "--s", "0.5", "--levels", "8", "--check", "all"],
         ["adiabatic", "--epsilons", "0.2,0.1", "--levels", "8", "--samples", "6"],
     ]
     ok = True

@@ -52,10 +52,28 @@ def test_config_working_set_budget():
     ad.AdiabaticConfig(epsilon=0.1, N=n_max)
     with pytest.raises(ValidationError, match="working-set budget"):
         ad.AdiabaticConfig(epsilon=0.1, N=n_max + 1)
-    k_max = (WORKING_SET_BUDGET - 16 * ad.N2_ARRAYS * 4) // ad.BYTES_PER_SAMPLE
-    ad.AdiabaticConfig(epsilon=0.1, N=2, n_samples=k_max)
+    # every sample interval takes a panel, so the samples are tested where
+    # they bind inside the panel budget: next to about 1270 levels
+    n = math.isqrt((WORKING_SET_BUDGET - ad.BYTES_PER_SAMPLE * ad.MAX_PANELS // 2)
+                   // (16 * ad.N2_ARRAYS))
+    k_max = (WORKING_SET_BUDGET - 16 * ad.N2_ARRAYS * n * n) // ad.BYTES_PER_SAMPLE
+    assert ad.MAX_PANELS // 2 <= k_max <= ad.MAX_PANELS
+    ad.AdiabaticConfig(epsilon=0.1, N=n, n_samples=k_max)
     with pytest.raises(ValidationError, match="working-set budget"):
-        ad.AdiabaticConfig(epsilon=0.1, N=2, n_samples=k_max + 1)
+        ad.AdiabaticConfig(epsilon=0.1, N=n, n_samples=k_max + 1)
+
+
+@pytest.mark.parametrize("eps, kw", [
+    (0.1, dict(n_samples=21)),                  # 10 panels per interval
+    (0.03, dict(n_samples=41)),                 # 7, the last one narrower
+    (0.2, dict(n_samples=501)),                 # intervals narrower than a panel: 1
+    (0.05, dict(s_end=0.3, n_samples=4, panel_max=0.03)),  # exactly 8 of eps/4
+    (0.4, dict(s_end=1.0, n_samples=2, panel_max=0.07)),
+])
+def test_config_panel_count_matches_walk(eps, kw):
+    # the budget's closed-form count is the walk's count
+    config = cfg(eps, N=2, **kw)
+    assert config.panels == ad._FilonPanels(config).count
 
 
 def test_refinement_check_validates_panel_budget_before_walking(monkeypatch):

@@ -180,6 +180,9 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["adiabatic", "--levels", "4", "--samples", "100000000"],
     ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
      "--samples", "100000000"],
+    # every sample interval takes a panel: 100001 intervals, 200 panel widths
+    ["adiabatic", "--epsilons", "0.2", "--levels", "4",
+     "--samples", str(adiabatic.MAX_PANELS + 2)],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
@@ -212,6 +215,10 @@ def test_spectral_eigenvalues_and_checks(tmp_path):
     kernel = report["checks"]["0"]["kernel"]
     assert kernel["bound"] == 2.0 and kernel["pass"] is True
     assert kernel["norm"] <= 2.0 + 1e-6
+    # deterministic counters: the two grids and the matvecs eigsh spent on each
+    assert kernel["grid_points"] == [spectral.KERNEL_GRID, 2 * spectral.KERNEL_GRID]
+    assert len(kernel["lanczos_matvecs"]) == 2
+    assert all(isinstance(n, int) and n > 0 for n in kernel["lanczos_matvecs"])
 
 
 def test_spectral_all_checks_small(tmp_path):
@@ -375,6 +382,24 @@ def test_classical_overflowing_step_guess_exit(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("info, code, prefix", [(3, 4, "no convergence:"),
+                                               (0, 1, "numerical failure:")])
+def test_spectral_oracle_inverse_iteration_failure_exit(tmp_path, monkeypatch, capsys,
+                                                        info, code, prefix):
+    # unconverged modes (stein info > 0) exit 4; modes that left their shifts
+    # (here the reversed order) are a grid too coarse, exit 1; one line each
+    from scipy.linalg import lapack
+
+    real = lapack.dstein
+    monkeypatch.setattr(lapack, "dstein",
+                        lambda *args: (real(*args)[0][:, ::-1], info))
+    assert run(["spectral", "--s", "0.5", "--levels", "8", "--check", "oracle",
+                "--out", str(tmp_path / "stein")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, roots_genlaguerre
 
 from fluxramp import adiabatic as ad
 from fluxramp import spectral as sp
-from fluxramp.errors import WORKING_SET_BUDGET, GridTooCoarse, ValidationError
+from fluxramp.errors import (WORKING_SET_BUDGET, GridTooCoarse, NoConvergence,
+                             ValidationError)
 
 import reference as ref
 
@@ -83,7 +85,7 @@ def test_fd_three_level_richardson_is_fourth_order():
     s, n, m = 0.5, 6, 250
     r_max = sp.fd_r_max(s, n)
     exact = 2.0 * np.arange(n) + 2.0 * s + 1.0
-    e = [sp._fd_solve(s, n, r_max, m * 2 ** k, eigvals_only=True) for k in range(4)]
+    e = [sp._fd_solve(s, n, r_max, m * 2 ** k) for k in range(4)]
     err_r = [np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact))
              for coarse, fine in zip(e, e[1:])]
     for coarse, fine in zip(err_r, err_r[1:]):
@@ -110,12 +112,68 @@ def test_fd_half_solve_matches_full_solve_on_same_grid():
 
 @pytest.mark.parametrize("s", [0.0, 1.3])
 def test_fd_values_only_coarse_solve_is_bit_identical(s):
+    # the bisected grids need no vectors: stebz gives the same bits whether
+    # or not eigh_tridiagonal goes on to inverse iteration
     par = sp.SectorParams(s=s, N=6)
     fd = sp.fd_spectrum(par, m_cells=6000)
-    with_vectors = sp._fd_solve(s, 6, sp.fd_r_max(s, 6), 6000)[0]
+    diag, lower = sp._fd_operator(s, sp.fd_r_max(s, 6), 6000)[:2]
+    with_vectors = eigh_tridiagonal(diag, lower, select="i", select_range=(0, 5),
+                                    tol=sp.FD_BISECTION_TOL)[0]
     assert np.array_equal(fd.energies_coarse, with_vectors)
-    assert np.array_equal(sp._fd_solve(s, 6, sp.fd_r_max(s, 6), 6000, eigvals_only=True),
-                          with_vectors)
+    assert np.array_equal(sp._fd_solve(s, 6, sp.fd_r_max(s, 6), 6000), with_vectors)
+
+
+@pytest.mark.parametrize("levels, bisection_floor", [(8, 5e-10), (64, 2e-10),
+                                                     (128, 2e-10)])
+def test_fd_rayleigh_quotients_match_bisection_on_finest_grid(levels, bisection_floor):
+    # the CLI path at the default cells: the lower half of the family on its
+    # radius, the 48k-cell energies from inverse iteration at the two-level
+    # shifts.  Bisection on the same grid agrees to its own rounding floor,
+    # about 0.05 ulp * ||T||_1 (the Sturm count is exact only for a nearby
+    # matrix): 1.3e-10 at 64 levels, 4.5e-10 at 8, whose grid is 2.1x finer.
+    # The quotients are the closer values: the three-level energies they
+    # give sit within 1e-10 of the closed form (bisected: 6e-10 at 8 levels)
+    s, n = 1.5, levels // 2
+    r_max = sp.fd_r_max(s, levels)
+    e_h, e_h2 = (sp._fd_solve(s, n, r_max, m * sp.FD_CELLS) for m in (1, 2))
+    refined = sp._fd_refine(s, r_max, 4 * sp.FD_CELLS, (4.0 * e_h2 - e_h) / 3.0)[0]
+    bisected = sp._fd_solve(s, n, r_max, 4 * sp.FD_CELLS)
+    assert np.max(np.abs(refined - bisected)) <= bisection_floor
+    exact = 2.0 * np.arange(n) + 2.0 * s + 1.0
+    assert np.max(np.abs(sp._richardson(e_h, e_h2, refined) - exact)) <= 1e-10
+
+
+def _stein_replaced(monkeypatch, make):
+    """Route the oracle's inverse iteration through ``make(real_dstein)``."""
+    from scipy.linalg import lapack
+    monkeypatch.setattr(lapack, "dstein", make(lapack.dstein))
+
+
+def test_fd_refine_unconverged_modes_raise_no_convergence(monkeypatch):
+    _stein_replaced(monkeypatch, lambda real: lambda *a: (real(*a)[0], 2))
+    with pytest.raises(NoConvergence, match="2 of 4 oracle modes unconverged"):
+        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), m_cells=2000)
+
+
+@pytest.mark.parametrize("fault", ["reversed", "next_level"])
+def test_fd_refine_modes_off_their_shifts_raise_grid_too_coarse(monkeypatch, fault):
+    # reversed modes give decreasing energies; modes of the next level up
+    # (shifts moved by the gap 2) increase but sit nearer the next shift
+    def make(real):
+        if fault == "reversed":
+            return lambda d, e, w, *rest: (real(d, e, w, *rest)[0][:, ::-1], 0)
+        return lambda d, e, w, *rest: real(d, e, w + 2.0, *rest)
+
+    _stein_replaced(monkeypatch, make)
+    with pytest.raises(GridTooCoarse, match="Richardson shifts"):
+        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), m_cells=2000)
+
+
+def test_fd_refine_rejects_shifts_out_of_order():
+    # stein needs ascending shifts; two-level values out of order mean the
+    # coarse grids resolve no level ordering at all
+    with pytest.raises(GridTooCoarse, match="Richardson shifts"):
+        sp._fd_refine(0.5, sp.fd_r_max(0.5, 4), 2000, np.array([4.0, 2.0]))
 
 
 def test_fd_overlaps_need_the_solved_levels():
@@ -129,10 +187,21 @@ def test_fd_overlaps_need_the_solved_levels():
         fd.overlaps_with_analytic(narrow)
 
 
-def test_fd_refinement_check_passes_on_fine_grid():
+def test_fd_refinement_check_passes_on_fine_grid(monkeypatch):
+    # the h/8 rung is refined like the h/4 one, from the shifts of (h/2, h/4)
+    refined = []
+    real = sp._fd_refine
+
+    def spy(s, r_max, m_cells, shifts):
+        refined.append(m_cells)
+        return real(s, r_max, m_cells, shifts)
+
+    monkeypatch.setattr(sp, "_fd_refine", spy)
     par = sp.SectorParams(s=0.5, N=6)
     fd = sp.fd_spectrum(par, m_cells=6000, check_refinement=True)
     assert fd.energies.shape == (6,)
+    assert refined == [24000, 48000]
+    assert fd.r.size == 24000
 
 
 def test_coupling_against_extended_precision_oracle():
