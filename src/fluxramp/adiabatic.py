@@ -11,8 +11,7 @@ and the corrector solves i dC/ds = -W(s) C with the twisted coupling
 W(s) = U_ad^(-1) Pi U_ad, whose entries carry the pure phases
 exp(2i(m-n)s/eps) (the s^2 parts of the phase integrals cancel in the
 differences).  C lives in the fixed initial basis; U_w = U_ad C is formed
-from it per sample in run_sweep (and per probe in
-residual_generator_check), never propagated on its own.
+from it per sample in run_sweep, never propagated on its own.
 
 Time stepping never resolves the 1/eps phases by brute force: each panel
 integral of W uses a quadratic (Filon) model of the slowly varying Pi
@@ -26,10 +25,8 @@ integrals, so one walk over the panels yields I and C together.
 
 On the N-level truncation U_ad satisfies its own generator identity
 exactly and U_w satisfies i eps dU_w/ds = H U_w identically (the corrector
-construction closes in finite dimensions), so the residual curves
-returned by residual_generator_check measure finite differencing plus
-truncation bookkeeping, not a mathematical gap; they are reported, not
-asserted small.
+construction closes in finite dimensions); the tests' finite-difference
+residuals of both identities measure differencing, not a mathematical gap.
 """
 
 import math
@@ -305,40 +302,6 @@ def _magnus_step(block, omega2):
     num = ident + 0.5 * gen + gen2 / 12.0
     den = ident - 0.5 * gen + gen2 / 12.0
     return np.linalg.solve(den, num)
-
-
-def residual_generator_check(config, probes=None, delta=1e-6):
-    """Finite-difference residuals of the generator identities.
-
-    Per probe time returns
-      r_ad = || i eps d_s U_ad - (H + eps Pi) U_ad ||   (identity; measures
-              differencing error) and
-      r_w  = || i eps d_s U_w - H U_w ||                (identity on the
-              truncation; reported for documentation).
-    The d_s includes the moving-frame connection -i Pi M.
-    """
-    if probes is None:
-        probes = config.s_grid[1:-1:max(1, (config.n_samples - 2) // 8)]
-    probes = np.asarray(probes, dtype=float)
-    n = np.arange(config.N)
-    eps = config.epsilon
-
-    stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
-    corrector = {s: c for s, _, c in _propagate(_FilonPanels(config, stops))}
-    res_ad, res_w = [], []
-    for s in probes:
-        pim = _pi_at(config, s)
-        h = np.diag((2.0 * n + 2.0 * s + 1.0).astype(complex))
-        up, um, u0 = (_u_ad(t, config.N, eps) for t in (s + delta, s - delta, s))
-        cp, cm, c0 = corrector[s + delta], corrector[s - delta], corrector[s]
-        du_ad = (up - um) / (2 * delta)
-        r_ad = 1j * eps * (du_ad - 1j * pim @ u0) - (h + eps * pim) @ u0
-        mw_p, mw_m, mw_0 = up @ cp, um @ cm, u0 @ c0
-        dmw = (mw_p - mw_m) / (2 * delta)
-        r_w = 1j * eps * (dmw - 1j * pim @ mw_0) - h @ mw_0
-        res_ad.append(np.linalg.norm(r_ad, 2))
-        res_w.append(np.linalg.norm(r_w, 2))
-    return probes, np.asarray(res_ad), np.asarray(res_w)
 
 
 @dataclass(frozen=True)

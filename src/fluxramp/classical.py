@@ -231,7 +231,7 @@ class CenterEnergyFit:
     max_residual: float
 
 
-def center_energy_fit(traj, params):
+def center_energy_fit(traj):
     """Fit |c|^2/2 - H against s; the law reads |c|^2/2 - H = phi (s - s0).
 
     Returns the free-fit slope (should equal phi), the intercept-derived
@@ -241,9 +241,10 @@ def center_energy_fit(traj, params):
         raise ValidationError("center-energy fit needs at least 10 samples")
     _, _, I1, H = guiding_series(traj)
     y = I1 - H
+    phi = traj.params.phi
     slope, intercept = np.polyfit(traj.s, y, 1)
-    s0 = -float(intercept) / params.phi
-    resid = np.max(np.abs(y - params.phi * (traj.s - s0)))
+    s0 = -float(intercept) / phi
+    resid = np.max(np.abs(y - phi * (traj.s - s0)))
     return CenterEnergyFit(s0=s0, slope=float(slope), max_residual=float(resid))
 
 
@@ -257,7 +258,7 @@ class ForwardAsymptotics:
     H_tail_spread: float
 
 
-def asymptotics_forward(traj, params):
+def asymptotics_forward(traj):
     """Outgoing-drift diagnostics on the tail of a forward trajectory.
 
     H_limit is the tail average of H, a0 = sqrt(4 phi H_limit), the drift
@@ -275,11 +276,12 @@ def asymptotics_forward(traj, params):
     spread = float(np.std(H[tail]) / H_limit) if H_limit > 0 else np.inf
     if spread > SPREAD_TOL:
         raise NotConverged(f"tail of H has not settled (relative spread {spread:.3g})")
-    a0 = float(np.sqrt(4.0 * params.phi * H_limit))
+    phi = traj.params.phi
+    a0 = float(np.sqrt(4.0 * phi * H_limit))
     ang = np.arctan2(traj.q[tail, 1], traj.q[tail, 0])
     drift = float(np.angle(np.mean(np.exp(1j * ang))))
-    K = float(H[0] - params.phi * np.arctan2(traj.q[0, 1], traj.q[0, 0]))
-    predicted = a0 * a0 / (4.0 * params.phi ** 2) - K / params.phi
+    K = float(H[0] - phi * np.arctan2(traj.q[0, 1], traj.q[0, 0]))
+    predicted = a0 * a0 / (4.0 * phi ** 2) - K / phi
     residual = abs(_wrap_angle(drift - predicted))
     ratio = float(np.hypot(*traj.q[-1]) / np.sqrt(traj.s[-1]))
     return ForwardAsymptotics(a0=a0, drift_angle=drift, H_limit=H_limit,
@@ -293,7 +295,7 @@ class BackwardAsymptotics:
     q_over_sqrt_abs_s: float
 
 
-def asymptotics_backward(traj, params):
+def asymptotics_backward(traj):
     """Bound-center diagnostics at the most negative sampled time."""
     i = int(np.argmin(traj.s))
     s = traj.s[i]

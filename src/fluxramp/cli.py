@@ -9,7 +9,8 @@ digits, JSON keys are sorted, and nothing time- or host-dependent goes
 into the files, so repeated runs with the same flags are byte-identical.
 The JSON is strict: a non-finite value is written as null.
 A simple ``key = value`` config file can seed any long option; explicit
-flags win.
+flags win.  A malformed flag or value is a validation failure, reported
+in one line like every other.
 """
 
 import argparse
@@ -85,37 +86,30 @@ def _check_out_prefix(prefix):
         raise ValidationError(f"output directory {folder!r} is not writable")
 
 
-def _parse_vec2(text, name):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 2:
-        raise ValidationError(f"{name} needs two components, got {text!r}")
-    return np.array([float(parts[0]), float(parts[1])])
-
-
-def _parse_list(text):
-    return [float(p) for p in text.replace(",", " ").split() if p]
-
-
-def _apply_config(parser, argv):
-    """Seed subcommand defaults from an optional key=value config file.
-
-    Values are coerced with each option's declared type; seeded options
-    stop being required, and explicit flags still win because defaults
-    only apply when the flag is absent.
-    """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
+def _parse_list(text, name):
+    """Floats separated by commas or blanks."""
     try:
-        with open(known.config) as fh:
+        return [float(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"{name} needs numbers, got {text!r}") from None
+
+
+def _parse_vec2(text, name):
+    values = _parse_list(text, name)
+    if len(values) != 2:
+        raise ValidationError(f"{name} needs two components, got {text!r}")
+    return np.array(values)
+
+
+def _read_config(path):
+    """The ``key = value`` pairs of a config file, keys spelled as dests."""
+    try:
+        with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ValidationError(
-            f"cannot read config file {known.config!r}: {reason}") from exc
-    overrides = {}
+        raise ValidationError(f"cannot read config file {path!r}: {reason}") from exc
+    values = {}
     for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -123,28 +117,44 @@ def _apply_config(parser, argv):
         if "=" not in line:
             raise ValidationError(f"config line without '=': {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        overrides[key.replace("-", "_")] = value
-    actions = {}
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            for sub in act.choices.values():
-                for sact in sub._actions:
-                    actions.setdefault(sact.dest, []).append(sact)
-        else:
-            actions.setdefault(act.dest, []).append(act)
-    unknown = set(overrides) - set(actions)
+        values[key.replace("-", "_")] = value
+    return values
+
+
+def _resolve_options(parser, args):
+    """Fill each option of the subcommand that no flag set: from the config
+    file if it names it, else with the option's default.
+
+    Explicit flags win because every flag parses to None when absent.  A
+    config value is coerced with the option's type and must be one of its
+    choices, as a flag must; a key that no subcommand has is an error, a
+    key of another subcommand is ignored.  An option without a default is
+    required, by flag or config.
+    """
+    seeded = _read_config(args.config) if args.config else {}
+    unknown = set(seeded) - {dest for table in parser.options.values() for dest in table}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key, raw in overrides.items():
-        for act in actions[key]:
-            if isinstance(act, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif act.type is not None:
-                value = act.type(raw)
-            else:
-                value = raw
-            act.default = value
-            act.required = False
+    missing = []
+    for dest, (kind, default, choices) in parser.options[args.command].items():
+        if getattr(args, dest) is not None:
+            continue
+        if dest in seeded:
+            raw = seeded[dest]
+            try:
+                value = kind(raw)
+            except ValueError:
+                raise ValidationError(f"config {dest} = {raw!r} is not a valid "
+                                      f"{kind.__name__}") from None
+            if choices is not None and value not in choices:
+                raise ValidationError(f"config {dest} = {raw!r} is not one of {choices}")
+            setattr(args, dest, value)
+        elif default is None:
+            missing.append("--" + dest.replace("_", "-"))
+        else:
+            setattr(args, dest, default)
+    if missing:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +198,16 @@ def cmd_classical(args):
     K = _classical_files(traj, params, args.out)
     summary["K_drift"] = float(np.max(np.abs(K - K[0])))
     if len(traj) >= 10:
-        fit = classical.center_energy_fit(traj, params)
+        fit = classical.center_energy_fit(traj)
         summary["s0"] = fit.s0
         summary["slope"] = fit.slope
     span = (min(args.s_start, args.s_end), max(args.s_start, args.s_end))
     if span[1] >= 1e3:
-        fwd = classical.asymptotics_forward(traj, params)
+        fwd = classical.asymptotics_forward(traj)
         summary.update(a0=fwd.a0, drift_angle=fwd.drift_angle,
                        H_limit=fwd.H_limit, angle_residual=fwd.angle_residual)
     if span[0] <= -1e2:
-        bwd = classical.asymptotics_backward(traj, params)
+        bwd = classical.asymptotics_backward(traj)
         summary["H_over_abs_s"] = bwd.H_over_abs_s
         summary["q_over_sqrt_abs_s"] = bwd.q_over_sqrt_abs_s
     _write_json(args.out + ".json", summary)
@@ -207,25 +217,6 @@ def cmd_classical(args):
 # ---------------------------------------------------------------------------
 # reduced
 # ---------------------------------------------------------------------------
-
-def _reduced_inverse_state(t, x1, x2, phi):
-    """A full phase state mapping to (t, x1, x2); the free overall angle is
-    fixed by phi2 = 0, and the trajectory constant s0 is gauged to 0 so the
-    physical time equals the reduced time."""
-    j = np.sqrt(x1 * x1 + (x2 - phi) ** 2 + (phi * t) ** 2)
-    i1, i2 = 0.5 * (j + phi * t), 0.5 * (j - phi * t)
-    if min(i1, i2) < 0:
-        raise ValidationError("reduced state maps to negative action")
-    amp = np.sqrt(max(j * j - (phi * t) ** 2, 0.0))
-    psi = np.arctan2(x2 - phi, x1) if amp > 0 else 0.0
-    rho, sig = np.sqrt(2 * i1), np.sqrt(2 * i2)
-    cvec = rho * np.array([np.cos(psi), np.sin(psi)])
-    vperp = np.array([sig, 0.0])
-    q = cvec + vperp
-    v = np.array([0.0, -sig])
-    a = classical.vector_potential(t, q, classical.FluxParams(phi))
-    return classical.PhaseState(s=t, q=q, p=v + a)
-
 
 def cmd_reduced(args):
     config = reduced.IntegralEqConfig(s_max=args.s_max, c1=args.c1, c2=args.c2,
@@ -249,18 +240,17 @@ def cmd_reduced(args):
                                "quad_nodes": sol.grid.size,
                                "residual_nodes": config.residual_nodes(sol.s_start)}}
     if config.s_max >= 1e3 and not args.force_zero_f:
-        ext = reduced.extract_constants(sol, args.phi)
+        ext = reduced.extract_constants(sol)
         summary.update(c1_fit=ext.c1, c2_fit=ext.c2, a0=ext.a0,
                        H_limit=ext.H_limit,
                        a0_from_amplitude=ext.a0_from_amplitude)
     if args.crosscheck:
         summary["ode_deviation"] = reduced.crosscheck_ode(sol)
-        state = _reduced_inverse_state(sol.grid[0], sol.x1[0], sol.x2[0], args.phi)
+        state = reduced.from_reduced(sol.grid[0], sol.x1[0], sol.x2[0], args.phi)
         traj = classical.integrate(state, float(sol.grid[-1]),
                                    classical.FluxParams(args.phi),
                                    tol=1e-12, samples=2049)
-        summary["classical_deviation"] = reduced.crosscheck_ode(
-            sol, trajectory=traj, params=classical.FluxParams(args.phi))
+        summary["classical_deviation"] = reduced.crosscheck_ode(sol, trajectory=traj)
     _write_json(args.out + ".json", summary)
     return EXIT_OK
 
@@ -269,14 +259,13 @@ def cmd_reduced(args):
 # spectral
 # ---------------------------------------------------------------------------
 
-def _check_oracle(s, n_levels):
-    """Compare the lower half of the n_levels family with the finite-volume
-    oracle, which solves only those levels, on the grid of the full family
+def _check_oracle(fam):
+    """Compare the lower half of the family with the finite-volume oracle,
+    which solves only those levels, on the grid of the full family
     (SectorParams needs two levels, so a 2- or 3-level family solves two)."""
-    half = max(1, n_levels // 2)
-    fam = spectral.analytic_spectrum(spectral.SectorParams(s=s, N=n_levels))
-    fd = spectral.fd_spectrum(spectral.SectorParams(s=s, N=max(2, half)),
-                              r_max=spectral.fd_r_max(s, n_levels))
+    half = max(1, fam.N // 2)
+    fd = spectral.fd_spectrum(spectral.SectorParams(s=fam.s, N=max(2, half)),
+                              r_max=spectral.fd_r_max(fam.s, fam.N))
     ev_err = float(np.max(np.abs(fd.energies[:half] - fam.energies[:half])))
     min_overlap = float(np.min(fd.overlaps_with_analytic(fam)[:half]))
     return {"eigenvalue_error": ev_err, "min_overlap": min_overlap,
@@ -295,8 +284,8 @@ def _check_kernel(s):
             "pass": bool(res.refined_norm <= res.bound + 1e-6)}
 
 
-def _check_coupling(s, n_levels):
-    fam = spectral.analytic_spectrum(spectral.SectorParams(s=s, N=n_levels))
+def _check_coupling(fam):
+    s, n_levels = fam.s, fam.N
     pi = spectral.coupling_matrix(fam)
     herm = float(np.linalg.norm(pi - pi.conj().T, 2))
     diag = float(np.max(np.abs(np.diag(pi))))
@@ -320,8 +309,8 @@ def _check_coupling(s, n_levels):
             "pass": bool(herm <= 1e-10 and diag <= 1e-10 and envelope_ok)}
 
 
-def _check_gamma(s, n_levels):
-    fam = spectral.analytic_spectrum(spectral.SectorParams(s=s, N=n_levels))
+def _check_gamma(fam):
+    s, n_levels = fam.s, fam.N
     pi = spectral.coupling_matrix(fam)
     gam = spectral.gamma_potential(pi, fam)
     resid = spectral.commutator_residual(gam, pi, fam)
@@ -337,7 +326,7 @@ def _check_gamma(s, n_levels):
 
 
 def cmd_spectral(args):
-    s_values = _parse_list(args.s)
+    s_values = _parse_list(args.s, "--s")
     if not s_values:
         raise ValidationError("--s needs at least one value")
     params = [spectral.SectorParams(s=s, N=args.levels) for s in s_values]
@@ -355,16 +344,16 @@ def cmd_spectral(args):
     _write_csv(args.out + ".csv", header, columns)
     report = {"s": s_values, "levels": args.levels, "checks": {}}
     ok = True
-    for s in s_values:
+    for s, fam in zip(s_values, fams):
         entry = {}
         if which in ("oracle", "all"):
-            entry["oracle"] = _check_oracle(s, args.levels)
+            entry["oracle"] = _check_oracle(fam)
         if which in ("kernel", "all"):
             entry["kernel"] = _check_kernel(s)
         if which in ("coupling", "all"):
-            entry["coupling"] = _check_coupling(s, args.levels)
+            entry["coupling"] = _check_coupling(fam)
         if which in ("gamma", "all"):
-            entry["gamma"] = _check_gamma(s, args.levels)
+            entry["gamma"] = _check_gamma(fam)
         ok = ok and all(block["pass"] for block in entry.values())
         report["checks"][_fmt(s)] = entry
     report["pass"] = bool(ok)
@@ -380,7 +369,7 @@ def cmd_spectral(args):
 # ---------------------------------------------------------------------------
 
 def cmd_adiabatic(args):
-    epsilons = _parse_list(args.epsilons)
+    epsilons = _parse_list(args.epsilons, "--epsilons")
     if not epsilons:
         raise ValidationError("--epsilons needs at least one value")
     res = adiabatic.run_sweep(epsilons=epsilons, s_end=args.s_end, N=args.levels,
@@ -415,60 +404,83 @@ def cmd_adiabatic(args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError: exit 2 with one line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _switch(text):
+    """An on/off option's value in a config file."""
+    return text.lower() in ("1", "true", "yes", "on")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The parser; ``parser.options`` maps each subcommand to the table
+    {dest: (type, default, choices)} of its long options.  Every flag parses to None
+    when absent; _resolve_options fills it from the config file or the
+    default, and a default of None makes the option required."""
+    parser = _Parser(
         prog="fluxramp",
         description="Numerical studies of a charged particle in a punctured "
                     "plane with a linearly ramped flux line")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.options = {}
 
-    pc = sub.add_parser("classical", help="integrate the classical flow")
-    pc.add_argument("--config", help="key=value file seeding the options")
-    pc.add_argument("--phi", type=float, required=True)
-    pc.add_argument("--q0", required=True, help="initial position 'qx,qy'")
-    pc.add_argument("--p0", required=True, help="initial momentum 'px,py'")
-    pc.add_argument("--s-start", type=float, default=0.0)
-    pc.add_argument("--s-end", type=float, required=True)
-    pc.add_argument("--tol", type=float, default=1e-10)
-    pc.add_argument("--samples", type=int, default=513)
-    pc.add_argument("--out", required=True, help="output path prefix")
-    pc.set_defaults(func=cmd_classical)
+    def command(name, func, help):
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--config", help="key=value file seeding the options")
+        cmd.set_defaults(func=func)
+        table = parser.options[name] = {}
 
-    pr = sub.add_parser("reduced", help="solve the Bessel integral equations")
-    pr.add_argument("--config")
-    pr.add_argument("--phi", type=float, required=True)
-    pr.add_argument("--c1", type=float, default=1.0)
-    pr.add_argument("--c2", type=float, default=0.0)
-    pr.add_argument("--s-start", type=float, default=10.0)
-    pr.add_argument("--s-max", type=float, default=150.0)
-    pr.add_argument("--picard-tol", type=float, default=1e-8)
-    pr.add_argument("--force-zero-f", action="store_true",
-                    help="test hook: drop the nonlinearity")
-    pr.add_argument("--crosscheck", action="store_true",
-                    help="also compare against direct ODE and flow integration")
-    pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_reduced)
+        def option(flag, kind=str, default=None, choices=None, help=None):
+            if default is None:
+                help = f"{help}; required" if help else "required"
+            if kind is _switch:
+                cmd.add_argument(flag, action="store_const", const=True, help=help)
+            else:
+                cmd.add_argument(flag, type=kind, choices=choices, help=help)
+            table[flag[2:].replace("-", "_")] = (kind, default, choices)
+        return option
 
-    ps = sub.add_parser("spectral", help="spectral family and its checks")
-    ps.add_argument("--config")
-    ps.add_argument("--s", required=True, help="flux value(s), comma separated")
-    ps.add_argument("--levels", type=int, default=spectral.DEFAULT_LEVELS)
-    ps.add_argument("--check", choices=["oracle", "kernel", "coupling", "gamma", "all"],
-                    default="all")
-    ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_spectral)
+    option = command("classical", cmd_classical, "integrate the classical flow")
+    option("--phi", float)
+    option("--q0", help="initial position 'qx,qy'")
+    option("--p0", help="initial momentum 'px,py'")
+    option("--s-start", float, 0.0)
+    option("--s-end", float)
+    option("--tol", float, 1e-10)
+    option("--samples", int, 513)
+    option("--out", help="output path prefix")
 
-    pa = sub.add_parser("adiabatic", help="adiabatic propagator epsilon sweep")
-    pa.add_argument("--config")
-    pa.add_argument("--s-end", type=float, default=2.0)
-    pa.add_argument("--epsilons", default="0.2,0.1,0.05,0.025")
-    pa.add_argument("--levels", type=int, default=64)
-    pa.add_argument("--samples", type=int, default=41)
-    pa.add_argument("--force-zero-coupling", action="store_true",
-                    help="test hook: drop the coupling operator")
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=cmd_adiabatic)
+    option = command("reduced", cmd_reduced, "solve the Bessel integral equations")
+    option("--phi", float)
+    option("--c1", float, 1.0)
+    option("--c2", float, 0.0)
+    option("--s-start", float, 10.0)
+    option("--s-max", float, 150.0)
+    option("--picard-tol", float, 1e-8)
+    option("--force-zero-f", _switch, False, help="test hook: drop the nonlinearity")
+    option("--crosscheck", _switch, False,
+           help="also compare against direct ODE and flow integration")
+    option("--out")
+
+    option = command("spectral", cmd_spectral, "spectral family and its checks")
+    option("--s", help="flux value(s), comma separated")
+    option("--levels", int, spectral.DEFAULT_LEVELS)
+    option("--check", str, "all", choices=["oracle", "kernel", "coupling", "gamma", "all"])
+    option("--out")
+
+    option = command("adiabatic", cmd_adiabatic, "adiabatic propagator epsilon sweep")
+    option("--s-end", float, 2.0)
+    option("--epsilons", str, "0.2,0.1,0.05,0.025")
+    option("--levels", int, 64)
+    option("--samples", int, 41)
+    option("--force-zero-coupling", _switch, False,
+           help="test hook: drop the coupling operator")
+    option("--out")
     return parser
 
 
@@ -476,8 +488,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        _resolve_options(parser, args)
         _check_out_prefix(args.out)
         code = args.func(args)
     except ValidationError as exc:

@@ -214,8 +214,6 @@ class _PanelQuadrature:
         self.half = 0.5 * (self.edges[1:] - self.edges[:-1])     # (P,)
         self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
         xi, w = leggauss(order)
-        self.xi = xi
-        self.w = w
         # nodes (P, order) flattened ascending
         self.nodes = (self.mid[:, None] + self.half[:, None] * xi[None, :]).ravel()
         # Legendre values at the Gauss nodes, orders 0..order-1 -> proj matrix
@@ -226,9 +224,6 @@ class _PanelQuadrature:
         for l in range(1, order):
             q.append((_legendre(l + 1, xi) - _legendre(l - 1, xi)) / (2 * l + 1))
         self.anti = np.stack(q)                                         # (L, n)
-        # full-panel integral of P_l over [-1,1] is 2 delta_{l0}
-        self.full = np.zeros(order)
-        self.full[0] = 2.0
 
     def right_tails(self, g_nodes):
         """I(node) = integral from each node to the right end, per node."""
@@ -250,11 +245,30 @@ def _legendre(l, x):
     return pc
 
 
-def homogeneous(j, s, c1, c2):
-    """c1 s J_{j-1}(s) + c2 s Y_{j-1}(s) for j in {1, 2}."""
-    if j not in (1, 2):
-        raise ValidationError("component index j must be 1 or 2")
-    return c1 * s * bessel_j(j - 1, s) + c2 * s * bessel_y(j - 1, s)
+class _IntegralMap:
+    """Right-hand side of the integral equations at the nodes ``s``.
+
+    Holds J0, J1, Y0, Y1 at the nodes, the homogeneous parts
+    c1 s J_{j-1} + c2 s Y_{j-1} and the prefactor pi s/2; called with the
+    tail integrals T_J = int_s^smax J1 F and T_Y = int_s^smax Y1 F it
+    returns (x1, x2).
+    """
+
+    def __init__(self, s, c1, c2):
+        self.j = (bessel_j(0, s), bessel_j(1, s))
+        self.y = (bessel_y(0, s), bessel_y(1, s))
+        self.hom = tuple(c1 * s * j + c2 * s * y for j, y in zip(self.j, self.y))
+        self.pref = 0.5 * np.pi * s
+
+    def __call__(self, tail_j, tail_y):
+        return tuple(h - self.pref * (y * tail_j - j * tail_y)
+                     for h, j, y in zip(self.hom, self.j, self.y))
+
+    def envelope(self):
+        """max over the nodes and j of (pi s/2)(|J_{j-1}| + |Y_{j-1}|)."""
+        (j0, j1), (y0, y1) = self.j, self.y
+        return np.max(self.pref * np.maximum(np.abs(j0) + np.abs(y0),
+                                             np.abs(j1) + np.abs(y1)))
 
 
 def picard_solve(config, phi, s_start, force_zero_f=False):
@@ -276,14 +290,10 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
     quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start),
                             config.quad_nodes)
     s = quad.nodes
+    imap = _IntegralMap(s, config.c1, config.c2)
+    j1, y1 = imap.j[1], imap.y[1]
 
-    j0, j1 = bessel_j(0, s), bessel_j(1, s)
-    y0, y1 = bessel_y(0, s), bessel_y(1, s)
-    hom1 = config.c1 * s * j0 + config.c2 * s * y0
-    hom2 = config.c1 * s * j1 + config.c2 * s * y1
-    pref = 0.5 * np.pi * s
-
-    x1, x2 = hom1.copy(), hom2.copy()
+    x1, x2 = imap.hom
     deltas = []
     converged = False
     for _ in range(config.max_iters):
@@ -291,10 +301,7 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
             f = np.zeros_like(s)
         else:
             f = f_nonlinearity(s, x1, x2, phi)
-        tail_j = quad.right_tails(j1 * f)
-        tail_y = quad.right_tails(y1 * f)
-        new1 = hom1 - pref * (y0 * tail_j - j0 * tail_y)
-        new2 = hom2 - pref * (y1 * tail_j - j1 * tail_y)
+        new1, new2 = imap(quad.right_tails(j1 * f), quad.right_tails(y1 * f))
         delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
         deltas.append(delta)
         if not np.isfinite(delta):
@@ -312,13 +319,9 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
     # bounded by 2 C sqrt(2/pi) / sqrt(smax); the solution feels it through
     # the (pi s/2)(|J|+|Y|) prefactor.
     last = s >= s.max() - 4 * config.panel_width
-    if force_zero_f:
-        c_decay = 0.0
-    else:
-        c_decay = float(np.max(np.abs(f[last] * s[last])))
+    c_decay = float(np.max(np.abs(f[last] * s[last])))
     tail_int = 2.0 * c_decay * np.sqrt(2.0 / np.pi) / np.sqrt(config.s_max)
-    prefactor = np.max(pref * np.maximum(np.abs(j0) + np.abs(y0), np.abs(j1) + np.abs(y1)))
-    tail_estimate = float(prefactor * tail_int)
+    tail_estimate = float(imap.envelope() * tail_int)
 
     return ReducedSolution(phi=phi, config=config, s_start=float(s_start),
                            grid=s, x1=x1, x2=x2, iterations=len(deltas),
@@ -344,15 +347,9 @@ def residual(solution):
         f = np.zeros_like(tau)
     else:
         f = f_nonlinearity(tau, sp1(tau), sp2(tau), solution.phi)
-    tj = quad.right_tails(bessel_j(1, tau) * f)
-    ty = quad.right_tails(bessel_y(1, tau) * f)
-    stj = CubicSpline(tau, tj)
-    sty = CubicSpline(tau, ty)
-    j0, j1 = bessel_j(0, s), bessel_j(1, s)
-    y0, y1 = bessel_y(0, s), bessel_y(1, s)
-    pref = 0.5 * np.pi * s
-    rhs1 = cfg.c1 * s * j0 + cfg.c2 * s * y0 - pref * (y0 * stj(s) - j0 * sty(s))
-    rhs2 = cfg.c1 * s * j1 + cfg.c2 * s * y1 - pref * (y1 * stj(s) - j1 * sty(s))
+    stj = CubicSpline(tau, quad.right_tails(bessel_j(1, tau) * f))
+    sty = CubicSpline(tau, quad.right_tails(bessel_y(1, tau) * f))
+    rhs1, rhs2 = _IntegralMap(s, cfg.c1, cfg.c2)(stj(s), sty(s))
     return solution.x1 - rhs1, solution.x2 - rhs2
 
 
@@ -377,29 +374,47 @@ def integrate_ode(phi, s_span, x0, t_eval, tol=1e-12, force_zero_f=False):
     return sol.t, sol.y[0], sol.y[1]
 
 
-def to_reduced(traj, params):
+def to_reduced(traj):
     """Map a trajectory of the full flow to reduced time and unknowns.
 
     Returns (t, x1, x2, s0) with t = s - s0, x1 = c . v_perp,
     x2 = phi - q . v; s0 comes from the center-energy relation.
     """
+    phi = traj.params.phi
     c, v, I1, H = classical.guiding_series(traj)
-    s0 = float(np.mean(traj.s - (I1 - H) / params.phi))
-    vperp = np.stack([-v[:, 1], v[:, 0]], axis=1)
-    x1 = np.sum(c * vperp, axis=1)
-    x2 = params.phi - np.sum(traj.q * v, axis=1)
+    s0 = float(np.mean(traj.s - (I1 - H) / phi))
+    x1 = np.sum(c * classical.perp(v), axis=1)
+    x2 = phi - np.sum(traj.q * v, axis=1)
     return traj.s - s0, x1, x2, s0
 
 
-def crosscheck_ode(solution, trajectory=None, params=None, ode_tol=1e-12,
-                   window=None):
+def from_reduced(t, x1, x2, phi):
+    """A phase state of the full flow that to_reduced maps to (t, x1, x2).
+
+    The inverse of the change of variables at one time: the free overall
+    angle is fixed by phi2 = 0, and the trajectory constant s0 is gauged
+    to 0, so the physical time equals the reduced time.
+    """
+    j = np.sqrt(x1 * x1 + (x2 - phi) ** 2 + (phi * t) ** 2)
+    i1, i2 = 0.5 * (j + phi * t), 0.5 * (j - phi * t)
+    if min(i1, i2) < 0:
+        raise ValidationError("reduced state maps to negative action")
+    amp = np.sqrt(max(j * j - (phi * t) ** 2, 0.0))
+    psi = np.arctan2(x2 - phi, x1) if amp > 0 else 0.0
+    rho, sig = np.sqrt(2 * i1), np.sqrt(2 * i2)
+    q = rho * np.array([np.cos(psi), np.sin(psi)]) + np.array([sig, 0.0])
+    a = classical.vector_potential(t, q, classical.FluxParams(phi))
+    return classical.PhaseState(s=t, q=q, p=np.array([0.0, -sig]) + a)
+
+
+def crosscheck_ode(solution, trajectory=None, ode_tol=1e-12, window=None):
     """Maximum deviation between the Picard solution and an independent solver.
 
     Without a trajectory the reduced ODE is integrated from the solution's
-    first grid value across the grid.  With a trajectory (plus its
-    FluxParams) the trajectory is mapped to reduced coordinates and
-    compared on the overlap; NoOverlap if there is none.  ``window``
-    optionally restricts the comparison interval in reduced time.
+    first grid value across the grid.  With a trajectory of the same phi
+    the trajectory is mapped to reduced coordinates and compared on the
+    overlap; NoOverlap if there is none.  ``window`` optionally restricts
+    the comparison interval in reduced time.
     """
     sp1, sp2 = solution.spline()
     if trajectory is None:
@@ -415,9 +430,10 @@ def crosscheck_ode(solution, trajectory=None, params=None, ode_tol=1e-12,
                                   force_zero_f=solution.forced_zero_f)
         dev = max(np.max(np.abs(o1 - sp1(s_cmp))), np.max(np.abs(o2 - sp2(s_cmp))))
         return float(dev)
-    if params is None:
-        raise ValidationError("params required to map a trajectory")
-    t, x1, x2, _ = to_reduced(trajectory, params)
+    if trajectory.params.phi != solution.phi:
+        raise ValidationError(f"trajectory phi {trajectory.params.phi!r} differs from "
+                              f"the solution's {solution.phi!r}")
+    t, x1, x2, _ = to_reduced(trajectory)
     lo = max(solution.grid[0], np.min(t))
     hi = min(solution.grid[-1], np.max(t))
     if window is not None:
@@ -439,7 +455,7 @@ class ExtractedConstants:
     a0_from_amplitude: float
 
 
-def extract_constants(solution, phi):
+def extract_constants(solution):
     """Recover (c1, c2) and the outgoing energy scale a0 from the tail.
 
     (c1, c2) come from a joint least-squares fit of both components
@@ -452,6 +468,7 @@ def extract_constants(solution, phi):
     """
     if solution.config.s_max < 1e3 * (1 - 1e-9):
         raise ValidationError("constant extraction needs the solution to reach s >= 1e3")
+    phi = solution.phi
     s = solution.grid
     mask = s >= s[0] + WINDOW_FRACTION * (s[-1] - s[0])
     sw = s[mask]

@@ -56,7 +56,7 @@ DEFAULT_LEVELS = 64
 @dataclass(frozen=True)
 class SectorParams:
     """Flux value s >= 0 and retained levels N; N is refused when the checks
-    of the family would need more than the working-set budget (about 990
+    of the family would need more than the working-set budget (above 1742
     levels)."""
 
     s: float
@@ -309,11 +309,14 @@ FD_BISECTION_TOL = 1e-10
 # it is refined from the other two instead of bisected (_fd_refine).
 FD_CELLS = 12000
 
-# Working set of the checks of an N-level family, from peak memory measured
-# on one core (0.92 MiB per level at 64-256 levels, oracle included): the
-# oracle holds about five arrays on its finest grid per level it solves, the
-# lower half; the coupling and gamma checks about eight N x N complex arrays.
-ORACLE_BYTES_PER_LEVEL = 5 * 8 * 4 * FD_CELLS // 2
+# Working set of the checks of an N-level family.  The oracle holds two
+# arrays on its finest grid (its modes and the analytic ones) per level it
+# solves, the lower half: 0.366 MiB per level of the family.  Peak memory of
+# `spectral --s 1 --check all`, measured on one core, grew by 0.3668, 0.3663
+# and 0.3664 MiB per level from 64 to 128, 256 and 512 levels; the estimate
+# is rounded up to 0.375 MiB.  The coupling and gamma checks hold about
+# eight N x N complex arrays.
+ORACLE_BYTES_PER_LEVEL = 3 * 2 ** 20 // 8
 DENSE_BYTES_PER_ENTRY = 8 * 16
 
 
@@ -331,8 +334,8 @@ class FdSpectrum:
 
     Energies are Richardson-extrapolated over the steps h, h/2 and h/4
     (fourth order removed); ``energies_coarse`` are the raw energies of the
-    h grid.  The grid, mode values, cell masses and step refer to the
-    finest (h/4) grid, the only one solved with vectors.  ``g`` holds the
+    h grid.  The grid, mode values and cell masses refer to the finest
+    (h/4) grid, the only one solved with vectors.  ``g`` holds the
     smooth part of the eigenfunctions, psi_n(r) = r^s g_n(r), normalized so
     that sum(g^2 * mass) = 1, which makes overlaps in L^2(r dr) plain
     weighted dot products.
@@ -345,7 +348,6 @@ class FdSpectrum:
     r: np.ndarray
     g: np.ndarray
     mass: np.ndarray
-    step: float
 
     def overlaps_with_analytic(self, family):
         """|<psi_n^fd, psi_n^analytic>| for the N solved levels; ``family``
@@ -443,7 +445,7 @@ def _fd_refine(s, r_max, m_cells, shifts):
 
     Returns the energies, the modes (normalized to sum(g^2 * mass) = 1 and
     oriented positive next to the origin, like the analytic g_n(0) with the
-    sign of L_n^s(0) > 0), the cell centers, cell masses and step.
+    sign of L_n^s(0) > 0), the cell centers and the cell masses.
     NoConvergence when stein leaves a mode unconverged; GridTooCoarse when
     the shifts or the energies do not increase strictly, or an energy lies
     nearer a neighbouring shift than its own, so a shift caught the wrong
@@ -480,7 +482,7 @@ def _fd_refine(s, r_max, m_cells, shifts):
     lead = np.sign(np.sum(g[:, : max(4, m_cells // 256)], axis=1))
     lead[lead == 0] = 1.0
     g *= lead[:, None]
-    return energies, g, centers, mass, h
+    return energies, g, centers, mass
 
 
 def _richardson(e_h, e_h2, e_h4):
@@ -521,7 +523,7 @@ def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
         m_cells = FD_CELLS
     e_h = _fd_solve(s, N, r_max, m_cells)
     e_h2 = _fd_solve(s, N, r_max, 2 * m_cells)
-    e_h4, g, centers, mass, h4 = _fd_refine(s, r_max, 4 * m_cells,
+    e_h4, g, centers, mass = _fd_refine(s, r_max, 4 * m_cells,
                                             (4.0 * e_h2 - e_h) / 3.0)
     extrap = _richardson(e_h, e_h2, e_h4)
     if check_refinement:
@@ -533,4 +535,4 @@ def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
                 f"{np.max(np.abs(extrap_fine - extrap)):.2e} under refinement x2")
         extrap = extrap_fine
     return FdSpectrum(s=s, N=N, energies=extrap, energies_coarse=e_h,
-                      r=centers, g=g, mass=mass, step=h4)
+                      r=centers, g=g, mass=mass)

@@ -1,16 +1,17 @@
 """Reference computations that only the tests use.
 
 Mode evaluation, an exact Gauss-type quadrature for mode overlaps, the
-running-maximum table of coupling norms, and the Bessel kernel factor and
-homogeneous-constant match of the reduced equations.  The package computes
-none of these on a CLI path; the tests use them as independent checks of
-``spectral`` and ``reduced``.
+running-maximum table of coupling norms, the Bessel kernel factor,
+homogeneous part and homogeneous-constant match of the reduced equations,
+and the finite-difference residuals of the adiabatic generator identities.
+The package computes none of these on a CLI path; the tests use them as
+independent checks of ``spectral``, ``reduced`` and ``adiabatic``.
 """
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from fluxramp import reduced, spectral
+from fluxramp import adiabatic, reduced, spectral
 from fluxramp.errors import ValidationError
 
 
@@ -87,3 +88,45 @@ def match_constants_at(s, x1, x2):
     a = np.array([[s * reduced.bessel_j(0, s), s * reduced.bessel_y(0, s)],
                   [s * reduced.bessel_j(1, s), s * reduced.bessel_y(1, s)]])
     return tuple(np.linalg.solve(a, np.array([x1, x2])))
+
+
+def homogeneous(j, s, c1, c2):
+    """c1 s J_{j-1}(s) + c2 s Y_{j-1}(s) for j in {1, 2}."""
+    if j not in (1, 2):
+        raise ValidationError("component index j must be 1 or 2")
+    return c1 * s * reduced.bessel_j(j - 1, s) + c2 * s * reduced.bessel_y(j - 1, s)
+
+
+def residual_generator_check(config, probes=None, delta=1e-6):
+    """Finite-difference residuals of the generator identities.
+
+    Per probe time returns
+      r_ad = || i eps d_s U_ad - (H + eps Pi) U_ad ||   (identity; measures
+              differencing error) and
+      r_w  = || i eps d_s U_w - H U_w ||                (identity on the
+              truncation; reported for documentation).
+    The d_s includes the moving-frame connection -i Pi M.
+    """
+    if probes is None:
+        probes = config.s_grid[1:-1:max(1, (config.n_samples - 2) // 8)]
+    probes = np.asarray(probes, dtype=float)
+    n = np.arange(config.N)
+    eps = config.epsilon
+
+    stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
+    walk = adiabatic._FilonPanels(config, stops)
+    corrector = {s: c for s, _, c in adiabatic._propagate(walk)}
+    res_ad, res_w = [], []
+    for s in probes:
+        pim = adiabatic._pi_at(config, s)
+        h = np.diag((2.0 * n + 2.0 * s + 1.0).astype(complex))
+        up, um, u0 = (adiabatic._u_ad(t, config.N, eps) for t in (s + delta, s - delta, s))
+        cp, cm, c0 = corrector[s + delta], corrector[s - delta], corrector[s]
+        du_ad = (up - um) / (2 * delta)
+        r_ad = 1j * eps * (du_ad - 1j * pim @ u0) - (h + eps * pim) @ u0
+        mw_p, mw_m, mw_0 = up @ cp, um @ cm, u0 @ c0
+        dmw = (mw_p - mw_m) / (2 * delta)
+        r_w = 1j * eps * (dmw - 1j * pim @ mw_0) - h @ mw_0
+        res_ad.append(np.linalg.norm(r_ad, 2))
+        res_w.append(np.linalg.norm(r_w, 2))
+    return probes, np.asarray(res_ad), np.asarray(res_w)

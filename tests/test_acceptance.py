@@ -82,7 +82,7 @@ def test_criterion_01_k_conservation(short_trajectories):
 def test_criterion_02_center_energy_law(short_trajectories):
     worst_slope, worst_resid = 0.0, 0.0
     for traj, _ in short_trajectories:
-        fit = cl.center_energy_fit(traj, PARAMS)
+        fit = cl.center_energy_fit(traj)
         worst_slope = max(worst_slope, abs(fit.slope - PHI) / PHI)
         worst_resid = max(worst_resid, fit.max_residual)
     ok = worst_slope <= 1e-8 and worst_resid <= 1e-8
@@ -92,7 +92,7 @@ def test_criterion_02_center_energy_law(short_trajectories):
 
 def test_criterion_03_forward_asymptotics(forward_trajectory):
     traj, dt = forward_trajectory
-    fwd = cl.asymptotics_forward(traj, PARAMS)
+    fwd = cl.asymptotics_forward(traj)
     _, _, _, H = cl.guiding_series(traj)
     ratio = fwd.q_over_sqrt_s / np.sqrt(2.0 * PHI)
     h_dev = abs(H[-1] - fwd.H_limit) / fwd.H_limit
@@ -106,7 +106,7 @@ def test_criterion_03_forward_asymptotics(forward_trajectory):
 def test_criterion_04_backward_asymptotics():
     traj = cl.integrate(cl.PhaseState(0.0, np.array([1.3, -0.4]), np.array([0.2, 0.9])),
                         -1000.0, PARAMS, tol=1e-10, samples=801)
-    bwd = cl.asymptotics_backward(traj, PARAMS)
+    bwd = cl.asymptotics_backward(traj)
     r1 = bwd.H_over_abs_s / PHI
     r2 = bwd.q_over_sqrt_abs_s / np.sqrt(2.0 * PHI)
     ok = 0.98 <= r1 <= 1.02 and 0.95 <= r2 <= 1.05

@@ -225,18 +225,18 @@ def test_center_energy_fit_recovers_planted_constant():
     g = 0.5 - PHI.phi * s / np.sum(q * q, axis=1)
     p = v + g[:, None] * np.stack([-q[:, 1], q[:, 0]], axis=1)
     traj = cl.Trajectory(params=PHI, s=s, q=q, p=p)
-    fit = cl.center_energy_fit(traj, PHI)
+    fit = cl.center_energy_fit(traj)
     assert_allclose(fit.s0, 3.0, atol=1e-10)
     assert_allclose(fit.slope, PHI.phi, rtol=1e-12)
     assert fit.max_residual < 1e-12
     with pytest.raises(ValidationError):
-        cl.center_energy_fit(cl.Trajectory(params=PHI, s=s[:5], q=q[:5], p=p[:5]), PHI)
+        cl.center_energy_fit(cl.Trajectory(params=PHI, s=s[:5], q=q[:5], p=p[:5]))
 
 
 def test_center_energy_relation_on_integrated_trajectory():
     init = state(0.0, [1.3, -0.4], [0.2, 0.9])
     traj = cl.integrate(init, 50.0, PHI, tol=1e-12, samples=501)
-    fit = cl.center_energy_fit(traj, PHI)
+    fit = cl.center_energy_fit(traj)
     assert abs(fit.slope - PHI.phi) <= 1e-8 * PHI.phi
     assert fit.max_residual <= 1e-9
     assert_allclose(fit.s0, -2.5, atol=1e-9)
@@ -246,6 +246,6 @@ def test_asymptotics_preconditions():
     init = state(0.0, [1.0, 0.0], [0.0, 0.6])
     traj = cl.integrate(init, 10.0, PHI, tol=1e-10)
     with pytest.raises(ValidationError):
-        cl.asymptotics_forward(traj, PHI)
+        cl.asymptotics_forward(traj)
     with pytest.raises(ValidationError):
-        cl.asymptotics_backward(traj, PHI)
+        cl.asymptotics_backward(traj)

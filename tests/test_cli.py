@@ -8,6 +8,8 @@ import pytest
 
 from fluxramp import adiabatic, classical, cli, reduced, spectral
 
+import reference as ref
+
 
 def run(argv):
     return cli.main(argv)
@@ -109,8 +111,7 @@ def test_reduced_forced_zero_f(tmp_path):
     assert header == ["s", "x1", "x2", "residual1", "residual2"]
     assert np.max(np.abs(rows[:, 3])) < 1e-12
     assert np.max(np.abs(rows[:, 4])) < 1e-12
-    from fluxramp.reduced import homogeneous
-    assert np.allclose(rows[:, 1], homogeneous(1, rows[:, 0], 1.0, -2.0), atol=1e-12)
+    assert np.allclose(rows[:, 1], ref.homogeneous(1, rows[:, 0], 1.0, -2.0), atol=1e-12)
 
 
 def test_reduced_default_run_and_crosscheck(tmp_path):
@@ -183,8 +184,23 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     # every sample interval takes a panel: 100001 intervals, 200 panel widths
     ["adiabatic", "--epsilons", "0.2", "--levels", "4",
      "--samples", str(adiabatic.MAX_PANELS + 2)],
+    # malformed values in a config file, in vector and list flags, and
+    # malformed command lines (one line each, no usage text)
+    ["classical", "--config", "{conf}/phi.conf", "--q0", "1,0", "--p0", "0,0.6",
+     "--s-end", "1"],
+    ["spectral", "--config", "{conf}/levels.conf", "--s", "1"],
+    ["spectral", "--config", "{conf}/check.conf", "--s", "1", "--levels", "8"],
+    ["classical", "--phi", "0.5", "--q0", "1,abc", "--p0", "0,0.6", "--s-end", "1"],
+    ["spectral", "--s", "1,abc", "--levels", "8"],
+    ["adiabatic", "--epsilons", "0.1,abc", "--levels", "4", "--samples", "3"],
+    ["classical", "--phi", "abc", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "1"],
+    ["reduced", "--phi", "0.5", "--no-such-flag"],
+    ["spectral", "--s", "1", "--check", "none"],
+    ["classical", "--q0", "1,0"],
+    ["no-such-study"],
 ])
-def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
+def test_bad_input_rejected_before_any_work(tmp_path, tmp_path_factory, monkeypatch,
+                                            capsys, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("computation started on invalid input")
 
@@ -192,7 +208,12 @@ def test_bad_input_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv)
     monkeypatch.setattr(adiabatic, "_FilonPanels", unreachable)
     monkeypatch.setattr(classical, "solve_ivp", unreachable)
     monkeypatch.setattr(spectral, "analytic_spectrum", unreachable)
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    conf = tmp_path_factory.mktemp("conf")
+    (conf / "phi.conf").write_text("phi = abc\n")
+    (conf / "levels.conf").write_text("levels = 8.5\n")
+    (conf / "check.conf").write_text("check = none\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{conf}", str(conf))
+            for arg in argv]
     if "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "bad")]
     code = run(argv)

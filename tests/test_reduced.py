@@ -107,8 +107,8 @@ def test_forced_zero_f_gives_homogeneous():
     cfg = rd.IntegralEqConfig(s_max=120.0, c1=1.0, c2=-2.0)
     sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
     assert sol.iterations == 1
-    assert_allclose(sol.x1, rd.homogeneous(1, sol.grid, 1.0, -2.0), atol=0)
-    assert_allclose(sol.x2, rd.homogeneous(2, sol.grid, 1.0, -2.0), atol=0)
+    assert_allclose(sol.x1, ref.homogeneous(1, sol.grid, 1.0, -2.0), atol=0)
+    assert_allclose(sol.x2, ref.homogeneous(2, sol.grid, 1.0, -2.0), atol=0)
     assert sol.tail_estimate == 0.0
 
 
@@ -181,13 +181,13 @@ def test_crosscheck_against_classical_flow():
     init = cl.PhaseState(0.0, np.array([1.3, -0.4]), np.array([0.2, 0.9]))
     s0 = center_energy_s0(init, params)
     traj = cl.integrate(init, s0 + 157.0, params, tol=1e-12, samples=3000)
-    t, x1, x2, s0_fit = rd.to_reduced(traj, params)
+    t, x1, x2, s0_fit = rd.to_reduced(traj)
     assert_allclose(s0_fit, s0, atol=1e-9)
     i_end = int(np.argmin(np.abs(t - 155.0)))
     c1m, c2m = ref.match_constants_at(t[i_end], x1[i_end], x2[i_end])
     cfg = rd.IntegralEqConfig(s_max=float(t[i_end]), c1=c1m, c2=c2m, picard_tol=1e-10)
     sol = rd.picard_solve(cfg, PHI, 10.0)
-    dev = rd.crosscheck_ode(sol, trajectory=traj, params=params, window=(10.0, 100.0))
+    dev = rd.crosscheck_ode(sol, trajectory=traj, window=(10.0, 100.0))
     assert dev <= 1e-6
 
 
@@ -198,13 +198,32 @@ def test_crosscheck_no_overlap():
         rd.crosscheck_ode(sol, window=(500.0, 600.0))
 
 
+def test_from_reduced_round_trip():
+    # the inverse change of variables gauges s0 to 0: a short flow from the
+    # state it builds maps back to the same reduced point at the first sample
+    t0, x1, x2 = 12.0, 0.7, -1.1
+    init = rd.from_reduced(t0, x1, x2, PHI)
+    traj = cl.integrate(init, t0 + 5.0, cl.FluxParams(PHI), tol=1e-12, samples=101)
+    _, y1, y2, s0 = rd.to_reduced(traj)
+    assert abs(s0) <= 1e-9
+    assert_allclose([y1[0], y2[0]], [x1, x2], atol=1e-10, rtol=0)
+
+
+def test_crosscheck_rejects_trajectory_of_other_phi():
+    sol = rd.picard_solve(rd.IntegralEqConfig(s_max=120.0), PHI, 10.0, force_zero_f=True)
+    init = rd.from_reduced(sol.grid[0], sol.x1[0], sol.x2[0], 2 * PHI)
+    traj = cl.integrate(init, 20.0, cl.FluxParams(2 * PHI), tol=1e-10, samples=11)
+    with pytest.raises(ValidationError, match="phi"):
+        rd.crosscheck_ode(sol, trajectory=traj)
+
+
 def test_mapped_trajectory_satisfies_reduced_ode():
     # dx2/ds = x1 for the mapped flow data, via spline differentiation
     from scipy.interpolate import CubicSpline
     params = cl.FluxParams(PHI)
     init = cl.PhaseState(0.0, np.array([1.0, 0.3]), np.array([-0.1, 0.8]))
     traj = cl.integrate(init, 80.0, params, tol=1e-12, samples=4001)
-    t, x1, x2, _ = rd.to_reduced(traj, params)
+    t, x1, x2, _ = rd.to_reduced(traj)
     spline = CubicSpline(t, x2)
     inner = slice(100, -100)
     assert np.max(np.abs(spline(t[inner], 1) - x1[inner])) < 1e-5
@@ -213,7 +232,7 @@ def test_mapped_trajectory_satisfies_reduced_ode():
 def test_extract_constants_planted():
     cfg = rd.IntegralEqConfig(s_max=1000.0, c1=1.0, c2=-2.0)
     sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
-    ext = rd.extract_constants(sol, PHI)
+    ext = rd.extract_constants(sol)
     assert_allclose([ext.c1, ext.c2], [1.0, -2.0], atol=1e-8)
 
 
@@ -221,14 +240,14 @@ def test_extract_constants_degenerate():
     cfg = rd.IntegralEqConfig(s_max=1000.0, c1=0.0, c2=0.0)
     sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
     with pytest.raises(NotConverged):
-        rd.extract_constants(sol, PHI)
+        rd.extract_constants(sol)
 
 
 def test_extract_constants_needs_long_solution():
     cfg = rd.IntegralEqConfig(s_max=150.0)
     sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
     with pytest.raises(ValidationError):
-        rd.extract_constants(sol, PHI)
+        rd.extract_constants(sol)
 
 
 def test_perturbed_constant_sensitivity():
@@ -247,17 +266,17 @@ def test_a0_cross_module_agreement():
     init = cl.PhaseState(0.0, np.array([1.3, -0.4]), np.array([0.2, 0.9]))
     s0 = center_energy_s0(init, params)
     traj = cl.integrate(init, s0 + 1005.0, params, tol=1e-11, samples=4000)
-    t, x1, x2, _ = rd.to_reduced(traj, params)
+    t, x1, x2, _ = rd.to_reduced(traj)
     i_end = int(np.argmax(t >= 1000.0))
     c1m, c2m = ref.match_constants_at(t[i_end], x1[i_end], x2[i_end])
     cfg = rd.IntegralEqConfig(s_max=float(t[i_end]), c1=c1m, c2=c2m, picard_tol=1e-8)
     sol = rd.picard_solve(cfg, PHI, 10.0)
-    ext = rd.extract_constants(sol, PHI)
+    ext = rd.extract_constants(sol)
 
     samples = np.concatenate([np.linspace(0, 50, 401),
                               np.linspace(60, 7000, 200),
                               np.linspace(7500, 10000, 600)])
     far = cl.integrate(init, 10000.0, params, tol=1e-10, samples=samples)
-    fwd = cl.asymptotics_forward(far, params)
+    fwd = cl.asymptotics_forward(far)
     assert abs(ext.a0 - fwd.a0) <= 0.01 * fwd.a0
     assert abs(ext.a0_from_amplitude - fwd.a0) <= 0.01 * fwd.a0

@@ -45,7 +45,8 @@ def test_sector_params_working_set_budget():
         return sp.ORACLE_BYTES_PER_LEVEL * n + sp.DENSE_BYTES_PER_ENTRY * n * n
 
     n_max = max(n for n in range(2, 4096) if bytes_at(n) <= WORKING_SET_BUDGET)
-    assert sp.SectorParams(s=1.0, N=n_max).N == n_max >= 2 * sp.DEFAULT_LEVELS
+    assert n_max == 1742  # the README size table
+    assert sp.SectorParams(s=1.0, N=n_max).N == n_max
     for n in (n_max + 1, 10 ** 40):
         with pytest.raises(ValidationError, match="working-set budget"):
             sp.SectorParams(s=1.0, N=n)
