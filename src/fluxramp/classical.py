@@ -36,9 +36,19 @@ from .errors import (
 )
 from .ode import sample_times, solve_ivp
 
+# radius of the event guard around the flux line: a crossing that narrow is
+# only caught when the trajectory genuinely lingers near the line
 R_GUARD = 1e-8
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
+
+# the regimes the analyses measure: the outgoing drift once the trajectory
+# ends at s >= FORWARD_S_MIN (also the reduced study's constant extraction),
+# the bound-center past once it reaches below BACKWARD_S_MAX, and the
+# center-energy law fitted on at least FIT_MIN_SAMPLES samples
+FORWARD_S_MIN = 1e3
+BACKWARD_S_MAX = -1e2
+FIT_MIN_SAMPLES = 10
 
 # forward asymptotics: H is averaged over this trailing share of the samples
 # (at least 8), and a relative spread above SPREAD_TOL means it has not settled
@@ -136,7 +146,7 @@ def _rhs_flat(s, y, phi):
     return (vx, vy, w * qx + g * vy, w * qy - g * vx)
 
 
-def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
+def integrate(initial, s_end, params, tol=1e-10, samples=None):
     """Integrate the flow from ``initial.s`` to ``s_end`` (either direction).
 
     ``samples`` may be an int (uniform sample count >= 2, default 513) or
@@ -144,14 +154,10 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
     direction of integration; more samples than the working-set budget
     admits (about 2.7 million) raise ValidationError.  Raises PunctureHit
     (with the partial trajectory attached) if |q| reaches the guard
-    radius (default 1e-8; a crossing that narrow is only caught when the
-    trajectory genuinely lingers near the flux line), StepFailure on
-    integrator breakdown.
+    radius R_GUARD, StepFailure on integrator breakdown.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValidationError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol!r}")
-    if not (0.0 < r_guard < 1.0):
-        raise ValidationError(f"r_guard must lie in (0, 1), got {r_guard!r}")
     s0 = float(initial.s)
     s_end = float(s_end)
     if not np.isfinite(s_end):
@@ -175,8 +181,10 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
                           q=initial.q[None, :].copy(), p=initial.p[None, :].copy(),
                           diagnostics={"rhs_evals": 0, "steps": 0, "rejected_steps": 0})
 
+    guard2 = R_GUARD * R_GUARD
+
     def puncture_event(s, y):
-        return y[0] * y[0] + y[1] * y[1] - r_guard * r_guard
+        return y[0] * y[0] + y[1] * y[1] - guard2
 
     y0 = (*initial.q, *initial.p)
     sol = solve_ivp(_rhs_flat, (s0, s_end), y0, tol, tol * 1e-2, t_eval,
@@ -194,9 +202,9 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None, r_guard=R_GUARD):
 
 
 def _wrap_angle(a):
-    """Wrap to (-pi, pi]."""
+    """Wrap the angle ``a`` to (-pi, pi]."""
     w = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(w == -np.pi, np.pi, w) if np.ndim(w) else (np.pi if w == -np.pi else w)
+    return np.pi if w == -np.pi else w
 
 
 def guiding_series(traj):
@@ -237,8 +245,8 @@ def center_energy_fit(traj):
     Returns the free-fit slope (should equal phi), the intercept-derived
     s0, and the worst absolute residual of the exact-slope relation.
     """
-    if len(traj) < 10:
-        raise ValidationError("center-energy fit needs at least 10 samples")
+    if len(traj) < FIT_MIN_SAMPLES:
+        raise ValidationError(f"center-energy fit needs at least {FIT_MIN_SAMPLES} samples")
     _, _, I1, H = guiding_series(traj)
     y = I1 - H
     phi = traj.params.phi
@@ -267,8 +275,9 @@ def asymptotics_forward(traj):
     K is evaluated at the first sample; a shift of K by 2 pi phi leaves the
     prediction invariant mod 2 pi, so no branch tracking is needed here.
     """
-    if traj.s[-1] < 1e3:
-        raise ValidationError("forward asymptotics need the trajectory to reach s >= 1e3")
+    if traj.s[-1] < FORWARD_S_MIN:
+        raise ValidationError(f"forward asymptotics need the trajectory to end at "
+                              f"s >= {FORWARD_S_MIN:g}")
     _, _, I1, H = guiding_series(traj)
     n_tail = max(8, int(len(traj) * TAIL_FRACTION))
     tail = slice(len(traj) - n_tail, None)
@@ -299,8 +308,9 @@ def asymptotics_backward(traj):
     """Bound-center diagnostics at the most negative sampled time."""
     i = int(np.argmin(traj.s))
     s = traj.s[i]
-    if s >= -1e2:
-        raise ValidationError("backward asymptotics need the trajectory to reach s <= -1e2")
+    if s >= BACKWARD_S_MAX:
+        raise ValidationError(f"backward asymptotics need the trajectory to reach "
+                              f"s < {BACKWARD_S_MAX:g}")
     _, _, _, H = guiding_series(traj)
     return BackwardAsymptotics(H_over_abs_s=float(H[i] / abs(s)),
                                q_over_sqrt_abs_s=float(np.hypot(*traj.q[i]) / np.sqrt(abs(s))))

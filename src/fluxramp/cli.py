@@ -161,7 +161,7 @@ def _resolve_options(parser, args):
 # classical
 # ---------------------------------------------------------------------------
 
-def _classical_files(traj, params, out):
+def _classical_files(traj, out):
     c, v, I1, H = classical.guiding_series(traj)
     K = classical.motion_constant_series(traj)
     _write_csv(out + ".csv",
@@ -188,25 +188,25 @@ def cmd_classical(args):
         if hit.trajectory is not None:
             summary["diagnostics"] = hit.trajectory.diagnostics
             if len(hit.trajectory) > 0:
-                _classical_files(hit.trajectory, params, args.out)
+                _classical_files(hit.trajectory, args.out)
         summary["puncture_hit"] = True
         summary["s_hit"] = hit.s_hit
         _write_json(args.out + ".json", summary)
         print(f"puncture reached at s = {hit.s_hit}", file=sys.stderr)
         return EXIT_PUNCTURE
     summary["diagnostics"] = traj.diagnostics
-    K = _classical_files(traj, params, args.out)
+    K = _classical_files(traj, args.out)
     summary["K_drift"] = float(np.max(np.abs(K - K[0])))
-    if len(traj) >= 10:
+    # each analysis runs when the trajectory meets the condition it checks
+    if len(traj) >= classical.FIT_MIN_SAMPLES:
         fit = classical.center_energy_fit(traj)
         summary["s0"] = fit.s0
         summary["slope"] = fit.slope
-    span = (min(args.s_start, args.s_end), max(args.s_start, args.s_end))
-    if span[1] >= 1e3:
+    if traj.s[-1] >= classical.FORWARD_S_MIN:
         fwd = classical.asymptotics_forward(traj)
         summary.update(a0=fwd.a0, drift_angle=fwd.drift_angle,
                        H_limit=fwd.H_limit, angle_residual=fwd.angle_residual)
-    if span[0] <= -1e2:
+    if np.min(traj.s) < classical.BACKWARD_S_MAX:
         bwd = classical.asymptotics_backward(traj)
         summary["H_over_abs_s"] = bwd.H_over_abs_s
         summary["q_over_sqrt_abs_s"] = bwd.q_over_sqrt_abs_s
@@ -239,7 +239,7 @@ def cmd_reduced(args):
                "diagnostics": {"picard_deltas": sol.deltas.tolist(),
                                "quad_nodes": sol.grid.size,
                                "residual_nodes": config.residual_nodes(sol.s_start)}}
-    if config.s_max >= 1e3 and not args.force_zero_f:
+    if config.s_max >= classical.FORWARD_S_MIN and not args.force_zero_f:
         ext = reduced.extract_constants(sol)
         summary.update(c1_fit=ext.c1, c2_fit=ext.c2, a0=ext.a0,
                        H_limit=ext.H_limit,
@@ -269,7 +269,7 @@ def _check_oracle(fam):
     ev_err = float(np.max(np.abs(fd.energies[:half] - fam.energies[:half])))
     min_overlap = float(np.min(fd.overlaps_with_analytic(fam)[:half]))
     return {"eigenvalue_error": ev_err, "min_overlap": min_overlap,
-            "levels_solved": fd.N, "cells_coarse": fd.r.size // 4,
+            "levels_solved": fd.N, "cells_coarse": spectral.FD_CELLS,
             "cells_fine": fd.r.size, "bisection_tol": spectral.FD_BISECTION_TOL,
             "pass": bool(ev_err <= 1e-6 and min_overlap >= 1.0 - 1e-6)}
 
@@ -289,15 +289,14 @@ def _check_coupling(fam):
     pi = spectral.coupling_matrix(fam)
     herm = float(np.linalg.norm(pi - pi.conj().T, 2))
     diag = float(np.max(np.abs(np.diag(pi))))
-    ratios = []
-    for d in range(1, n_levels // 2 + 1):
-        m = np.arange(0, n_levels - d)
-        # at large s (from about 400 at 64 levels) the factor overflows to
-        # inf; the true ratio is far above the window, which then fails
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(pi[m, m + d]) * d * ((m + d + 1) / (m + 1)) ** (s / 2.0)
-        ratios.extend(vals.tolist())
-    ratios = np.asarray(ratios) if ratios else np.array([1.0])
+    # |Pi_mn| (n - m) ((n+1)/(m+1))^(s/2) on the band n - m <= N/2 above
+    # the diagonal; at large s (from about 400 at 64 levels) the factor
+    # overflows to inf, the true ratio is far above the window, which fails
+    m, n = np.triu_indices(n_levels, 1)
+    band = n - m <= n_levels // 2
+    m, n = m[band], n[band]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.abs(pi[m, n]) * (n - m) * ((n + 1) / (m + 1)) ** (s / 2.0)
     norm_est = spectral.coupling_norm(
         pi, [max(2, n_levels // 4), max(3, n_levels // 2), n_levels])
     envelope_ok = bool(s == 0.0 or (ratios.min() >= 0.1 and ratios.max() <= 10.0))

@@ -47,22 +47,32 @@ from .errors import (
     NotConverged,
     StepFailure,
     ValidationError,
+    check_working_set,
 )
 from .ode import solve_ivp
 
 _DENOM_FLOOR = 1e-12
+
+# Gauss-Legendre nodes per panel and the panel width of the Picard grid:
+# well over eight nodes per 2*pi kernel oscillation
+QUAD_NODES = 6
+PANEL_WIDTH = 0.25
+
+# Picard sweeps before NoConvergence, and the tolerance of the reduced ODE
+# the crosscheck integrates (rtol; atol is 1e-2 of it)
+MAX_ITERS = 80
+ODE_TOL = 1e-12
 
 # the residual's independent rule: this many times the panels of the solve,
 # each with this many more Gauss nodes
 RESIDUAL_REFINE = 2
 RESIDUAL_EXTRA_ORDER = 2
 
-# Most nodes the residual's grid, the largest a run builds, may have.  Peak
-# memory grows by about 250 bytes per node (a `reduced` run peaked at 132 MiB
-# at s_max 3000, 191,360 nodes, and 244 MiB at s_max 10000), so the budget
-# is about 0.6 GB; s_max 31250 at the default panels reaches it.  The README
-# and benchmark runs use at most 191,360 nodes.
-MAX_QUAD_NODES = 2_000_000
+# Working set per node of the residual's grid, the largest a run builds.
+# Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by 251.0,
+# 247.0 and 246.4 bytes per residual node from X = 2500 to 5000, 10000 and
+# 20000 (159,360 to 1,279,360 nodes); the estimate is rounded up.
+BYTES_PER_NODE = 256
 
 # constant extraction fits the trailing half of the solution grid and
 # calls a homogeneous amplitude c1^2 + c2^2 below DEGENERATE_TOL zero
@@ -101,21 +111,19 @@ def bessel_y(order, x):
 
 @dataclass(frozen=True)
 class IntegralEqConfig:
-    """Truncation, quadrature and iteration controls.
+    """Truncation and iteration controls.
 
-    ``quad_nodes`` is the Gauss-Legendre order per panel; ``panel_width``
-    keeps well over eight nodes per 2*pi kernel oscillation at the
-    defaults.  c1, c2 are the homogeneous coefficients playing the role
-    of initial data at infinity.
+    c1, c2 are the homogeneous coefficients playing the role of initial
+    data at infinity.  The quadrature (QUAD_NODES Gauss-Legendre nodes on
+    panels of width PANEL_WIDTH) and the sweep limit MAX_ITERS are module
+    constants; an s_max whose residual grid needs more than the
+    working-set budget (above s_max 65536) is refused.
     """
 
     s_max: float
     c1: float = 1.0
     c2: float = 0.0
-    quad_nodes: int = 6
-    panel_width: float = 0.25
     picard_tol: float = 1e-8
-    max_iters: int = 80
 
     def __post_init__(self):
         if not np.isfinite(self.s_max) or self.s_max <= 0:
@@ -123,31 +131,23 @@ class IntegralEqConfig:
         if not (np.isfinite(self.c1) and np.isfinite(self.c2)):
             raise ValidationError(
                 f"c1 and c2 must be finite, got {self.c1!r} and {self.c2!r}")
-        if self.quad_nodes < 2:
-            raise ValidationError("quad_nodes must be >= 2")
-        if self.panel_width <= 0:
-            raise ValidationError("panel_width must be positive")
         if not (1e-12 <= self.picard_tol <= 1e-6):
             raise ValidationError(
                 f"picard_tol must lie in [1e-12, 1e-6], got {self.picard_tol!r}")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
         # s_start > 0 only shortens the grid, so bound it from s_max alone
-        finite = np.isfinite(self.s_max / self.panel_width)
+        finite = np.isfinite(self.s_max / PANEL_WIDTH)
         nodes = self.residual_nodes(0.0) if finite else math.inf
-        if nodes > MAX_QUAD_NODES:
-            raise ValidationError(f"s_max {self.s_max:g} needs {nodes:.4g} residual "
-                                  f"quadrature nodes, above the budget of "
-                                  f"{MAX_QUAD_NODES}")
+        check_working_set(BYTES_PER_NODE * nodes, f"{nodes:.4g} residual quadrature "
+                                                   f"nodes (s_max {self.s_max:g})")
 
     def panels(self, s_start):
         """Gauss-Legendre panels of the Picard grid on [s_start, s_max]."""
-        return max(4, math.ceil((self.s_max - s_start) / self.panel_width))
+        return max(4, math.ceil((self.s_max - s_start) / PANEL_WIDTH))
 
     def residual_nodes(self, s_start):
         """Nodes of the residual's finer grid on [s_start, s_max]."""
         return (RESIDUAL_REFINE * self.panels(s_start)
-                * (self.quad_nodes + RESIDUAL_EXTRA_ORDER))
+                * (QUAD_NODES + RESIDUAL_EXTRA_ORDER))
 
 
 def f_nonlinearity(s, x1, x2, phi):
@@ -287,8 +287,7 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
     if not np.isfinite(phi) or phi <= 0:
         raise ValidationError(f"phi must be positive and finite, got {phi!r}")
 
-    quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start),
-                            config.quad_nodes)
+    quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start), QUAD_NODES)
     s = quad.nodes
     imap = _IntegralMap(s, config.c1, config.c2)
     j1, y1 = imap.j[1], imap.y[1]
@@ -296,7 +295,7 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
     x1, x2 = imap.hom
     deltas = []
     converged = False
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         if force_zero_f:
             f = np.zeros_like(s)
         else:
@@ -318,7 +317,7 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
     # last panels, |J1|,|Y1| <= sqrt(2/(pi tau)), so the integral tail is
     # bounded by 2 C sqrt(2/pi) / sqrt(smax); the solution feels it through
     # the (pi s/2)(|J|+|Y|) prefactor.
-    last = s >= s.max() - 4 * config.panel_width
+    last = s >= s.max() - 4 * PANEL_WIDTH
     c_decay = float(np.max(np.abs(f[last] * s[last])))
     tail_int = 2.0 * c_decay * np.sqrt(2.0 / np.pi) / np.sqrt(config.s_max)
     tail_estimate = float(imap.envelope() * tail_int)
@@ -340,7 +339,7 @@ def residual(solution):
     s = solution.grid
     quad = _PanelQuadrature(solution.s_start, cfg.s_max,
                             RESIDUAL_REFINE * cfg.panels(solution.s_start),
-                            cfg.quad_nodes + RESIDUAL_EXTRA_ORDER)
+                            QUAD_NODES + RESIDUAL_EXTRA_ORDER)
     sp1, sp2 = solution.spline()
     tau = quad.nodes
     if solution.forced_zero_f:
@@ -363,12 +362,14 @@ def _homogeneous_rhs(s, x):
     return (x[0] / s - x[1], x[0])
 
 
-def integrate_ode(phi, s_span, x0, t_eval, tol=1e-12, force_zero_f=False):
-    """Integrate the reduced system directly with an adaptive RK method."""
+def integrate_ode(phi, s_span, x0, t_eval, force_zero_f=False):
+    """Integrate the reduced system directly with an adaptive RK method at
+    the tolerance ODE_TOL."""
     if force_zero_f:
-        sol = solve_ivp(_homogeneous_rhs, s_span, x0, tol, tol * 1e-2, t_eval)
+        sol = solve_ivp(_homogeneous_rhs, s_span, x0, ODE_TOL, ODE_TOL * 1e-2, t_eval)
     else:
-        sol = solve_ivp(ode_rhs, s_span, x0, tol, tol * 1e-2, t_eval, args=(phi,))
+        sol = solve_ivp(ode_rhs, s_span, x0, ODE_TOL, ODE_TOL * 1e-2, t_eval,
+                        args=(phi,))
     if sol.status < 0:
         raise NoConvergence(f"reduced ODE integration failed: {sol.message}")
     return sol.t, sol.y[0], sol.y[1]
@@ -407,7 +408,7 @@ def from_reduced(t, x1, x2, phi):
     return classical.PhaseState(s=t, q=q, p=np.array([0.0, -sig]) + a)
 
 
-def crosscheck_ode(solution, trajectory=None, ode_tol=1e-12, window=None):
+def crosscheck_ode(solution, trajectory=None, window=None):
     """Maximum deviation between the Picard solution and an independent solver.
 
     Without a trajectory the reduced ODE is integrated from the solution's
@@ -425,8 +426,7 @@ def crosscheck_ode(solution, trajectory=None, ode_tol=1e-12, window=None):
             raise NoOverlap("comparison window misses the solution grid")
         s_cmp = s_grid[mask]
         _, o1, o2 = integrate_ode(solution.phi, (s_grid[0], s_cmp[-1]),
-                                  (solution.x1[0], solution.x2[0]),
-                                  tol=ode_tol, t_eval=s_cmp,
+                                  (solution.x1[0], solution.x2[0]), s_cmp,
                                   force_zero_f=solution.forced_zero_f)
         dev = max(np.max(np.abs(o1 - sp1(s_cmp))), np.max(np.abs(o2 - sp2(s_cmp))))
         return float(dev)
@@ -466,8 +466,9 @@ def extract_constants(solution):
     homogeneous part gives the independent figure
     a0_from_amplitude = sqrt(2 (c1^2 + c2^2) / pi).
     """
-    if solution.config.s_max < 1e3 * (1 - 1e-9):
-        raise ValidationError("constant extraction needs the solution to reach s >= 1e3")
+    if solution.config.s_max < classical.FORWARD_S_MIN:
+        raise ValidationError(f"constant extraction needs the solution to reach "
+                              f"s >= {classical.FORWARD_S_MIN:g}")
     phi = solution.phi
     s = solution.grid
     mask = s >= s[0] + WINDOW_FRACTION * (s[-1] - s[0])

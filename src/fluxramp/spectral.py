@@ -333,9 +333,8 @@ class FdSpectrum:
     """Eigendata of the discretized operator (independent of the closed form).
 
     Energies are Richardson-extrapolated over the steps h, h/2 and h/4
-    (fourth order removed); ``energies_coarse`` are the raw energies of the
-    h grid.  The grid, mode values and cell masses refer to the finest
-    (h/4) grid, the only one solved with vectors.  ``g`` holds the
+    (fourth order removed).  The grid, mode values and cell masses refer to
+    the finest (h/4) grid, the only one solved with vectors.  ``g`` holds the
     smooth part of the eigenfunctions, psi_n(r) = r^s g_n(r), normalized so
     that sum(g^2 * mass) = 1, which makes overlaps in L^2(r dr) plain
     weighted dot products.
@@ -344,7 +343,6 @@ class FdSpectrum:
     s: float
     N: int
     energies: np.ndarray
-    energies_coarse: np.ndarray
     r: np.ndarray
     g: np.ndarray
     mass: np.ndarray
@@ -379,8 +377,8 @@ def _fd_weights(s, faces, h):
     return mass, mbar, lower, kinetic
 
 
-def fd_grid_representable(s, r_max, m_cells):
-    """Whether the finite-volume solve on ``m_cells`` cells over (0, r_max)
+def fd_grid_representable(s, r_max, cells):
+    """Whether the finite-volume solve on ``cells`` cells over (0, r_max)
     forms only finite, nonzero operator terms in double precision.
 
     The weights r^(2s+1) span (r_max/h)^(2s+1): with growing s the masses
@@ -388,8 +386,8 @@ def fd_grid_representable(s, r_max, m_cells):
     face.  Every term is monotone in the cell index, so the two end cells
     at each side decide, evaluated with the solve's own arithmetic.
     """
-    h = r_max / m_cells
-    for first in (0, m_cells - 2):
+    h = r_max / cells
+    for first in (0, cells - 2):
         with np.errstate(all="ignore"):
             _, _, lower, kinetic = _fd_weights(s, np.arange(first, first + 3) * h, h)
         # a zero mass makes the diagonal non-finite; lower.all(): nonzero
@@ -398,24 +396,24 @@ def fd_grid_representable(s, r_max, m_cells):
     return True
 
 
-def _fd_operator(s, r_max, m_cells):
-    """The finite-volume operator on ``m_cells`` cells over (0, r_max) as
+def _fd_operator(s, r_max, cells):
+    """The finite-volume operator on ``cells`` cells over (0, r_max) as
     the symmetric tridiagonal (diag, lower) in the mass-scaled unknowns
     sqrt(mbar) g, with the step, cell centers, cell masses, mass densities
     mbar and the potential at the centers.  A grid that fails
     fd_grid_representable raises ValidationError before any work."""
-    if not fd_grid_representable(s, r_max, m_cells):
+    if not fd_grid_representable(s, r_max, cells):
         raise ValidationError(
             f"flux s = {s:g} leaves the double range of the finite-volume "
-            f"weights r^(2s+1) on {m_cells} cells over (0, {r_max:.6g})")
-    h = r_max / m_cells
-    centers = (np.arange(m_cells) + 0.5) * h
-    mass, mbar, lower, kinetic = _fd_weights(s, np.arange(m_cells + 1) * h, h)
+            f"weights r^(2s+1) on {cells} cells over (0, {r_max:.6g})")
+    h = r_max / cells
+    centers = (np.arange(cells) + 0.5) * h
+    mass, mbar, lower, kinetic = _fd_weights(s, np.arange(cells + 1) * h, h)
     potential = s + 0.25 * centers ** 2
     return kinetic + potential, lower, h, centers, mass, mbar, potential
 
 
-def _fd_solve(s, N, r_max, m_cells):
+def _fd_solve(s, N, r_max, cells):
     """Lowest N energies of the finite-volume discretization of
     -g'' - ((2s+1)/r) g' + (s + r^2/4) g = E g in L^2(r^(2s+1) dr), the
     exact substitution psi = r^s g of the radial operator, bisected (LAPACK
@@ -423,14 +421,14 @@ def _fd_solve(s, N, r_max, m_cells):
     even, so the scheme is cleanly O(h^2) for every s >= 0; the vanishing
     inner face flux enforces the regular behavior automatically.
     """
-    diag, lower = _fd_operator(s, r_max, m_cells)[:2]
+    diag, lower = _fd_operator(s, r_max, cells)[:2]
     from scipy.linalg import eigh_tridiagonal
     return eigh_tridiagonal(diag, lower, eigvals_only=True, select="i",
                             select_range=(0, N - 1), tol=FD_BISECTION_TOL)
 
 
-def _fd_refine(s, r_max, m_cells, shifts):
-    """Eigenpairs of the ``m_cells`` grid next to the ascending ``shifts``,
+def _fd_refine(s, r_max, cells, shifts):
+    """Eigenpairs of the ``cells`` grid next to the ascending ``shifts``,
     without bisection: inverse iteration at each shift (LAPACK stein, the
     step eigh_tridiagonal runs after stebz), then each energy as the
     Rayleigh quotient of its mode g in the positive form
@@ -452,19 +450,19 @@ def _fd_refine(s, r_max, m_cells, shifts):
     level.
     """
     if not np.all(np.diff(shifts) > 0):
-        raise GridTooCoarse(f"Richardson shifts for {m_cells} cells do not increase")
+        raise GridTooCoarse(f"Richardson shifts for {cells} cells do not increase")
     from scipy.linalg import lapack
-    diag, lower, h, centers, mass, mbar, potential = _fd_operator(s, r_max, m_cells)
+    diag, lower, h, centers, mass, mbar, potential = _fd_operator(s, r_max, cells)
     # T as one block: stebz splits it only where an off-diagonal is
     # negligible, to save work, and inverse iteration needs no split
-    vec, info = lapack.dstein(diag, lower, shifts, np.ones(m_cells, dtype=np.intc),
-                              np.full(m_cells, m_cells, dtype=np.intc))
+    vec, info = lapack.dstein(diag, lower, shifts, np.ones(cells, dtype=np.intc),
+                              np.full(cells, cells, dtype=np.intc))
     if info > 0:
         raise NoConvergence(f"inverse iteration left {info} of {shifts.size} oracle "
-                            f"modes unconverged on {m_cells} cells")
+                            f"modes unconverged on {cells} cells")
     g = vec.T  # C-ordered rows; scaled in place, row by row below
     g /= np.sqrt(mbar)
-    face_weight = (np.arange(1, m_cells + 1) * h) ** (2 * s + 1) / h
+    face_weight = (np.arange(1, cells + 1) * h) ** (2 * s + 1) / h
     v_mass = potential * mass
     energies = np.empty(shifts.size)
     for n, g_n in enumerate(g):
@@ -477,9 +475,9 @@ def _fd_refine(s, r_max, m_cells, shifts):
     if not (np.all(np.diff(energies) > 0)
             and np.all(np.abs(energies[1:] - shifts[:-1]) >= own[1:])
             and np.all(np.abs(energies[:-1] - shifts[1:]) >= own[:-1])):
-        raise GridTooCoarse(f"oracle energies on {m_cells} cells do not follow "
+        raise GridTooCoarse(f"oracle energies on {cells} cells do not follow "
                             f"their Richardson shifts")
-    lead = np.sign(np.sum(g[:, : max(4, m_cells // 256)], axis=1))
+    lead = np.sign(np.sum(g[:, : max(4, cells // 256)], axis=1))
     lead[lead == 0] = 1.0
     g *= lead[:, None]
     return energies, g, centers, mass
@@ -496,10 +494,10 @@ def _richardson(e_h, e_h2, e_h4):
     return (16.0 * r_h2 - r_h) / 15.0
 
 
-def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
+def fd_spectrum(params, r_max=None):
     """Independent eigensolve of the lowest ``params.N`` levels of the radial
-    operator on uniform grids over (0, r_max), the coarsest of ``m_cells``
-    cells (default FD_CELLS).
+    operator on uniform grids over (0, r_max), the coarsest of FD_CELLS
+    cells.
 
     ``r_max`` defaults to fd_r_max(s, N), the grid of the N-level family; a
     caller that checks only the lower levels of a larger family passes that
@@ -510,29 +508,14 @@ def fd_spectrum(params, r_max=None, m_cells=None, check_refinement=False):
     the only one with eigenvectors (the overlaps, second order in h), is not
     bisected: _fd_refine runs inverse iteration at the oracle's own
     two-level values R(h) = (4 E(h/2) - E(h))/3 and takes the Rayleigh
-    quotients of the modes.  With ``check_refinement`` a fourth grid at h/8,
-    refined the same way from the shifts of (h/2, h/4), verifies that the
-    value from (h/2, h/4, h/8) agrees to 1e-6, raises GridTooCoarse
-    otherwise, and is returned.  The closed form sets the default grid
-    extent only; no closed-form value is used as a shift or a bracket.
+    quotients of the modes.  The closed form sets the default grid extent
+    only; no closed-form value is used as a shift or a bracket.
     """
     s, N = params.s, params.N
     if r_max is None:
         r_max = fd_r_max(s, N)
-    if m_cells is None:
-        m_cells = FD_CELLS
-    e_h = _fd_solve(s, N, r_max, m_cells)
-    e_h2 = _fd_solve(s, N, r_max, 2 * m_cells)
-    e_h4, g, centers, mass = _fd_refine(s, r_max, 4 * m_cells,
-                                            (4.0 * e_h2 - e_h) / 3.0)
-    extrap = _richardson(e_h, e_h2, e_h4)
-    if check_refinement:
-        e_h8 = _fd_refine(s, r_max, 8 * m_cells, (4.0 * e_h4 - e_h2) / 3.0)[0]
-        extrap_fine = _richardson(e_h2, e_h4, e_h8)
-        if np.max(np.abs(extrap_fine - extrap)) > 1e-6:
-            raise GridTooCoarse(
-                f"extrapolated eigenvalues moved "
-                f"{np.max(np.abs(extrap_fine - extrap)):.2e} under refinement x2")
-        extrap = extrap_fine
-    return FdSpectrum(s=s, N=N, energies=extrap, energies_coarse=e_h,
+    e_h = _fd_solve(s, N, r_max, FD_CELLS)
+    e_h2 = _fd_solve(s, N, r_max, 2 * FD_CELLS)
+    e_h4, g, centers, mass = _fd_refine(s, r_max, 4 * FD_CELLS, (4.0 * e_h2 - e_h) / 3.0)
+    return FdSpectrum(s=s, N=N, energies=_richardson(e_h, e_h2, e_h4),
                       r=centers, g=g, mass=mass)

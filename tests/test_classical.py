@@ -135,14 +135,15 @@ def test_integrate_sample_budget(monkeypatch):
             cl.integrate(st, 5.0, PHI, samples=n)
 
 
-def test_puncture_event_reported():
+def test_puncture_event_reported(monkeypatch):
     # at zero flux the orbit is the circle through the origin when |c| = |v|;
     # a widened guard makes the measure-zero crossing resolvable
     q = np.array([2.0, 0.0])
     v = np.array([0.0, -1.0])  # v_perp = (1, 0), c = (1, 0), |c| = |v| = 1
     init = state(0.0, q, v + cl.vector_potential(0.0, q, PHI_ZERO))
+    monkeypatch.setattr(cl, "R_GUARD", 0.05)
     with pytest.raises(PunctureHit) as err:
-        cl.integrate(init, 8.0, PHI_ZERO, tol=1e-12, samples=65, r_guard=0.05)
+        cl.integrate(init, 8.0, PHI_ZERO, tol=1e-12, samples=65)
     hit = err.value
     assert hit.trajectory is not None
     # |q(s)| = 2 |sin(s/2)| on this orbit; first crossing of 0.05 near pi

@@ -74,13 +74,7 @@ def test_classical_phi_zero_rejected(tmp_path):
 def test_classical_puncture_exit(tmp_path, monkeypatch):
     # the zero-flux circle through the origin, with a widened guard so the
     # crossing is resolvable; exit code 3 and partial data on disk
-    from fluxramp import classical as cl
-    orig = cl.integrate
-
-    def widened(initial, s_end, params, tol=1e-10, samples=None, r_guard=cl.R_GUARD):
-        return orig(initial, s_end, params, tol=tol, samples=samples, r_guard=0.05)
-
-    monkeypatch.setattr(cl, "integrate", widened)
+    monkeypatch.setattr(classical, "R_GUARD", 0.05)
     out = str(tmp_path / "hit")
     code = run(["classical", "--phi", "1e-300", "--q0", "2,0", "--p0", "0,0",
                 "--s-end", "8", "--samples", "65", "--tol", "1e-12", "--out", out])
@@ -90,6 +84,23 @@ def test_classical_puncture_exit(tmp_path, monkeypatch):
     assert_positive_counters(summary["diagnostics"])
     _, rows = read_csv(out + ".csv")
     assert rows.shape[0] >= 1
+
+
+@pytest.mark.parametrize("span, skipped", [
+    (["--s-start", "1500", "--s-end", "0"], "a0"),
+    (["--s-end", "-100"], "H_over_abs_s"),
+])
+def test_classical_analysis_follows_the_trajectory(tmp_path, span, skipped):
+    # a run that starts past s = 1e3 but ends at 0, and one that stops at
+    # s = -1e2 exactly, meet neither asymptotic regime as the library checks
+    # it: the analysis is left out and the run succeeds
+    out = str(tmp_path / "span")
+    code = run(["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
+                *span, "--out", out])
+    assert code == 0
+    summary = read_json(out + ".json")
+    assert summary.get(skipped) is None
+    assert summary["slope"] is not None
 
 
 def test_classical_determinism(tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from fluxramp import classical as cl
 from fluxramp import reduced as rd
 from fluxramp.errors import (
+    WORKING_SET_BUDGET,
     DenominatorVanishes,
     NoConvergence,
     NoOverlap,
@@ -91,14 +92,15 @@ def test_config_validation():
 
 
 def test_config_quadrature_node_budget():
-    # the residual grid has RESIDUAL_REFINE * ceil(s_max / panel_width) panels
-    # of quad_nodes + RESIDUAL_EXTRA_ORDER nodes; a config is built right at
-    # the budget and refused one panel above it, before any work
-    per_panel = rd.RESIDUAL_REFINE * (6 + rd.RESIDUAL_EXTRA_ORDER)
-    s_max = rd.MAX_QUAD_NODES // per_panel * 0.25
-    assert rd.IntegralEqConfig(s_max=s_max).residual_nodes(0.0) == rd.MAX_QUAD_NODES
-    with pytest.raises(ValidationError, match="budget"):
-        rd.IntegralEqConfig(s_max=s_max + 0.25)
+    # the residual grid has RESIDUAL_REFINE * ceil(s_max / PANEL_WIDTH) panels
+    # of QUAD_NODES + RESIDUAL_EXTRA_ORDER nodes, BYTES_PER_NODE each; the
+    # largest admitted s_max is the README figure, and the next double above
+    # it, which needs one more panel, is refused before any work
+    s_max = 65536.0
+    nodes = rd.IntegralEqConfig(s_max=s_max).residual_nodes(0.0)
+    assert rd.BYTES_PER_NODE * nodes <= WORKING_SET_BUDGET
+    with pytest.raises(ValidationError, match="working-set budget"):
+        rd.IntegralEqConfig(s_max=np.nextafter(s_max, np.inf))
     with pytest.raises(ValidationError, match="inf residual"):
         rd.IntegralEqConfig(s_max=1e308)
 
@@ -126,8 +128,9 @@ def test_picard_contraction_monotone():
         assert np.all(np.diff(sol.deltas[2:]) < 0.0), (c1, c2, phi)
 
 
-def test_picard_no_convergence_raises():
-    cfg = rd.IntegralEqConfig(s_max=150.0, picard_tol=1e-10, max_iters=2)
+def test_picard_no_convergence_raises(monkeypatch):
+    monkeypatch.setattr(rd, "MAX_ITERS", 2)
+    cfg = rd.IntegralEqConfig(s_max=150.0, picard_tol=1e-10)
     with pytest.raises(NoConvergence) as err:
         rd.picard_solve(cfg, PHI, 10.0)
     assert err.value.iterations == 2

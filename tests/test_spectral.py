@@ -69,16 +69,17 @@ def test_oscillator_limit_eigenvalues():
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
-def test_fd_oracle_agreement(s):
+def test_fd_oracle_agreement(s, monkeypatch):
+    monkeypatch.setattr(sp, "FD_CELLS", 8000)
     par = sp.SectorParams(s=s, N=16)
     fam = sp.analytic_spectrum(par)
-    fd = sp.fd_spectrum(par, m_cells=8000)
+    fd = sp.fd_spectrum(par)
     half = slice(0, 8)
     assert np.max(np.abs(fd.energies[half] - fam.energies[half])) <= 1e-6
     assert np.min(fd.overlaps_with_analytic(fam)[half]) >= 1.0 - 1e-6
 
 
-def test_fd_three_level_richardson_is_fourth_order():
+def test_fd_three_level_richardson_is_fourth_order(monkeypatch):
     # the raw error is c2 h^2 + c4 h^4 + ...: the two-level values R
     # remove h^2 and fall 16x per halving, and the three-level value
     # removes h^4 as well; grids coarse enough to stay far above the
@@ -91,8 +92,9 @@ def test_fd_three_level_richardson_is_fourth_order():
              for coarse, fine in zip(e, e[1:])]
     for coarse, fine in zip(err_r, err_r[1:]):
         assert 12.0 <= coarse / fine <= 20.0
-    err_three = np.max(np.abs(sp.fd_spectrum(sp.SectorParams(s=s, N=n), r_max=r_max,
-                                             m_cells=m).energies - exact))
+    monkeypatch.setattr(sp, "FD_CELLS", m)
+    err_three = np.max(np.abs(sp.fd_spectrum(sp.SectorParams(s=s, N=n),
+                                             r_max=r_max).energies - exact))
     assert err_three <= 1e-2 * min(err_r[0], err_r[1])
 
 
@@ -103,11 +105,12 @@ def test_fd_half_solve_matches_full_solve_on_same_grid():
     # LAPACK stop at ulp * ||T||_1 moved them by 4.8e-9 here)
     s, n = 0.5, 16
     r_max = sp.fd_r_max(s, n)
-    full = sp.fd_spectrum(sp.SectorParams(s=s, N=n), m_cells=12000)
-    half = sp.fd_spectrum(sp.SectorParams(s=s, N=n // 2), r_max=r_max, m_cells=12000)
+    full = sp.fd_spectrum(sp.SectorParams(s=s, N=n))
+    half = sp.fd_spectrum(sp.SectorParams(s=s, N=n // 2), r_max=r_max)
     assert half.energies.shape == (n // 2,)
     assert np.max(np.abs(half.energies - full.energies[: n // 2])) <= 1e-9
-    assert np.max(np.abs(half.energies_coarse - full.energies_coarse[: n // 2])) <= 1e-9
+    coarse_half, coarse_full = (sp._fd_solve(s, k, r_max, sp.FD_CELLS) for k in (n // 2, n))
+    assert np.max(np.abs(coarse_half - coarse_full[: n // 2])) <= 1e-9
     assert np.array_equal(half.r, full.r)
 
 
@@ -115,12 +118,9 @@ def test_fd_half_solve_matches_full_solve_on_same_grid():
 def test_fd_values_only_coarse_solve_is_bit_identical(s):
     # the bisected grids need no vectors: stebz gives the same bits whether
     # or not eigh_tridiagonal goes on to inverse iteration
-    par = sp.SectorParams(s=s, N=6)
-    fd = sp.fd_spectrum(par, m_cells=6000)
     diag, lower = sp._fd_operator(s, sp.fd_r_max(s, 6), 6000)[:2]
     with_vectors = eigh_tridiagonal(diag, lower, select="i", select_range=(0, 5),
                                     tol=sp.FD_BISECTION_TOL)[0]
-    assert np.array_equal(fd.energies_coarse, with_vectors)
     assert np.array_equal(sp._fd_solve(s, 6, sp.fd_r_max(s, 6), 6000), with_vectors)
 
 
@@ -151,9 +151,10 @@ def _stein_replaced(monkeypatch, make):
 
 
 def test_fd_refine_unconverged_modes_raise_no_convergence(monkeypatch):
+    monkeypatch.setattr(sp, "FD_CELLS", 2000)
     _stein_replaced(monkeypatch, lambda real: lambda *a: (real(*a)[0], 2))
     with pytest.raises(NoConvergence, match="2 of 4 oracle modes unconverged"):
-        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), m_cells=2000)
+        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4))
 
 
 @pytest.mark.parametrize("fault", ["reversed", "next_level"])
@@ -165,9 +166,10 @@ def test_fd_refine_modes_off_their_shifts_raise_grid_too_coarse(monkeypatch, fau
             return lambda d, e, w, *rest: (real(d, e, w, *rest)[0][:, ::-1], 0)
         return lambda d, e, w, *rest: real(d, e, w + 2.0, *rest)
 
+    monkeypatch.setattr(sp, "FD_CELLS", 2000)
     _stein_replaced(monkeypatch, make)
     with pytest.raises(GridTooCoarse, match="Richardson shifts"):
-        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), m_cells=2000)
+        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4))
 
 
 def test_fd_refine_rejects_shifts_out_of_order():
@@ -177,9 +179,9 @@ def test_fd_refine_rejects_shifts_out_of_order():
         sp._fd_refine(0.5, sp.fd_r_max(0.5, 4), 2000, np.array([4.0, 2.0]))
 
 
-def test_fd_overlaps_need_the_solved_levels():
-    fd = sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), r_max=sp.fd_r_max(0.5, 8),
-                        m_cells=4000)
+def test_fd_overlaps_need_the_solved_levels(monkeypatch):
+    monkeypatch.setattr(sp, "FD_CELLS", 4000)
+    fd = sp.fd_spectrum(sp.SectorParams(s=0.5, N=4), r_max=sp.fd_r_max(0.5, 8))
     wide = sp.analytic_spectrum(sp.SectorParams(s=0.5, N=8))
     narrow = sp.analytic_spectrum(sp.SectorParams(s=0.5, N=3))
     assert np.min(fd.overlaps_with_analytic(wide)) >= 1.0 - 1e-5
@@ -189,20 +191,18 @@ def test_fd_overlaps_need_the_solved_levels():
 
 
 def test_fd_refinement_check_passes_on_fine_grid(monkeypatch):
-    # the h/8 rung is refined like the h/4 one, from the shifts of (h/2, h/4)
-    refined = []
-    real = sp._fd_refine
-
-    def spy(s, r_max, m_cells, shifts):
-        refined.append(m_cells)
-        return real(s, r_max, m_cells, shifts)
-
-    monkeypatch.setattr(sp, "_fd_refine", spy)
-    par = sp.SectorParams(s=0.5, N=6)
-    fd = sp.fd_spectrum(par, m_cells=6000, check_refinement=True)
+    # an h/8 rung, refined like the h/4 one from the shifts of (h/2, h/4),
+    # moves the three-level value by at most 1e-6
+    monkeypatch.setattr(sp, "FD_CELLS", 6000)
+    s, n = 0.5, 6
+    r_max = sp.fd_r_max(s, n)
+    fd = sp.fd_spectrum(sp.SectorParams(s=s, N=n))
     assert fd.energies.shape == (6,)
-    assert refined == [24000, 48000]
     assert fd.r.size == 24000
+    e_h, e_h2 = (sp._fd_solve(s, n, r_max, cells) for cells in (6000, 12000))
+    e_h4 = sp._fd_refine(s, r_max, 24000, (4.0 * e_h2 - e_h) / 3.0)[0]
+    e_h8 = sp._fd_refine(s, r_max, 48000, (4.0 * e_h4 - e_h2) / 3.0)[0]
+    assert np.max(np.abs(sp._richardson(e_h2, e_h4, e_h8) - fd.energies)) <= 1e-6
 
 
 def test_coupling_against_extended_precision_oracle():
