@@ -37,8 +37,6 @@ import numpy as np
 from .errors import GridTooCoarse, StepFailure, ValidationError, check_working_set
 from .spectral import pi_matrix
 
-DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
-
 # Most Filon/Magnus panels one epsilon may walk (AdiabaticConfig.panels):
 # a panel costs about 0.17 ms at 4 levels and 1.4 ms at 64 on one core, so
 # the budget is about 17 s (4 levels) to 2.5 min (64 levels) per epsilon.
@@ -67,7 +65,6 @@ class AdiabaticConfig:
     n_samples: int = 41
     N: int = 64
     panel_max: float = 0.01
-    force_zero_coupling: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
@@ -80,6 +77,13 @@ class AdiabaticConfig:
             raise ValidationError("need at least two levels")
         check_working_set(16 * N2_ARRAYS * self.N ** 2 + BYTES_PER_SAMPLE * self.n_samples,
                           f"{self.N} levels and {self.n_samples} samples")
+        # the budget comes first: it bounds the spacing from above, so the
+        # square below cannot overflow
+        if self.panels > MAX_PANELS:
+            raise ValidationError(f"epsilon {self.epsilon:g} up to s_end {self.s_end:g} "
+                                  f"over {self.n_samples} samples needs "
+                                  f"{self.panels:.3g} panels, above the budget of "
+                                  f"{MAX_PANELS}")
         # a panel's quadratic Filon coefficient divides by 2 c^2, with c the
         # panel half-width (at most half the sample spacing); once c^2 is
         # subnormal the rounding noise over it overflows, and inf times the
@@ -88,11 +92,6 @@ class AdiabaticConfig:
         if not (0.5 * spacing) ** 2 >= np.finfo(float).tiny:
             raise ValidationError(f"sample spacing {spacing:.3g} is too fine: the "
                                   f"squared panel half-width is not a normal double")
-        if self.panels > MAX_PANELS:
-            raise ValidationError(f"epsilon {self.epsilon:g} up to s_end {self.s_end:g} "
-                                  f"over {self.n_samples} samples needs "
-                                  f"{self.panels:.3g} panels, above the budget of "
-                                  f"{MAX_PANELS}")
 
     @property
     def panel_width(self):
@@ -135,13 +134,6 @@ def phase_integrals(s, N, epsilon):
 def _u_ad(s, N, epsilon):
     """U_ad(s) = diag exp(-i Theta_n(s)/eps), the adiabatic propagator."""
     return np.diag(np.exp(-1j * phase_integrals(s, N, epsilon)))
-
-
-def _pi_at(config, s):
-    """Coupling Pi(s) on the truncation, or zero under the test hook."""
-    if config.force_zero_coupling:
-        return np.zeros((config.N, config.N), dtype=complex)
-    return pi_matrix(s, config.N)
 
 
 class _FilonPanels:
@@ -203,7 +195,7 @@ class _FilonPanels:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_iw_d = np.where(omega_d != 0.0, 1.0 / (1j * omega_d), 0.0)
         inv_iw = inv_iw_d[by_d]
-        pi_right = _pi_at(self.config, self.intervals[0][0])
+        pi_right = pi_matrix(self.intervals[0][0], self.config.N)
         for edges in self.intervals:
             c = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
             m0, m1, m2 = (m[by_d] for m in self._moments(omega_d, c))
@@ -213,8 +205,8 @@ class _FilonPanels:
                     continue
                 mid = 0.5 * (a + b)
                 pa = pi_right
-                pm = _pi_at(self.config, mid)
-                pb = _pi_at(self.config, b)
+                pm = pi_matrix(mid, self.config.N)
+                pb = pi_matrix(b, self.config.N)
                 pi_right = pb
                 beta = (pb - pa) / (2.0 * c)
                 gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
@@ -316,8 +308,7 @@ class SweepResult:
     panels: np.ndarray              # (n_eps,) Filon/Magnus panels walked
 
 
-def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
-              force_zero_coupling=False):
+def run_sweep(epsilons, s_end, N, n_samples):
     """Full epsilon sweep with fitted scaling exponents at s_end.
 
     The three tracked quantities are ||I(s)||, ||C - id|| and
@@ -330,8 +321,7 @@ def run_sweep(epsilons=DEFAULT_EPSILONS, s_end=2.0, N=64, n_samples=41,
         raise ValidationError(f"epsilons must be distinct, got {list(epsilons)!r}")
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     # every epsilon is validated (panel budget included) before any walk
-    configs = [AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples,
-                               N=N, force_zero_coupling=force_zero_coupling)
+    configs = [AdiabaticConfig(epsilon=float(eps), s_end=s_end, n_samples=n_samples, N=N)
                for eps in epsilons]
     nt, nc, nw, ud, panels = [], [], [], [], []
     s_grid = None

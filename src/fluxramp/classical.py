@@ -42,6 +42,13 @@ R_GUARD = 1e-8
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 
+# Longest span |s_end - s_start| one run may integrate.  On one core a step
+# takes 25-40 us; forward runs take about 1 step per unit s at tol 1e-6 and
+# 7 at 1e-13, backward runs 2 and 14-18 (to -1e3 and -1e4); if those rates
+# hold out to 1e6, the budget holds a run to roughly 40 s to 10 min.  The
+# README and benchmark runs span at most 1e4.
+MAX_SPAN = 1e6
+
 # the regimes the analyses measure: the outgoing drift once the trajectory
 # ends at s >= FORWARD_S_MIN (also the reduced study's constant extraction),
 # the bound-center past once it reaches below BACKWARD_S_MAX, and the
@@ -152,7 +159,8 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
     ``samples`` may be an int (uniform sample count >= 2, default 513) or
     an explicit array of times inside the span, strictly monotone in the
     direction of integration; more samples than the working-set budget
-    admits (about 2.7 million) raise ValidationError.  Raises PunctureHit
+    admits (about 2.7 million), or a span |s_end - initial.s| above
+    MAX_SPAN, raise ValidationError.  Raises PunctureHit
     (with the partial trajectory attached) if |q| reaches the guard
     radius R_GUARD, StepFailure on integrator breakdown.
     """
@@ -162,6 +170,9 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
     s_end = float(s_end)
     if not np.isfinite(s_end):
         raise ValidationError(f"s_end must be finite, got {s_end!r}")
+    if abs(s_end - s0) > MAX_SPAN:
+        raise ValidationError(f"the span from s = {s0:g} to {s_end:g} is longer than "
+                              f"the budget of {MAX_SPAN:g}")
     with np.errstate(over="ignore"):
         if not np.isfinite(hamiltonian(initial, params)):
             raise ValidationError("the initial energy H = |p - a|^2/2 overflows a double")

@@ -222,8 +222,7 @@ def cmd_reduced(args):
     config = reduced.IntegralEqConfig(s_max=args.s_max, c1=args.c1, c2=args.c2,
                                       picard_tol=args.picard_tol)
     try:
-        sol = reduced.picard_solve(config, args.phi, args.s_start,
-                                   force_zero_f=args.force_zero_f)
+        sol = reduced.picard_solve(config, args.phi, args.s_start)
     except NoConvergence as exc:
         print(f"no convergence: {exc} (iterations={exc.iterations}, "
               f"last delta={exc.last_delta})", file=sys.stderr)
@@ -239,7 +238,7 @@ def cmd_reduced(args):
                "diagnostics": {"picard_deltas": sol.deltas.tolist(),
                                "quad_nodes": sol.grid.size,
                                "residual_nodes": config.residual_nodes(sol.s_start)}}
-    if config.s_max >= classical.FORWARD_S_MIN and not args.force_zero_f:
+    if config.s_max >= classical.FORWARD_S_MIN:
         ext = reduced.extract_constants(sol)
         summary.update(c1_fit=ext.c1, c2_fit=ext.c2, a0=ext.a0,
                        H_limit=ext.H_limit,
@@ -372,8 +371,7 @@ def cmd_adiabatic(args):
     if not epsilons:
         raise ValidationError("--epsilons needs at least one value")
     res = adiabatic.run_sweep(epsilons=epsilons, s_end=args.s_end, N=args.levels,
-                              n_samples=args.samples,
-                              force_zero_coupling=args.force_zero_coupling)
+                              n_samples=args.samples)
     n_eps, n_s = res.norm_twisted.shape
     _write_csv(args.out + ".csv",
                ["epsilon", "s", "norm_I", "norm_C_minus_id",
@@ -388,7 +386,7 @@ def cmd_adiabatic(args):
                "unitarity_defect_max": float(res.unitarity_defect.max()),
                "diagnostics": {"filon_panels": res.panels.tolist()}}
     ok = True
-    if res.exponents is not None and not args.force_zero_coupling:
+    if res.exponents is not None:
         for value in res.exponents.values():
             ok = ok and (window[0] <= value <= window[1])
     summary["pass"] = bool(ok)
@@ -461,7 +459,6 @@ def build_parser():
     option("--s-start", float, 10.0)
     option("--s-max", float, 150.0)
     option("--picard-tol", float, 1e-8)
-    option("--force-zero-f", _switch, False, help="test hook: drop the nonlinearity")
     option("--crosscheck", _switch, False,
            help="also compare against direct ODE and flow integration")
     option("--out")
@@ -477,8 +474,6 @@ def build_parser():
     option("--epsilons", str, "0.2,0.1,0.05,0.025")
     option("--levels", int, 64)
     option("--samples", int, 41)
-    option("--force-zero-coupling", _switch, False,
-           help="test hook: drop the coupling operator")
     option("--out")
     return parser
 

@@ -151,7 +151,8 @@ class IntegralEqConfig:
 
 
 def f_nonlinearity(s, x1, x2, phi):
-    """The nonlinearity F; raises DenominatorVanishes outside its region.
+    """The nonlinearity F; raises DenominatorVanishes outside its region and
+    ValidationError where x1^2 + (x2-phi)^2 + phi^2 s^2 overflows a double.
 
     Plain floats (the ODE right-hand side, once per stage) take a
     plain-float path, anything else the array path; one formula serves
@@ -172,6 +173,8 @@ def f_nonlinearity(s, x1, x2, phi):
     if any_(s <= 0):
         raise ValidationError("F is defined for s > 0")
     root = sqrt(x1 * x1 + (x2 - phi) ** 2 + (phi * s) ** 2)
+    if any_(root == math.inf):
+        raise ValidationError("x1^2 + (x2-phi)^2 + phi^2 s^2 in F overflows a double")
     denom = root + x1
     if any_(denom <= _DENOM_FLOOR * (1.0 + root)):
         raise DenominatorVanishes("sqrt(x1^2+(x2-phi)^2+phi^2 s^2) + x1 vanished")
@@ -192,7 +195,6 @@ class ReducedSolution:
     iterations: int
     deltas: np.ndarray        # sup-norm distance between successive iterates
     tail_estimate: float
-    forced_zero_f: bool = False
 
     def spline(self):
         from scipy.interpolate import CubicSpline
@@ -271,14 +273,14 @@ class _IntegralMap:
                                              np.abs(j1) + np.abs(y1)))
 
 
-def picard_solve(config, phi, s_start, force_zero_f=False):
+def picard_solve(config, phi, s_start):
     """Iterate the truncated integral equations to their fixed point.
 
     The initial iterate is the homogeneous part.  Convergence is measured
     in the sup norm on the quadrature grid; NoConvergence carries the last
     contraction figures, and a sweep whose delta is not finite stops the
-    iteration at once with StepFailure.  ``force_zero_f`` replaces F by
-    zero (test hook: the fixed point is then the homogeneous part itself).
+    iteration at once with StepFailure.  Inputs whose F overflows (on the
+    homogeneous part, before any quadrature) raise ValidationError.
     """
     if not np.isfinite(s_start) or s_start <= 0:
         raise ValidationError(f"s_start must be positive, got {s_start!r}")
@@ -289,26 +291,28 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
 
     quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start), QUAD_NODES)
     s = quad.nodes
-    imap = _IntegralMap(s, config.c1, config.c2)
-    j1, y1 = imap.j[1], imap.y[1]
-
-    x1, x2 = imap.hom
     deltas = []
     converged = False
-    for _ in range(MAX_ITERS):
-        if force_zero_f:
-            f = np.zeros_like(s)
-        else:
-            f = f_nonlinearity(s, x1, x2, phi)
-        new1, new2 = imap(quad.right_tails(j1 * f), quad.right_tails(y1 * f))
-        delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
-        deltas.append(delta)
-        if not np.isfinite(delta):
-            raise StepFailure(f"Picard sweep {len(deltas)} gave a non-finite delta")
-        x1, x2 = new1, new2
-        if delta <= config.picard_tol:
-            converged = True
-            break
+    # an overflow is raised below (by F or as a non-finite delta), not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        imap = _IntegralMap(s, config.c1, config.c2)
+        j1, y1 = imap.j[1], imap.y[1]
+        x1, x2 = imap.hom
+        for _ in range(MAX_ITERS):
+            try:
+                f = f_nonlinearity(s, x1, x2, phi)
+            except ValidationError as exc:
+                raise ValidationError(f"{exc} at phi {phi:g}, c1 {config.c1:g} and "
+                                      f"c2 {config.c2:g}") from None
+            new1, new2 = imap(quad.right_tails(j1 * f), quad.right_tails(y1 * f))
+            delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
+            deltas.append(delta)
+            if not np.isfinite(delta):
+                raise StepFailure(f"Picard sweep {len(deltas)} gave a non-finite delta")
+            x1, x2 = new1, new2
+            if delta <= config.picard_tol:
+                converged = True
+                break
     if not converged:
         raise NoConvergence("Picard iteration did not reach tolerance",
                             iterations=len(deltas), last_delta=deltas[-1])
@@ -324,8 +328,7 @@ def picard_solve(config, phi, s_start, force_zero_f=False):
 
     return ReducedSolution(phi=phi, config=config, s_start=float(s_start),
                            grid=s, x1=x1, x2=x2, iterations=len(deltas),
-                           deltas=np.asarray(deltas), tail_estimate=tail_estimate,
-                           forced_zero_f=force_zero_f)
+                           deltas=np.asarray(deltas), tail_estimate=tail_estimate)
 
 
 def residual(solution):
@@ -342,10 +345,7 @@ def residual(solution):
                             QUAD_NODES + RESIDUAL_EXTRA_ORDER)
     sp1, sp2 = solution.spline()
     tau = quad.nodes
-    if solution.forced_zero_f:
-        f = np.zeros_like(tau)
-    else:
-        f = f_nonlinearity(tau, sp1(tau), sp2(tau), solution.phi)
+    f = f_nonlinearity(tau, sp1(tau), sp2(tau), solution.phi)
     stj = CubicSpline(tau, quad.right_tails(bessel_j(1, tau) * f))
     sty = CubicSpline(tau, quad.right_tails(bessel_y(1, tau) * f))
     rhs1, rhs2 = _IntegralMap(s, cfg.c1, cfg.c2)(stj(s), sty(s))
@@ -358,18 +358,11 @@ def ode_rhs(s, x, phi):
     return (x[0] / s - x[1] + f, x[0])
 
 
-def _homogeneous_rhs(s, x):
-    return (x[0] / s - x[1], x[0])
-
-
-def integrate_ode(phi, s_span, x0, t_eval, force_zero_f=False):
+def integrate_ode(phi, s_span, x0, t_eval):
     """Integrate the reduced system directly with an adaptive RK method at
     the tolerance ODE_TOL."""
-    if force_zero_f:
-        sol = solve_ivp(_homogeneous_rhs, s_span, x0, ODE_TOL, ODE_TOL * 1e-2, t_eval)
-    else:
-        sol = solve_ivp(ode_rhs, s_span, x0, ODE_TOL, ODE_TOL * 1e-2, t_eval,
-                        args=(phi,))
+    sol = solve_ivp(ode_rhs, s_span, x0, ODE_TOL, ODE_TOL * 1e-2, t_eval,
+                    args=(phi,))
     if sol.status < 0:
         raise NoConvergence(f"reduced ODE integration failed: {sol.message}")
     return sol.t, sol.y[0], sol.y[1]
@@ -426,8 +419,7 @@ def crosscheck_ode(solution, trajectory=None, window=None):
             raise NoOverlap("comparison window misses the solution grid")
         s_cmp = s_grid[mask]
         _, o1, o2 = integrate_ode(solution.phi, (s_grid[0], s_cmp[-1]),
-                                  (solution.x1[0], solution.x2[0]), s_cmp,
-                                  force_zero_f=solution.forced_zero_f)
+                                  (solution.x1[0], solution.x2[0]), s_cmp)
         dev = max(np.max(np.abs(o1 - sp1(s_cmp))), np.max(np.abs(o2 - sp2(s_cmp))))
         return float(dev)
     if trajectory.params.phi != solution.phi:

@@ -3,7 +3,9 @@
 Mode evaluation, an exact Gauss-type quadrature for mode overlaps, the
 running-maximum table of coupling norms, the Bessel kernel factor,
 homogeneous part and homogeneous-constant match of the reduced equations,
-and the finite-difference residuals of the adiabatic generator identities.
+a zero nonlinearity and a zero coupling for the exactly solvable limits
+of ``reduced`` and ``adiabatic``, and the finite-difference residuals of
+the adiabatic generator identities.
 The package computes none of these on a CLI path; the tests use them as
 independent checks of ``spectral``, ``reduced`` and ``adiabatic``.
 """
@@ -97,6 +99,19 @@ def homogeneous(j, s, c1, c2):
     return c1 * s * reduced.bessel_j(j - 1, s) + c2 * s * reduced.bessel_y(j - 1, s)
 
 
+def zero_f(s, x1, x2, phi):
+    """F = 0 in place of ``reduced.f_nonlinearity``: the fixed point of the
+    integral equations is then their homogeneous part.  Zeros shaped like
+    ``s`` for array input, 0.0 for a float, as the ODE right-hand side
+    passes."""
+    return np.zeros_like(s) if isinstance(s, np.ndarray) else 0.0
+
+
+def zero_pi(s, N):
+    """Pi = 0 in place of ``adiabatic.pi_matrix``: the corrector is then C = id."""
+    return np.zeros((N, N), dtype=complex)
+
+
 def residual_generator_check(config, probes=None, delta=1e-6):
     """Finite-difference residuals of the generator identities.
 
@@ -118,7 +133,7 @@ def residual_generator_check(config, probes=None, delta=1e-6):
     corrector = {s: c for s, _, c in adiabatic._propagate(walk)}
     res_ad, res_w = [], []
     for s in probes:
-        pim = adiabatic._pi_at(config, s)
+        pim = adiabatic.pi_matrix(s, config.N)
         h = np.diag((2.0 * n + 2.0 * s + 1.0).astype(complex))
         up, um, u0 = (adiabatic._u_ad(t, config.N, eps) for t in (s + delta, s - delta, s))
         cp, cm, c0 = corrector[s + delta], corrector[s - delta], corrector[s]

@@ -107,8 +107,9 @@ def test_u_ad_composition():
     assert np.max(np.abs(full - comp)) <= 1e-9
 
 
-def test_zero_coupling_hooks():
-    c = cfg(0.1, force_zero_coupling=True)
+def test_zero_coupling_hooks(monkeypatch):
+    monkeypatch.setattr(ad, "pi_matrix", ref.zero_pi)
+    c = cfg(0.1)
     mats, norms = ad.twisted_coupling_integral(c, check_refinement=False)
     assert norms.max() == 0.0
     for m in ad.dyson_corrector(c):

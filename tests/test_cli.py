@@ -1,10 +1,16 @@
 """Front-end contract: flags, files, exit codes, determinism, round trips."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import signal
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxramp import adiabatic, classical, cli, reduced, spectral
 
@@ -103,6 +109,31 @@ def test_classical_analysis_follows_the_trajectory(tmp_path, span, skipped):
     assert summary["slope"] is not None
 
 
+CLASSICAL_KEYS = {"phi", "s_start", "s_end", "tol", "puncture_hit", "s_hit", "s0",
+                  "slope", "K_drift", "a0", "drift_angle", "H_limit", "angle_residual",
+                  "diagnostics"}
+
+
+@pytest.mark.parametrize("s_end, forward, backward", [
+    ("2000", True, False),
+    ("-1000", False, True),
+    ("-100", False, False),
+])
+def test_classical_json_key_set(tmp_path, s_end, forward, backward):
+    # the README's contract: the forward keys are always present (null below
+    # FORWARD_S_MIN), the two backward keys only once the run reaches below
+    # BACKWARD_S_MAX
+    out = str(tmp_path / "keys")
+    assert run(["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
+                f"--s-end={s_end}", "--out", out]) == 0
+    summary = read_json(out + ".json")
+    assert set(summary) == CLASSICAL_KEYS | (
+        {"H_over_abs_s", "q_over_sqrt_abs_s"} if backward else set())
+    nulls = {summary[key] is None for key in ("a0", "drift_angle", "H_limit",
+                                              "angle_residual")}
+    assert nulls == {not forward}
+
+
 def test_classical_determinism(tmp_path):
     args = ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6",
             "--s-end", "10", "--samples", "101"]
@@ -113,10 +144,10 @@ def test_classical_determinism(tmp_path):
     assert open(out1 + ".json", "rb").read() == open(out2 + ".json", "rb").read()
 
 
-def test_reduced_forced_zero_f(tmp_path):
+def test_reduced_forced_zero_f(tmp_path, monkeypatch):
+    monkeypatch.setattr(reduced, "f_nonlinearity", ref.zero_f)
     out = str(tmp_path / "red0")
-    code = run(["reduced", "--phi", "0.5", "--c1", "1", "--c2", "-2",
-                "--force-zero-f", "--out", out])
+    code = run(["reduced", "--phi", "0.5", "--c1", "1", "--c2", "-2", "--out", out])
     assert code == 0
     header, rows = read_csv(out + ".csv")
     assert header == ["s", "x1", "x2", "residual1", "residual2"]
@@ -190,6 +221,15 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["spectral", "--s", "1", "--levels", "1" + "0" * 40, "--check", "gamma"],
     ["adiabatic", "--levels", "100000"],
     ["adiabatic", "--levels", "4", "--samples", "100000000"],
+    # the panel budget is tested before the squared sample spacing overflows
+    ["adiabatic", "--levels", "4", "--epsilons", "0.1", "--s-end", "1e300"],
+    ["adiabatic", "--levels", "4", "--epsilons", "0.1", "--s-end", "1e200",
+     "--samples", "2"],
+    # spans above classical.MAX_SPAN, which would integrate for hours or forever
+    ["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9", "--s-end", "1e18"],
+    ["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9", "--s-end=-1e300"],
+    ["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
+     "--s-start", "1e18", "--s-end", "0"],
     ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6", "--s-end", "5",
      "--samples", "100000000"],
     # every sample interval takes a panel: 100001 intervals, 200 panel widths
@@ -315,17 +355,21 @@ def test_spectral_oracle_passes_just_below_double_range_limit(tmp_path):
     assert oracle["pass"] is True
 
 
-def test_adiabatic_zero_coupling_and_single_epsilon(tmp_path):
-    out = str(tmp_path / "ad0")
-    code = run(["adiabatic", "--epsilons", "0.2,0.1", "--levels", "8",
-                "--samples", "6", "--force-zero-coupling", "--out", out])
-    assert code == 0
+def test_adiabatic_zero_coupling_and_single_epsilon(tmp_path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(adiabatic, "pi_matrix", ref.zero_pi)
+        out = str(tmp_path / "ad0")
+        code = run(["adiabatic", "--epsilons", "0.2,0.1", "--levels", "8",
+                    "--samples", "6", "--out", out])
+    # no exponent can be fitted to zero norms: the NaN exponents fail the
+    # window, and the JSON writes them as null, not NaN
+    assert code == 5
     _, rows = read_csv(out + ".csv")
     assert np.max(np.abs(rows[:, 2:5])) == 0.0
-    # no exponent can be fitted to zero norms: null, not NaN
-    exponents = read_json(out + ".json")["exponents"]
-    assert exponents == dict.fromkeys(
+    summary = read_json(out + ".json")
+    assert summary["exponents"] == dict.fromkeys(
         ("twisted_integral", "corrector_minus_id", "uw_minus_uad"))
+    assert summary["pass"] is False
     out = str(tmp_path / "ad1")
     code = run(["adiabatic", "--epsilons", "0.1", "--levels", "8",
                 "--samples", "6", "--out", out])
@@ -395,6 +439,27 @@ def test_spectral_coupling_check_past_running_product_underflow(tmp_path, capsys
     # the envelope factor overflows: null, not Infinity
     assert coupling["envelope_min"] is None
     assert np.all(np.isfinite(coupling["norms"])) and coupling["pass"] is False
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [["--phi", "1e300"],
+                                    ["--phi", "0.5", "--c1", "1e300"],
+                                    ["--phi", "0.5", "--c2=-1e300"]])
+def test_reduced_overflowing_nonlinearity_is_a_validation_error(tmp_path, monkeypatch,
+                                                                capsys, values):
+    # F's root overflows on the homogeneous part: refused before the first
+    # Picard sweep's quadrature, in one line naming the inputs, no warning
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Picard sweep started")
+
+    monkeypatch.setattr(reduced._PanelQuadrature, "right_tails", unreachable)
+    out = str(tmp_path / "huge")
+    code = run(["reduced", *values, "--s-max", "120", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+    assert "overflows" in err and "phi" in err and "c1" in err and "c2" in err
+    assert not (tmp_path / "huge.csv").exists()
 
 
 def test_reduced_non_finite_delta_exit(tmp_path, monkeypatch, capsys):
@@ -507,3 +572,57 @@ def test_csv_writer_matches_per_value_format(tmp_path, n_rows):
     lines = ["a,b,c,d"] + [",".join(f"{float(v):.17g}" for v in row)
                            for row in zip(*columns)]
     assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
+# Fuzz: small valid runs of the four studies with one numeric option set to
+# an extreme.  Each extreme is refused by a validator or runs cheaply (all
+# 153 cases together take about 2 s on one core); a run that reaches the
+# time limit is a hang.
+FUZZ_EXTREMES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e18", "5e-324", "0", "-1")
+FUZZ_RUNS = [
+    (["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
+      "--s-end", "5", "--samples", "33"],
+     ["--phi", "--s-start", "--s-end", "--tol", "--samples"]),
+    (["reduced", "--phi", "0.5", "--s-max", "120"],
+     ["--phi", "--c1", "--c2", "--s-start", "--s-max", "--picard-tol"]),
+    (["spectral", "--s", "0.5", "--levels", "4"], ["--s", "--levels"]),
+    (["adiabatic", "--levels", "4", "--epsilons", "0.2,0.1", "--samples", "5",
+      "--s-end", "0.5"],
+     ["--s-end", "--epsilons", "--levels", "--samples"]),
+]
+FUZZ_TIME_LIMIT = 10.0
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the run took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv, options", FUZZ_RUNS, ids=[argv[0] for argv, _ in FUZZ_RUNS])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_one_extreme_option(tmp_path_factory, argv, options, data):
+    option = data.draw(st.sampled_from(options))
+    value = data.draw(st.sampled_from(FUZZ_EXTREMES))
+    if option in argv:
+        at = argv.index(option)
+        argv = argv[:at] + argv[at + 2:]
+    argv = argv + [f"{option}={value}", "--out", str(tmp_path_factory.mktemp("fuzz") / "x")]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), time_limit(FUZZ_TIME_LIMIT):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code in range(6)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

@@ -105,18 +105,20 @@ def test_config_quadrature_node_budget():
         rd.IntegralEqConfig(s_max=1e308)
 
 
-def test_forced_zero_f_gives_homogeneous():
+def test_forced_zero_f_gives_homogeneous(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=120.0, c1=1.0, c2=-2.0)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     assert sol.iterations == 1
     assert_allclose(sol.x1, ref.homogeneous(1, sol.grid, 1.0, -2.0), atol=0)
     assert_allclose(sol.x2, ref.homogeneous(2, sol.grid, 1.0, -2.0), atol=0)
     assert sol.tail_estimate == 0.0
 
 
-def test_zero_constants_zero_solution():
+def test_zero_constants_zero_solution(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=120.0, c1=0.0, c2=0.0)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     assert np.all(sol.x1 == 0.0) and np.all(sol.x2 == 0.0)
 
 
@@ -163,9 +165,10 @@ def test_kernel_wronskian_at_coincidence():
     assert_allclose(ref.kernel_factor(2, s, s), 0.0, atol=1e-12)
 
 
-def test_crosscheck_ode_forced_homogeneous():
+def test_crosscheck_ode_forced_homogeneous(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=120.0, c1=1.0, c2=-0.5)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     dev = rd.crosscheck_ode(sol)
     assert dev < 1e-8
 
@@ -194,9 +197,10 @@ def test_crosscheck_against_classical_flow():
     assert dev <= 1e-6
 
 
-def test_crosscheck_no_overlap():
+def test_crosscheck_no_overlap(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=120.0)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     with pytest.raises(NoOverlap):
         rd.crosscheck_ode(sol, window=(500.0, 600.0))
 
@@ -212,8 +216,9 @@ def test_from_reduced_round_trip():
     assert_allclose([y1[0], y2[0]], [x1, x2], atol=1e-10, rtol=0)
 
 
-def test_crosscheck_rejects_trajectory_of_other_phi():
-    sol = rd.picard_solve(rd.IntegralEqConfig(s_max=120.0), PHI, 10.0, force_zero_f=True)
+def test_crosscheck_rejects_trajectory_of_other_phi(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
+    sol = rd.picard_solve(rd.IntegralEqConfig(s_max=120.0), PHI, 10.0)
     init = rd.from_reduced(sol.grid[0], sol.x1[0], sol.x2[0], 2 * PHI)
     traj = cl.integrate(init, 20.0, cl.FluxParams(2 * PHI), tol=1e-10, samples=11)
     with pytest.raises(ValidationError, match="phi"):
@@ -232,23 +237,26 @@ def test_mapped_trajectory_satisfies_reduced_ode():
     assert np.max(np.abs(spline(t[inner], 1) - x1[inner])) < 1e-5
 
 
-def test_extract_constants_planted():
+def test_extract_constants_planted(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=1000.0, c1=1.0, c2=-2.0)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     ext = rd.extract_constants(sol)
     assert_allclose([ext.c1, ext.c2], [1.0, -2.0], atol=1e-8)
 
 
-def test_extract_constants_degenerate():
+def test_extract_constants_degenerate(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=1000.0, c1=0.0, c2=0.0)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     with pytest.raises(NotConverged):
         rd.extract_constants(sol)
 
 
-def test_extract_constants_needs_long_solution():
+def test_extract_constants_needs_long_solution(monkeypatch):
+    monkeypatch.setattr(rd, "f_nonlinearity", ref.zero_f)
     cfg = rd.IntegralEqConfig(s_max=150.0)
-    sol = rd.picard_solve(cfg, PHI, 10.0, force_zero_f=True)
+    sol = rd.picard_solve(cfg, PHI, 10.0)
     with pytest.raises(ValidationError):
         rd.extract_constants(sol)
 

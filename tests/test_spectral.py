@@ -307,13 +307,13 @@ def test_pi_matrix_past_running_product_underflow(s, n):
 
 @pytest.mark.parametrize("s", [0.0, 1.3, 2e6])
 def test_pi_is_one_array(s):
-    # the closed form, the family's coupling and the propagators' Pi are
-    # one ndarray, bit for bit
+    # the closed form and the family's coupling are one ndarray, bit for
+    # bit, and the propagators call the closed form itself
     p = sp.pi_matrix(s, 16)
     assert type(p) is np.ndarray and p.shape == (16, 16)
     fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=16))
     assert np.array_equal(sp.coupling_matrix(fam), p)
-    assert np.array_equal(ad._pi_at(ad.AdiabaticConfig(epsilon=0.1, N=16), s), p)
+    assert ad.pi_matrix is sp.pi_matrix
 
 
 def test_coupling_exact_value_at_s_one():
