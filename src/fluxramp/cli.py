@@ -202,15 +202,17 @@ def cmd_classical(args):
         fit = classical.center_energy_fit(traj)
         summary["s0"] = fit.s0
         summary["slope"] = fit.slope
-    if traj.s[-1] >= classical.FORWARD_S_MIN:
-        fwd = classical.asymptotics_forward(traj)
-        summary.update(a0=fwd.a0, drift_angle=fwd.drift_angle,
-                       H_limit=fwd.H_limit, angle_residual=fwd.angle_residual)
     if np.min(traj.s) < classical.BACKWARD_S_MAX:
         bwd = classical.asymptotics_backward(traj)
         summary["H_over_abs_s"] = bwd.H_over_abs_s
         summary["q_over_sqrt_abs_s"] = bwd.q_over_sqrt_abs_s
-    _write_json(args.out + ".json", summary)
+    try:
+        if traj.s[-1] >= classical.FORWARD_S_MIN:
+            fwd = classical.asymptotics_forward(traj)
+            summary.update(a0=fwd.a0, drift_angle=fwd.drift_angle,
+                           H_limit=fwd.H_limit, angle_residual=fwd.angle_residual)
+    finally:    # also when the tail of H has not settled: forward keys stay null
+        _write_json(args.out + ".json", summary)
     return EXIT_OK
 
 

@@ -58,10 +58,13 @@ _DENOM_FLOOR = 1e-12
 QUAD_NODES = 6
 PANEL_WIDTH = 0.25
 
-# Picard sweeps before NoConvergence, and the tolerance of the reduced ODE
-# the crosscheck integrates (rtol; atol is 1e-2 of it)
+# Picard sweeps before NoConvergence, the tolerance of the reduced ODE the
+# crosscheck integrates (rtol; atol is 1e-2 of it), and the smallest s_start:
+# closer to the origin the sweep stops contracting (six fixtures at s_max 120
+# and 1000: 23-27 sweeps from 0.01, none from 0.001)
 MAX_ITERS = 80
 ODE_TOL = 1e-12
+S_START_MIN = 0.01
 
 # the residual's independent rule: this many times the panels of the solve,
 # each with this many more Gauss nodes
@@ -69,10 +72,10 @@ RESIDUAL_REFINE = 2
 RESIDUAL_EXTRA_ORDER = 2
 
 # Working set per node of the residual's grid, the largest a run builds.
-# Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by 251.0,
-# 247.0 and 246.4 bytes per residual node from X = 2500 to 5000, 10000 and
-# 20000 (159,360 to 1,279,360 nodes); the estimate is rounded up.
-BYTES_PER_NODE = 256
+# Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by 203-204,
+# 205-206 and 200-201 bytes per residual node from X = 2500 to 5000, 10000
+# and 20000 (159,360 to 1,279,360 nodes; two runs); the estimate is rounded up.
+BYTES_PER_NODE = 208
 
 # constant extraction fits the trailing half of the solution grid and
 # calls a homogeneous amplitude c1^2 + c2^2 below DEGENERATE_TOL zero
@@ -117,7 +120,7 @@ class IntegralEqConfig:
     data at infinity.  The quadrature (QUAD_NODES Gauss-Legendre nodes on
     panels of width PANEL_WIDTH) and the sweep limit MAX_ITERS are module
     constants; an s_max whose residual grid needs more than the
-    working-set budget (above s_max 65536) is refused.
+    working-set budget (above s_max 80659.5) is refused.
     """
 
     s_max: float
@@ -196,18 +199,19 @@ class ReducedSolution:
     deltas: np.ndarray        # sup-norm distance between successive iterates
     tail_estimate: float
 
-    def spline(self):
-        from scipy.interpolate import CubicSpline
-        return (CubicSpline(self.grid, self.x1), CubicSpline(self.grid, self.x2))
+    def at(self, points):
+        """(x1, x2) at ``points`` from the grid's per-panel polynomials."""
+        quad = _PanelQuadrature(self.s_start, self.config.s_max,
+                                self.config.panels(self.s_start), QUAD_NODES)
+        return quad.interpolate(self.x1, points), quad.interpolate(self.x2, points)
 
 
 class _PanelQuadrature:
     """Composite Gauss-Legendre panels with per-panel polynomial antiderivatives.
 
-    The right-tail integrals I(s) = int_s^smax G must be known at every
-    Gauss node.  Each panel's sampled integrand is projected on Legendre
-    polynomials, whose antiderivatives are evaluated in closed form, and
-    whole-panel contributions are suffix-summed.
+    Each panel's node values are projected on Legendre polynomials (its
+    interpolating polynomial): values between the nodes, and by closed-form
+    antiderivatives and suffix sums the right-tail integrals int_s^smax G.
     """
 
     def __init__(self, a, b, n_panels, order):
@@ -218,33 +222,48 @@ class _PanelQuadrature:
         xi, w = leggauss(order)
         # nodes (P, order) flattened ascending
         self.nodes = (self.mid[:, None] + self.half[:, None] * xi[None, :]).ravel()
-        # Legendre values at the Gauss nodes, orders 0..order-1 -> proj matrix
-        pvals = np.stack([_legendre(l, xi) for l in range(order)])      # (L, n)
-        self.proj = pvals * w[None, :] * (2 * np.arange(order)[:, None] + 1) / 2.0
-        # antiderivatives Q_l(xi) = int_{-1}^{xi} P_l, at the Gauss nodes
-        q = [xi + 1.0]
-        for l in range(1, order):
-            q.append((_legendre(l + 1, xi) - _legendre(l - 1, xi)) / (2 * l + 1))
-        self.anti = np.stack(q)                                         # (L, n)
+        pvals = _legendre(order, xi)                                    # (L+1, n)
+        self.proj = pvals[:-1] * w[None, :] * (2 * np.arange(order)[:, None] + 1) / 2.0
+        self.anti = _antiderivatives(pvals)                             # (L, n)
 
-    def right_tails(self, g_nodes):
-        """I(node) = integral from each node to the right end, per node."""
-        g = g_nodes.reshape(-1, self.order)                             # (P, n)
-        coef = g @ self.proj.T                                          # (P, L)
+    def _locate(self, points, degree):
+        """Panel of each point (s_max in the last) and P_0..P_degree there."""
+        k = np.searchsorted(self.edges[1:-1], points, side="right")
+        return k, _legendre(degree, (points - self.mid[k]) / self.half[k])
+
+    def interpolate(self, values, points):
+        """The per-panel polynomials through the node ``values``, at ``points``."""
+        k, pvals = self._locate(points, self.order - 1)
+        coef = values.reshape(-1, self.order) @ self.proj.T             # (P, L)
+        return np.einsum("ml,lm->m", coef[k], pvals)
+
+    def right_tails(self, g, points=None):
+        """I = integral from each node (or each of ``points``) to the right end."""
+        coef = g.reshape(-1, self.order) @ self.proj.T                  # (P, L)
         panel_full = coef[:, 0] * 2.0 * self.half                       # (P,)
-        # integral from panel start a_k to each node
-        upto = (coef @ self.anti) * self.half[:, None]                  # (P, n)
         suffix = np.concatenate([np.cumsum(panel_full[::-1])[::-1][1:], [0.0]])
-        return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
+        if points is None:
+            # integral from panel start a_k to each node
+            upto = (coef @ self.anti) * self.half[:, None]              # (P, n)
+            return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
+        k, pvals = self._locate(points, self.order)
+        upto = np.einsum("ml,lm->m", coef[k], _antiderivatives(pvals)) * self.half[k]
+        return (panel_full[k] - upto) + suffix[k]
 
 
-def _legendre(l, x):
-    if l == 0:
-        return np.ones_like(x)
-    pm, pc = np.ones_like(x), x.copy()
-    for k in range(1, l):
-        pm, pc = pc, ((2 * k + 1) * x * pc - k * pm) / (k + 1)
-    return pc
+def _legendre(n, x):
+    """P_0..P_n at x, one pass of the three-term recurrence; (n+1,) + x.shape."""
+    pvals = np.empty((n + 1,) + x.shape)
+    pvals[0], pvals[1] = 1.0, x
+    for k in range(1, n):
+        pvals[k + 1] = ((2 * k + 1) * x * pvals[k] - k * pvals[k - 1]) / (k + 1)
+    return pvals
+
+
+def _antiderivatives(pvals):
+    """Q_l = int_{-1}^x P_l = (P_{l+1} - P_{l-1})/(2l+1), Q_0 = x+1, from P_0..P_n."""
+    return np.concatenate([[pvals[1] + 1.0], (pvals[2:] - pvals[:-2])
+                           / (2 * np.arange(1, len(pvals) - 1) + 1)[:, None]])
 
 
 class _IntegralMap:
@@ -282,8 +301,8 @@ def picard_solve(config, phi, s_start):
     iteration at once with StepFailure.  Inputs whose F overflows (on the
     homogeneous part, before any quadrature) raise ValidationError.
     """
-    if not np.isfinite(s_start) or s_start <= 0:
-        raise ValidationError(f"s_start must be positive, got {s_start!r}")
+    if not (np.isfinite(s_start) and s_start >= S_START_MIN):
+        raise ValidationError(f"s_start must be at least {S_START_MIN:g}, got {s_start!r}")
     if config.s_max < 10.0 * s_start:
         raise ValidationError("s_max must be at least 10 * s_start")
     if not np.isfinite(phi) or phi <= 0:
@@ -292,7 +311,6 @@ def picard_solve(config, phi, s_start):
     quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start), QUAD_NODES)
     s = quad.nodes
     deltas = []
-    converged = False
     # an overflow is raised below (by F or as a non-finite delta), not warned
     with np.errstate(over="ignore", invalid="ignore"):
         imap = _IntegralMap(s, config.c1, config.c2)
@@ -311,11 +329,10 @@ def picard_solve(config, phi, s_start):
                 raise StepFailure(f"Picard sweep {len(deltas)} gave a non-finite delta")
             x1, x2 = new1, new2
             if delta <= config.picard_tol:
-                converged = True
                 break
-    if not converged:
-        raise NoConvergence("Picard iteration did not reach tolerance",
-                            iterations=len(deltas), last_delta=deltas[-1])
+        else:
+            raise NoConvergence("Picard iteration did not reach tolerance",
+                                iterations=len(deltas), last_delta=deltas[-1])
 
     # Tail of the dropped integral int_smax^inf: |F| ~ C/tau measured on the
     # last panels, |J1|,|Y1| <= sqrt(2/(pi tau)), so the integral tail is
@@ -337,18 +354,15 @@ def residual(solution):
     Returns (res1, res2) on the solution grid; their sup norm is the
     advertised self-consistency figure.
     """
-    from scipy.interpolate import CubicSpline
     cfg = solution.config
     s = solution.grid
     quad = _PanelQuadrature(solution.s_start, cfg.s_max,
                             RESIDUAL_REFINE * cfg.panels(solution.s_start),
                             QUAD_NODES + RESIDUAL_EXTRA_ORDER)
-    sp1, sp2 = solution.spline()
     tau = quad.nodes
-    f = f_nonlinearity(tau, sp1(tau), sp2(tau), solution.phi)
-    stj = CubicSpline(tau, quad.right_tails(bessel_j(1, tau) * f))
-    sty = CubicSpline(tau, quad.right_tails(bessel_y(1, tau) * f))
-    rhs1, rhs2 = _IntegralMap(s, cfg.c1, cfg.c2)(stj(s), sty(s))
+    f = f_nonlinearity(tau, *solution.at(tau), solution.phi)
+    rhs1, rhs2 = _IntegralMap(s, cfg.c1, cfg.c2)(quad.right_tails(bessel_j(1, tau) * f, s),
+                                                 quad.right_tails(bessel_y(1, tau) * f, s))
     return solution.x1 - rhs1, solution.x2 - rhs2
 
 
@@ -405,37 +419,31 @@ def crosscheck_ode(solution, trajectory=None, window=None):
     """Maximum deviation between the Picard solution and an independent solver.
 
     Without a trajectory the reduced ODE is integrated from the solution's
-    first grid value across the grid.  With a trajectory of the same phi
-    the trajectory is mapped to reduced coordinates and compared on the
-    overlap; NoOverlap if there is none.  ``window`` optionally restricts
-    the comparison interval in reduced time.
+    first grid value and compared at the grid nodes.  With a trajectory of
+    the same phi the trajectory is mapped to reduced coordinates and
+    compared, at its own times, with the solution's panel polynomials.
+    The comparison runs on the overlap, optionally restricted to
+    ``window`` in reduced time; NoOverlap if it is empty.
     """
-    sp1, sp2 = solution.spline()
     if trajectory is None:
-        s_grid = solution.grid
-        lo, hi = (window if window is not None else (s_grid[0], s_grid[-1]))
-        mask = (s_grid >= lo) & (s_grid <= hi)
-        if not np.any(mask):
-            raise NoOverlap("comparison window misses the solution grid")
-        s_cmp = s_grid[mask]
-        _, o1, o2 = integrate_ode(solution.phi, (s_grid[0], s_cmp[-1]),
-                                  (solution.x1[0], solution.x2[0]), s_cmp)
-        dev = max(np.max(np.abs(o1 - sp1(s_cmp))), np.max(np.abs(o2 - sp2(s_cmp))))
-        return float(dev)
-    if trajectory.params.phi != solution.phi:
+        t = solution.grid
+    elif trajectory.params.phi != solution.phi:
         raise ValidationError(f"trajectory phi {trajectory.params.phi!r} differs from "
                               f"the solution's {solution.phi!r}")
-    t, x1, x2, _ = to_reduced(trajectory)
-    lo = max(solution.grid[0], np.min(t))
-    hi = min(solution.grid[-1], np.max(t))
-    if window is not None:
-        lo, hi = max(lo, window[0]), min(hi, window[1])
-    mask = (t >= lo) & (t <= hi)
+    else:
+        t, x1, x2, _ = to_reduced(trajectory)
+    lo, hi = window if window is not None else (-np.inf, np.inf)
+    mask = (t >= max(lo, solution.grid[0])) & (t <= min(hi, solution.grid[-1]))
     if not np.any(mask):
-        raise NoOverlap("trajectory and solution share no reduced-time interval")
-    dev = max(np.max(np.abs(x1[mask] - sp1(t[mask]))),
-              np.max(np.abs(x2[mask] - sp2(t[mask]))))
-    return float(dev)
+        raise NoOverlap("the comparison interval misses the solution grid")
+    t = t[mask]
+    if trajectory is None:
+        _, x1, x2 = integrate_ode(solution.phi, (solution.grid[0], t[-1]),
+                                  (solution.x1[0], solution.x2[0]), t)
+        ours = solution.x1[mask], solution.x2[mask]
+    else:
+        x1, x2, ours = x1[mask], x2[mask], solution.at(t)
+    return float(max(np.max(np.abs(x1 - ours[0])), np.max(np.abs(x2 - ours[1]))))
 
 
 @dataclass(frozen=True)

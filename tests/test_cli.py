@@ -134,6 +134,21 @@ def test_classical_json_key_set(tmp_path, s_end, forward, backward):
     assert nulls == {not forward}
 
 
+def test_classical_unsettled_forward_tail_still_writes_json(tmp_path, capsys):
+    # the run reaches FORWARD_S_MIN but the tail of H has not settled: the
+    # JSON is written first, forward keys null, then the run exits 1
+    out = str(tmp_path / "tail")
+    assert run(["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
+                "--s-end", "1000", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: tail of H has not settled")
+    assert err.count("\n") == 1
+    summary = read_json(out + ".json")
+    assert set(summary) == CLASSICAL_KEYS
+    assert all(summary[key] is None for key in ("a0", "drift_angle", "H_limit",
+                                                "angle_residual"))
+
+
 def test_classical_determinism(tmp_path):
     args = ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6",
             "--s-end", "10", "--samples", "101"]
@@ -460,6 +475,22 @@ def test_reduced_overflowing_nonlinearity_is_a_validation_error(tmp_path, monkey
     assert err.startswith("validation error:") and err.count("\n") == 1
     assert "overflows" in err and "phi" in err and "c1" in err and "c2" in err
     assert not (tmp_path / "huge.csv").exists()
+
+
+@pytest.mark.parametrize("s_start, code", [("1e-3", 2), ("0.01", 0)])
+def test_reduced_s_start_floor(tmp_path, capsys, s_start, code):
+    # below reduced.S_START_MIN the sweep does not contract: refused in one
+    # line naming the floor, where it would otherwise exit 4 after 80 sweeps
+    out = str(tmp_path / "start")
+    assert run(["reduced", "--phi", "0.5", "--s-max", "120", "--s-start", s_start,
+                "--out", out]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert f"{reduced.S_START_MIN:g}" in err
+        assert not (tmp_path / "start.csv").exists()
+    else:
+        assert err == "" and read_json(out + ".json")["iters"] < reduced.MAX_ITERS // 2
 
 
 def test_reduced_non_finite_delta_exit(tmp_path, monkeypatch, capsys):
