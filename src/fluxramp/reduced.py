@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import classical
 from .errors import (
@@ -67,15 +66,20 @@ ODE_TOL = 1e-12
 S_START_MIN = 0.01
 
 # the residual's independent rule: this many times the panels of the solve,
-# each with this many more Gauss nodes
+# each with this many more Gauss nodes; it is formed on the refinement of
+# RESIDUAL_BLOCK panels of the solve at a time (16,384 nodes of its own)
 RESIDUAL_REFINE = 2
 RESIDUAL_EXTRA_ORDER = 2
+RESIDUAL_BLOCK = 1024
 
-# Working set per node of the residual's grid, the largest a run builds.
-# Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by 203-204,
-# 205-206 and 200-201 bytes per residual node from X = 2500 to 5000, 10000
-# and 20000 (159,360 to 1,279,360 nodes; two runs); the estimate is rounded up.
-BYTES_PER_NODE = 208
+# Working set of a run per node of the residual's grid, the largest grid a
+# run has.  Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by
+# 48.3, 48.6 and 50.6 bytes per residual node from X = 2500 to 5000, 10000
+# and 20000 (159,360 to 1,279,360 nodes; two runs), which the Picard
+# sweep sets (traced: 51 bytes per node, the residual's blocks 38); with
+# --crosscheck, whose reduced ODE keeps each sample as a Python float and
+# tuple, by 116.7, 113.7 and 114.1.  The estimate is the larger, rounded up.
+BYTES_PER_NODE = 120
 
 # constant extraction fits the trailing half of the solution grid and
 # calls a homogeneous amplitude c1^2 + c2^2 below DEGENERATE_TOL zero
@@ -119,8 +123,8 @@ class IntegralEqConfig:
     c1, c2 are the homogeneous coefficients playing the role of initial
     data at infinity.  The quadrature (QUAD_NODES Gauss-Legendre nodes on
     panels of width PANEL_WIDTH) and the sweep limit MAX_ITERS are module
-    constants; an s_max whose residual grid needs more than the
-    working-set budget (above s_max 80659.5) is refused.
+    constants; an s_max whose run needs more than the working-set budget,
+    at BYTES_PER_NODE per residual node (above s_max 139810), is refused.
     """
 
     s_max: float
@@ -199,11 +203,15 @@ class ReducedSolution:
     deltas: np.ndarray        # sup-norm distance between successive iterates
     tail_estimate: float
 
+    def quadrature(self):
+        """The Gauss-Legendre panels of the Picard grid."""
+        return _PanelQuadrature(self.s_start, self.config.s_max,
+                                self.config.panels(self.s_start), QUAD_NODES)
+
     def at(self, points):
         """(x1, x2) at ``points`` from the grid's per-panel polynomials."""
-        quad = _PanelQuadrature(self.s_start, self.config.s_max,
-                                self.config.panels(self.s_start), QUAD_NODES)
-        return quad.interpolate(self.x1, points), quad.interpolate(self.x2, points)
+        quad = self.quadrature()
+        return quad.interpolate(points, quad.project(self.x1), quad.project(self.x2))
 
 
 class _PanelQuadrature:
@@ -215,40 +223,55 @@ class _PanelQuadrature:
     """
 
     def __init__(self, a, b, n_panels, order):
+        from numpy.polynomial.legendre import leggauss
         self.order = order
         self.edges = np.linspace(a, b, n_panels + 1)
         self.half = 0.5 * (self.edges[1:] - self.edges[:-1])     # (P,)
         self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        xi, w = leggauss(order)
-        # nodes (P, order) flattened ascending
-        self.nodes = (self.mid[:, None] + self.half[:, None] * xi[None, :]).ravel()
-        pvals = _legendre(order, xi)                                    # (L+1, n)
+        self.xi, w = leggauss(order)
+        pvals = _legendre(order, self.xi)                               # (L+1, n)
         self.proj = pvals[:-1] * w[None, :] * (2 * np.arange(order)[:, None] + 1) / 2.0
         self.anti = _antiderivatives(pvals)                             # (L, n)
+
+    def nodes(self, panels=slice(None)):
+        """The Gauss nodes of ``panels`` (all by default), ascending."""
+        return (self.mid[panels, None] + self.half[panels, None] * self.xi[None, :]).ravel()
+
+    def project(self, values):
+        """Per-panel Legendre coefficients (P, L) of the node ``values``.
+
+        A block of two panels or more gets the bits of its rows in the
+        whole grid's projection; BLAS rounds a one-row product differently.
+        """
+        return values.reshape(-1, self.order) @ self.proj.T
 
     def _locate(self, points, degree):
         """Panel of each point (s_max in the last) and P_0..P_degree there."""
         k = np.searchsorted(self.edges[1:-1], points, side="right")
         return k, _legendre(degree, (points - self.mid[k]) / self.half[k])
 
-    def interpolate(self, values, points):
-        """The per-panel polynomials through the node ``values``, at ``points``."""
+    def interpolate(self, points, *coefs):
+        """The per-panel polynomials of each coefficient table at ``points``."""
         k, pvals = self._locate(points, self.order - 1)
-        coef = values.reshape(-1, self.order) @ self.proj.T             # (P, L)
-        return np.einsum("ml,lm->m", coef[k], pvals)
+        return tuple(np.einsum("ml,lm->m", coef[k], pvals) for coef in coefs)
 
-    def right_tails(self, g, points=None):
-        """I = integral from each node (or each of ``points``) to the right end."""
-        coef = g.reshape(-1, self.order) @ self.proj.T                  # (P, L)
+    def right_tails(self, coef):
+        """I(x) = integral from x to the right end of the panel polynomials
+        ``coef``, as a function: at every node when called without
+        arguments, else at the given points.  Each panel's integral and
+        their suffix sums are formed once, here."""
         panel_full = coef[:, 0] * 2.0 * self.half                       # (P,)
         suffix = np.concatenate([np.cumsum(panel_full[::-1])[::-1][1:], [0.0]])
-        if points is None:
-            # integral from panel start a_k to each node
-            upto = (coef @ self.anti) * self.half[:, None]              # (P, n)
-            return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
-        k, pvals = self._locate(points, self.order)
-        upto = np.einsum("ml,lm->m", coef[k], _antiderivatives(pvals)) * self.half[k]
-        return (panel_full[k] - upto) + suffix[k]
+
+        def tails(points=None):
+            if points is None:
+                # integral from panel start a_k to each node
+                upto = (coef @ self.anti) * self.half[:, None]          # (P, n)
+                return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
+            k, pvals = self._locate(points, self.order)
+            upto = np.einsum("ml,lm->m", coef[k], _antiderivatives(pvals)) * self.half[k]
+            return (panel_full[k] - upto) + suffix[k]
+        return tails
 
 
 def _legendre(n, x):
@@ -309,7 +332,7 @@ def picard_solve(config, phi, s_start):
         raise ValidationError(f"phi must be positive and finite, got {phi!r}")
 
     quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start), QUAD_NODES)
-    s = quad.nodes
+    s = quad.nodes()
     deltas = []
     # an overflow is raised below (by F or as a non-finite delta), not warned
     with np.errstate(over="ignore", invalid="ignore"):
@@ -322,7 +345,8 @@ def picard_solve(config, phi, s_start):
             except ValidationError as exc:
                 raise ValidationError(f"{exc} at phi {phi:g}, c1 {config.c1:g} and "
                                       f"c2 {config.c2:g}") from None
-            new1, new2 = imap(quad.right_tails(j1 * f), quad.right_tails(y1 * f))
+            new1, new2 = imap(quad.right_tails(quad.project(j1 * f))(),
+                              quad.right_tails(quad.project(y1 * f))())
             delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
             deltas.append(delta)
             if not np.isfinite(delta):
@@ -352,18 +376,36 @@ def residual(solution):
     """Substitute the solution back with an independent, finer quadrature.
 
     Returns (res1, res2) on the solution grid; their sup norm is the
-    advertised self-consistency figure.
+    advertised self-consistency figure.  The finer grid is never whole:
+    F, J1 F and Y1 F are formed and projected on its panels' Legendre
+    coefficients one block at a time (the refinement of RESIDUAL_BLOCK
+    panels of the solve), and the tails are read from those coefficients.
     """
     cfg = solution.config
-    s = solution.grid
-    quad = _PanelQuadrature(solution.s_start, cfg.s_max,
-                            RESIDUAL_REFINE * cfg.panels(solution.s_start),
+    solve = solution.quadrature()
+    coef_x = solve.project(solution.x1), solve.project(solution.x2)
+    n_panels = RESIDUAL_REFINE * cfg.panels(solution.s_start)
+    quad = _PanelQuadrature(solution.s_start, cfg.s_max, n_panels,
                             QUAD_NODES + RESIDUAL_EXTRA_ORDER)
-    tau = quad.nodes
-    f = f_nonlinearity(tau, *solution.at(tau), solution.phi)
-    rhs1, rhs2 = _IntegralMap(s, cfg.c1, cfg.c2)(quad.right_tails(bessel_j(1, tau) * f, s),
-                                                 quad.right_tails(bessel_y(1, tau) * f, s))
-    return solution.x1 - rhs1, solution.x2 - rhs2
+    coef_j, coef_y = np.empty((2, n_panels, quad.order))
+    step = RESIDUAL_REFINE * RESIDUAL_BLOCK
+    for lo in range(0, n_panels, step):
+        panels = slice(lo, lo + step)
+        tau = quad.nodes(panels)
+        f = f_nonlinearity(tau, *solve.interpolate(tau, *coef_x), solution.phi)
+        coef_j[panels] = quad.project(bessel_j(1, tau) * f)
+        coef_y[panels] = quad.project(bessel_y(1, tau) * f)
+    tail_j, tail_y = quad.right_tails(coef_j), quad.right_tails(coef_y)
+    s = solution.grid
+    res1, res2 = np.empty_like(s), np.empty_like(s)
+    step = RESIDUAL_BLOCK * QUAD_NODES
+    for lo in range(0, s.size, step):
+        nodes = slice(lo, lo + step)
+        rhs1, rhs2 = _IntegralMap(s[nodes], cfg.c1, cfg.c2)(tail_j(s[nodes]),
+                                                            tail_y(s[nodes]))
+        res1[nodes] = solution.x1[nodes] - rhs1
+        res2[nodes] = solution.x2[nodes] - rhs2
+    return res1, res2
 
 
 def ode_rhs(s, x, phi):

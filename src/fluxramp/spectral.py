@@ -56,7 +56,7 @@ DEFAULT_LEVELS = 64
 @dataclass(frozen=True)
 class SectorParams:
     """Flux value s >= 0 and retained levels N; N is refused when the checks
-    of the family would need more than the working-set budget (above 1742
+    of the family would need more than the working-set budget (above 2228
     levels)."""
 
     s: float
@@ -73,8 +73,8 @@ class SectorParams:
 
 @dataclass(frozen=True)
 class SpectralFamily:
-    """Eigendata of H(s) on the retained levels; the modes are
-    _weighted_laguerre(s, N, x)."""
+    """Eigendata of H(s) on the retained levels; the modes are the rows
+    of _weighted_laguerre(s, N, x)."""
 
     s: float
     N: int
@@ -82,28 +82,29 @@ class SpectralFamily:
 
 
 def _weighted_laguerre(s, N, x):
-    """Rows n = 0..N-1 of x^(s/2) e^(-x/2) lag_n(x); bounded for all x >= 0.
+    """Rows n = 0..N-1 of x^(s/2) e^(-x/2) lag_n(x), one at a time (the
+    recurrence holds the last two, so a caller must not write into a row);
+    bounded for all x >= 0.
 
     Modes are in the sign convention "coefficient of L_n^(s) positive", in
     which no level changes sign along an s-sweep.
     """
     from scipy.special import gammaln
     x = np.atleast_1d(x)
-    out = np.zeros((N, x.size))
     with np.errstate(divide="ignore"):
         logw = np.where(x > 0, 0.5 * s * np.log(np.where(x > 0, x, 1.0)), 0.0)
-    w0 = np.exp(logw - 0.5 * x - 0.5 * gammaln(s + 1))
+    prev = np.exp(logw - 0.5 * x - 0.5 * gammaln(s + 1))
     if s > 0:
-        w0 = np.where(x > 0, w0, 0.0)
-    out[0] = w0
+        prev = np.where(x > 0, prev, 0.0)
+    yield prev
     if N > 1:
-        out[1] = (x - (s + 1.0)) * out[0] / np.sqrt(1.0 * (1.0 + s))
+        # the Jacobi recurrence generates the positive-leading (-1)^n lag_n
+        row = (x - (s + 1.0)) * prev / np.sqrt(1.0 * (1.0 + s))
+        yield -row
         for k in range(1, N - 1):
-            out[k + 1] = ((x - (2 * k + s + 1.0)) * out[k]
-                          - np.sqrt(k * (k + s)) * out[k - 1]) / np.sqrt((k + 1) * (k + 1 + s))
-    # Jacobi recurrence generates positive-leading polynomials (-1)^n lag_n.
-    out *= ((-1.0) ** np.arange(N))[:, None]
-    return out
+            prev, row = row, ((x - (2 * k + s + 1.0)) * row
+                              - np.sqrt(k * (k + s)) * prev) / np.sqrt((k + 1) * (k + 1 + s))
+            yield -row if k % 2 == 0 else row
 
 
 def analytic_spectrum(params):
@@ -309,14 +310,15 @@ FD_BISECTION_TOL = 1e-10
 # it is refined from the other two instead of bisected (_fd_refine).
 FD_CELLS = 12000
 
-# Working set of the checks of an N-level family.  The oracle holds two
-# arrays on its finest grid (its modes and the analytic ones) per level it
-# solves, the lower half: 0.366 MiB per level of the family.  Peak memory of
-# `spectral --s 1 --check all`, measured on one core, grew by 0.3668, 0.3663
-# and 0.3664 MiB per level from 64 to 128, 256 and 512 levels; the estimate
-# is rounded up to 0.375 MiB.  The coupling and gamma checks hold about
+# Working set of the checks of an N-level family.  The oracle holds one
+# array on its finest grid (its modes; the analytic ones come a row at a
+# time) per level it solves, the lower half: 0.183 MiB per level of the
+# family.  Peak memory of `spectral --s 1 --check all`, measured on one
+# core, grew by 0.1808-0.1817, 0.1814-0.1828 and 0.1829-0.1831 MiB per
+# level from 64 to 128, 256 and 512 levels (two runs); the estimate is
+# rounded up to 0.1875 MiB.  The coupling and gamma checks hold about
 # eight N x N complex arrays.
-ORACLE_BYTES_PER_LEVEL = 3 * 2 ** 20 // 8
+ORACLE_BYTES_PER_LEVEL = 3 * 2 ** 20 // 16
 DENSE_BYTES_PER_ENTRY = 8 * 16
 
 
@@ -353,14 +355,14 @@ class FdSpectrum:
         if family.N < self.N:
             raise ValidationError(f"family retains {family.N} levels, "
                                   f"the oracle solved {self.N}")
-        # the family's modes restricted to the solved rows (the recurrence
-        # for row n reads rows below n only), scaled in place to g and
-        # compared row by row: no further N x cells array
-        g_an = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
+        # the family's modes, one row at a time, scaled to g and compared
+        # with the oracle's: no N x cells array
         with np.errstate(divide="ignore"):
-            g_an *= self.r ** (-self.s)
+            scale = self.r ** (-self.s)
+        rows = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
         out = np.empty(self.N)
-        for n, (g_fd, g_n) in enumerate(zip(self.g, g_an)):
+        for n, (g_fd, chi_n) in enumerate(zip(self.g, rows)):
+            g_n = chi_n * scale
             weighted = g_n * self.mass
             out[n] = abs(np.dot(weighted, g_fd)) / np.sqrt(np.dot(weighted, g_n))
         return out

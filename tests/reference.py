@@ -17,10 +17,15 @@ from fluxramp import adiabatic, reduced, spectral
 from fluxramp.errors import ValidationError
 
 
+def _stacked_modes(s, N, x):
+    """The N rows of spectral._weighted_laguerre as one (N, x.size) array."""
+    return np.array(list(spectral._weighted_laguerre(s, N, np.asarray(x, dtype=float))))
+
+
 def eval_chi(family, x):
     """chi_n(x) of ``family`` on an arbitrary positive grid, stable weighted
     recurrence."""
-    return spectral._weighted_laguerre(family.s, family.N, np.asarray(x, dtype=float))
+    return _stacked_modes(family.s, family.N, x)
 
 
 def eval_psi(family, r):
@@ -45,7 +50,7 @@ def dx_quadrature(alpha, size):
     nodes = eigh_tridiagonal(2 * k + alpha + 1.0,
                              np.sqrt(k[1:] * (k[1:] + alpha)),
                              eigvals_only=True)
-    w = spectral._weighted_laguerre(alpha, size, nodes)
+    w = _stacked_modes(alpha, size, nodes)
     fold = 1.0 / np.sqrt(np.sum(w * w, axis=0))
     return nodes, fold
 

@@ -1,5 +1,7 @@
 """Integral equations: nonlinearity, Picard fixed point, equivalence, constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -96,7 +98,7 @@ def test_config_quadrature_node_budget():
     # of QUAD_NODES + RESIDUAL_EXTRA_ORDER nodes, BYTES_PER_NODE each; the
     # largest admitted s_max is the README figure, and the next double above
     # it, which needs one more panel, is refused before any work
-    s_max = 80659.5
+    s_max = 139810.0
     nodes = rd.IntegralEqConfig(s_max=s_max).residual_nodes(0.0)
     assert rd.BYTES_PER_NODE * nodes <= WORKING_SET_BUDGET
     with pytest.raises(ValidationError, match="working-set budget"):
@@ -161,6 +163,42 @@ def test_residual_bound():
     assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) <= 1e-9 < 10.0 * cfg.picard_tol
 
 
+@pytest.fixture(scope="module")
+def residual_fixtures():
+    # criterion 05's fixture (one residual block at the default size) and an
+    # s_max 3000 solve (twelve blocks)
+    return [rd.picard_solve(rd.IntegralEqConfig(s_max=s_max), PHI, 10.0)
+            for s_max in (150.0, 3000.0)]
+
+
+@pytest.mark.parametrize("fixture, blocks", [(0, (1, 3, 10 ** 6)), (1, (37, 10 ** 6))],
+                         ids=["criterion_05", "s_max_3000"])
+def test_residual_blocks_bit_identical(residual_fixtures, monkeypatch, fixture, blocks):
+    # every float operation keeps its order, so the block size moves no bit:
+    # one panel of the solve per block, a few, and more than the solve has
+    # (small blocks at s_max 3000 would take seconds)
+    sol = residual_fixtures[fixture]
+    expected = rd.residual(sol)
+    for block in blocks:
+        monkeypatch.setattr(rd, "RESIDUAL_BLOCK", block)
+        for res, res_default in zip(rd.residual(sol), expected):
+            assert np.array_equal(res, res_default)
+
+
+def test_residual_traced_peak_per_node(residual_fixtures):
+    # the residual grid is formed a block at a time: 49 bytes per residual
+    # node at s_max 3000 (the coefficient tables and the outputs), against
+    # 166 when every table of the grid was built at once
+    sol = residual_fixtures[1]
+    tracemalloc.start()
+    try:
+        rd.residual(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * sol.config.residual_nodes(sol.s_start)
+
+
 def panel_quadrature():
     # panels of half the Picard width, on which the rule integrates cos to
     # about 2e-14 (2e-12 on the Picard width)
@@ -172,28 +210,29 @@ def test_panel_interpolate_reproduces_polynomials():
     rng = np.random.default_rng(3)
     # the ends, every interior panel edge, and random points
     points = np.concatenate([quad.edges, rng.uniform(10.0, 14.0, 200)])
-    values = rng.normal(size=quad.nodes.size)
-    assert_allclose(quad.interpolate(values, quad.nodes), values,
+    nodes = quad.nodes()
+    values = rng.normal(size=nodes.size)
+    assert_allclose(quad.interpolate(nodes, quad.project(values))[0], values,
                     rtol=0, atol=1e-13 * np.max(np.abs(values)))
     for degree in range(rd.QUAD_NODES):
         poly = np.polynomial.Polynomial(rng.normal(size=degree + 1), domain=[10.0, 14.0])
         exact = poly(points)
-        assert_allclose(quad.interpolate(poly(quad.nodes), points), exact,
+        assert_allclose(quad.interpolate(points, quad.project(poly(nodes)))[0], exact,
                         rtol=0, atol=1e-13 * np.max(np.abs(exact)))
 
 
 def test_panel_right_tails_at_points():
     quad = panel_quadrature()
     points = np.concatenate([quad.edges, np.linspace(10.0, 14.0, 301)])
-    g = np.cos(quad.nodes)
-    assert_allclose(quad.right_tails(g, quad.nodes), quad.right_tails(g),
-                    rtol=0, atol=1e-15)
-    assert_allclose(quad.right_tails(g, points), np.sin(14.0) - np.sin(points),
-                    rtol=0, atol=1e-12)
+    nodes = quad.nodes()
+    tails = quad.right_tails(quad.project(np.cos(nodes)))
+    assert_allclose(tails(nodes), tails(), rtol=0, atol=1e-15)
+    assert_allclose(tails(points), np.sin(14.0) - np.sin(points), rtol=0, atol=1e-12)
     # exact, to rounding, for a polynomial of degree below QUAD_NODES
     poly = np.polynomial.Polynomial(np.arange(1.0, rd.QUAD_NODES + 1), domain=[10.0, 14.0])
     anti = poly.integ()
-    assert_allclose(quad.right_tails(poly(quad.nodes), points), anti(14.0) - anti(points),
+    assert_allclose(quad.right_tails(quad.project(poly(nodes)))(points),
+                    anti(14.0) - anti(points),
                     rtol=0, atol=1e-13 * np.max(np.abs(anti(points))))
 
 

@@ -1,5 +1,7 @@
 """Eigenfamily, coupling operator, commutator potential, kernel bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -45,7 +47,7 @@ def test_sector_params_working_set_budget():
         return sp.ORACLE_BYTES_PER_LEVEL * n + sp.DENSE_BYTES_PER_ENTRY * n * n
 
     n_max = max(n for n in range(2, 4096) if bytes_at(n) <= WORKING_SET_BUDGET)
-    assert n_max == 1742  # the README size table
+    assert n_max == 2228  # the README size table
     assert sp.SectorParams(s=1.0, N=n_max).N == n_max
     for n in (n_max + 1, 10 ** 40):
         with pytest.raises(ValidationError, match="working-set budget"):
@@ -188,6 +190,23 @@ def test_fd_overlaps_need_the_solved_levels(monkeypatch):
     assert fd.overlaps_with_analytic(wide).shape == (4,)
     with pytest.raises(ValidationError):
         fd.overlaps_with_analytic(narrow)
+
+
+def test_fd_overlaps_hold_a_few_rows(monkeypatch):
+    # the analytic modes come one row at a time: the transient is about 11
+    # finest-grid rows (the recurrence's and the mode weight's temporaries),
+    # not the 32 x cells array of the solved levels (38 rows with those)
+    monkeypatch.setattr(sp, "FD_CELLS", 2000)
+    fd = sp.fd_spectrum(sp.SectorParams(s=0.5, N=32), r_max=sp.fd_r_max(0.5, 64))
+    fam = sp.analytic_spectrum(sp.SectorParams(s=0.5, N=64))
+    tracemalloc.start()
+    try:
+        overlaps = fd.overlaps_with_analytic(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert overlaps.shape == (32,)
+    assert peak <= 16 * fd.r.nbytes
 
 
 def test_fd_refinement_check_passes_on_fine_grid(monkeypatch):
