@@ -253,21 +253,20 @@ def twisted_coupling_integral(config, check_refinement=True):
     """I(s) = integral_0^s U_ad^(-1) Pi U_ad and its norm curve on the grid.
 
     Returns (matrices at the sample points, norms).  With
-    ``check_refinement`` the number of panels is doubled and the endpoint
+    ``check_refinement`` the walked panel width is halved and the endpoint
     norm compared; a change above 1e-6 raises GridTooCoarse.  The walk also
     advances C, so its StepFailure guard applies.  The refined config, which
     may exceed the panel budget, is validated before either walk.
     """
     if check_refinement:
-        fine = replace(config, panel_max=config.panel_max / 2.0)
+        fine = replace(config, panel_max=config.panel_width / 2.0)
     mats = [i_mat for _, i_mat, _ in _propagate(_FilonPanels(config))]
     norms = np.array([np.linalg.norm(m, 2) for m in mats])
     if check_refinement:
         _, norms_fine = twisted_coupling_integral(fine, check_refinement=False)
-        if abs(norms_fine[-1] - norms[-1]) > 1e-6:
-            raise GridTooCoarse(
-                f"twisted integral norm moved {abs(norms_fine[-1]-norms[-1]):.2e} "
-                f"under panel halving")
+        drift = abs(norms_fine[-1] - norms[-1])
+        if drift > 1e-6:
+            raise GridTooCoarse(f"twisted integral norm moved {drift:.2e} under panel halving")
     return mats, norms
 
 

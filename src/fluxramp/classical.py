@@ -62,10 +62,10 @@ FIT_MIN_SAMPLES = 10
 TAIL_FRACTION = 0.25
 SPREAD_TOL = 0.05
 
-# Working set per sample, from peak memory measured on one core (310 bytes
-# at 400001 samples): the stepper's sample tuples, the trajectory arrays,
-# the guiding-center series and the CSV columns.
-BYTES_PER_SAMPLE = 400
+# Working set per sample, from peak memory (ru_maxrss, 160 bytes a sample
+# from 200001 to 800001 samples) and a tenth of headroom: the stepper's
+# (n, 4) array, the guiding-center series and the CSV columns.
+BYTES_PER_SAMPLE = 176
 
 
 def perp(w):
@@ -159,7 +159,7 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
     ``samples`` may be an int (uniform sample count >= 2, default 513) or
     an explicit array of times inside the span, strictly monotone in the
     direction of integration; more samples than the working-set budget
-    admits (about 2.7 million), or a span |s_end - initial.s| above
+    admits (about 6.1 million), or a span |s_end - initial.s| above
     MAX_SPAN, raise ValidationError.  Raises PunctureHit
     (with the partial trajectory attached) if |q| reaches the guard
     radius R_GUARD, StepFailure on integrator breakdown.
@@ -203,8 +203,8 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
     if sol.status == -1:
         raise StepFailure(f"integrator failed: {sol.message}")
     hit = sol.status == 1
-    traj = Trajectory(params=params, s=sol.t, q=sol.y[:2].T.copy(), p=sol.y[2:].T.copy(),
-                      puncture_hit=hit, s_hit=float(sol.t_events[0][0]) if hit else None,
+    traj = Trajectory(params=params, s=sol.t, q=sol.y[:, :2], p=sol.y[:, 2:],
+                      puncture_hit=hit, s_hit=sol.t_event,
                       diagnostics={"rhs_evals": sol.nfev, "steps": sol.steps,
                                    "rejected_steps": sol.rejected_steps})
     if hit:

@@ -23,7 +23,8 @@ The saving over scipy is the stage loop: per state dimension, one step,
 the three extra dense-output stages and the 7-coefficient interpolant are
 generated as straight-line Python on the first call, so a step does no
 array work.  Dense output is built only on steps that hold a sample time
-or an event crossing.
+or an event crossing, and writes each sample in place as a row of one
+``(n_samples, dim)`` array; the result keeps that layout, not scipy's.
 
 The module imports no scipy: only a run whose terminal event fires loads
 ``scipy.optimize`` for brentq.
@@ -46,18 +47,18 @@ EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class OdeResult:
-    """Samples ``y[:, j]`` at ``t[j]`` (scipy's layout) plus run counters.
+    """Rows ``y[j]`` of ``dim`` floats at ``t[j]``, the sample times reached.
 
-    ``status`` is 0 at the end of the span, 1 after the terminal event and
-    -1 when the step fell below its minimum; ``nfev`` counts every call of
-    ``fun``.
+    ``status`` is 0 at the end of the span, 1 after the terminal event (at
+    ``t_event``, else None) and -1 when the step fell below its minimum;
+    ``nfev`` counts every call of ``fun``.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: int
     message: str
-    t_events: list
+    t_event: float | None
     nfev: int
     steps: int
     rejected_steps: int
@@ -111,14 +112,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
 
     ``event(t, y)``, if given, is terminal: a sign change (or zero) between
     two step ends is located by brentq on the dense interpolant, the
-    integration stops there with status 1, and ``t_events[0]`` holds the
+    integration stops there with status 1, and ``t_event`` holds the
     root.  Samples up to the stopping time are returned.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     if t0 == t_bound:
         raise ValidationError("the integration span is empty")
     y = tuple(float(v) for v in y0)
-    times = sample_times(t_eval, t0, t_bound).tolist()
+    times = sample_times(t_eval, t0, t_bound)
     step, dense, interp = _stepper(len(y))
     direction = 1.0 if t_bound >= t0 else -1.0
     towards = direction * math.inf
@@ -128,9 +129,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
     # the guess calls fun once more, unless it gave up with NaN
     nfev, steps, rejected = 1 if math.isnan(h_abs) else 2, 0, 0
     g = event(t0, y) if event is not None else None
-    roots = []
-    ts, ys = [], []
-    i_next, n_eval = 0, len(times)
+    t_event = None
+    samples = np.empty((times.size, len(y)))
+    i_next, n_eval = 0, times.size
     t = t0
     status, message = None, "The solver reached the end of the integration interval."
     while status is None:
@@ -167,26 +168,21 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
                 from scipy.optimize import brentq
                 coeffs = dense(fun, args, t, h, y, y_new, stages)
                 nfev += 3
-                t_stop = brentq(lambda s: event(s, interp(coeffs, y, (s - t) / h)),
-                                t, t_new, xtol=4 * EPS, rtol=4 * EPS)
-                roots.append(t_stop)
+                t_stop = t_event = brentq(lambda s: event(s, interp(coeffs, y, (s - t) / h)),
+                                          t, t_new, xtol=4 * EPS, rtol=4 * EPS)
                 status, message = 1, "A termination event occurred."
             g = g_new
-        while i_next < n_eval and direction * (times[i_next] - t_stop) <= 0:
+        while i_next < n_eval and direction * (times.item(i_next) - t_stop) <= 0:
             if coeffs is None:
                 coeffs = dense(fun, args, t, h, y, y_new, stages)
                 nfev += 3
-            s = times[i_next]
-            ts.append(s)
-            ys.append(interp(coeffs, y, (s - t) / h))
+            samples[i_next] = interp(coeffs, y, (times.item(i_next) - t) / h)
             i_next += 1
         t, y, f = t_new, y_new, f_new
         if status is None and direction * (t - t_bound) >= 0:
             status = 0
-    y_out = np.array(ys, dtype=float).T if ys else np.empty((len(y), 0))
-    return OdeResult(t=np.array(ts, dtype=float), y=y_out, status=status,
-                     message=message,
-                     t_events=None if event is None else [np.array(roots, dtype=float)],
+    return OdeResult(t=times[:i_next], y=samples[:i_next], status=status,
+                     message=message, t_event=t_event,
                      nfev=nfev, steps=steps, rejected_steps=rejected)
 
 

@@ -74,12 +74,12 @@ RESIDUAL_BLOCK = 1024
 
 # Working set of a run per node of the residual's grid, the largest grid a
 # run has.  Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by
-# 48.3, 48.6 and 50.6 bytes per residual node from X = 2500 to 5000, 10000
-# and 20000 (159,360 to 1,279,360 nodes; two runs), which the Picard
-# sweep sets (traced: 51 bytes per node, the residual's blocks 38); with
-# --crosscheck, whose reduced ODE keeps each sample as a Python float and
-# tuple, by 116.7, 113.7 and 114.1.  The estimate is the larger, rounded up.
-BYTES_PER_NODE = 120
+# 46-49, 49 and 51 bytes per residual node from X = 2500 to 5000, 10000 and
+# 20000 (159,360 to 1,279,360 nodes; two runs), with --crosscheck by 46-48,
+# 48-49 and 51 (its reduced ODE writes 16 bytes per sample); the Picard
+# sweep sets both (traced: 51 bytes per node, the residual's blocks 38).
+# The estimate is the largest, with a tenth of headroom.
+BYTES_PER_NODE = 56
 
 # constant extraction fits the trailing half of the solution grid and
 # calls a homogeneous amplitude c1^2 + c2^2 below DEGENERATE_TOL zero
@@ -124,7 +124,7 @@ class IntegralEqConfig:
     data at infinity.  The quadrature (QUAD_NODES Gauss-Legendre nodes on
     panels of width PANEL_WIDTH) and the sweep limit MAX_ITERS are module
     constants; an s_max whose run needs more than the working-set budget,
-    at BYTES_PER_NODE per residual node (above s_max 139810), is refused.
+    at BYTES_PER_NODE per residual node (above s_max 299593), is refused.
     """
 
     s_max: float
@@ -421,7 +421,7 @@ def integrate_ode(phi, s_span, x0, t_eval):
                     args=(phi,))
     if sol.status < 0:
         raise NoConvergence(f"reduced ODE integration failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1]
+    return sol.t, sol.y[:, 0], sol.y[:, 1]
 
 
 def to_reduced(traj):

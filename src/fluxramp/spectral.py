@@ -55,9 +55,9 @@ DEFAULT_LEVELS = 64
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Flux value s >= 0 and retained levels N; N is refused when the checks
-    of the family would need more than the working-set budget (above 2228
-    levels)."""
+    """Flux value s >= 0 and retained levels N; N is refused above the
+    working-set budget of the family's checks (2228 levels), s once the top
+    energy 2N + 2s - 1 reaches 2^53, past which energies round together."""
 
     s: float
     N: int = DEFAULT_LEVELS
@@ -69,6 +69,9 @@ class SectorParams:
             raise ValidationError("at least two levels are required")
         check_working_set(ORACLE_BYTES_PER_LEVEL * self.N
                           + DENSE_BYTES_PER_ENTRY * self.N ** 2, f"{self.N} levels")
+        if self.s >= 2.0 ** 52 - self.N + 0.5:  # E_{N-1} = 2N + 2s - 1 >= 2^53
+            raise ValidationError(f"flux parameter s = {self.s:g} at {self.N} levels: the "
+                                  f"energies 2n + 2s + 1 reach 2^53 and round together")
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,23 @@ def test_refinement_check_validates_panel_budget_before_walking(monkeypatch):
         ad.twisted_coupling_integral(config)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.03, 0.02, 0.01])
+def test_refinement_check_halves_the_walked_panel_width(monkeypatch, eps):
+    # the walked width is min(panel_max, eps/4); halving it doubles the walk
+    # also where eps/4 is the narrower bound (200, 270, 400 and 800 panels)
+    counts = []
+    walk = ad._FilonPanels
+
+    def counted(config, stops=None):
+        panels = walk(config, stops)
+        counts.append(panels.count)
+        return panels
+
+    monkeypatch.setattr(ad, "_FilonPanels", counted)
+    ad.twisted_coupling_integral(cfg(eps, N=4))
+    assert counts == [counts[0], 2 * counts[0]]
+
+
 def test_u_ad_identity_and_phases():
     assert_allclose(ad._u_ad(0.0, N_SMALL, 1.0), np.eye(N_SMALL), atol=0)
     # n = 0, eps = 1, s = 1: phase integral (2n+1)s + s^2 = 2 -> exp(-2i)

@@ -264,6 +264,8 @@ def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     ["spectral", "--s", "1", "--check", "none"],
     ["classical", "--q0", "1,0"],
     ["no-such-study"],
+    # energies 2n + 2s + 1 beyond 2^53, which rounding merges in pairs
+    ["spectral", "--s", "1e16", "--levels", "8", "--check", "gamma"],
 ])
 def test_bad_input_rejected_before_any_work(tmp_path, tmp_path_factory, monkeypatch,
                                             capsys, argv):

@@ -98,7 +98,7 @@ def test_config_quadrature_node_budget():
     # of QUAD_NODES + RESIDUAL_EXTRA_ORDER nodes, BYTES_PER_NODE each; the
     # largest admitted s_max is the README figure, and the next double above
     # it, which needs one more panel, is refused before any work
-    s_max = 139810.0
+    s_max = 299593.0
     nodes = rd.IntegralEqConfig(s_max=s_max).residual_nodes(0.0)
     assert rd.BYTES_PER_NODE * nodes <= WORKING_SET_BUDGET
     with pytest.raises(ValidationError, match="working-set budget"):

@@ -54,6 +54,18 @@ def test_sector_params_working_set_budget():
             sp.SectorParams(s=1.0, N=n)
 
 
+@pytest.mark.parametrize("N", [2, 64])
+def test_sector_params_energies_stay_distinct_doubles(N):
+    # while E_{N-1} = 2N + 2s - 1 stays below 2^53 every gap is exactly 2;
+    # the first s that puts it at 2^53 is refused (from s = 2^52 on, the
+    # doubles are 2 apart and rounding merges pairs of energies)
+    s_limit = 2.0 ** 52 - N + 0.5
+    fam = sp.analytic_spectrum(sp.SectorParams(s=np.nextafter(s_limit, 0.0), N=N))
+    assert np.all(np.diff(fam.energies) == 2.0)
+    with pytest.raises(ValidationError, match="reach 2\\^53"):
+        sp.SectorParams(s=s_limit, N=N)
+
+
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
 def test_orthonormality_and_gaps(s):
     fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=64))
