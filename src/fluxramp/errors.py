@@ -62,10 +62,6 @@ class GridTooCoarse(FluxrampError):
     """Grid refinement changed the answer by more than the allowed amount."""
 
 
-class DegenerateGap(FluxrampError):
-    """Two eigenvalues are too close to divide by their gap."""
-
-
 # Most memory, in bytes, a run may plan for.  Each study estimates its
 # working set from its sizes (levels, samples) and refuses a larger run
 # before any work; the README and benchmark runs plan for at most 60 MiB.

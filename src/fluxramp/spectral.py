@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateGap, GridTooCoarse, NoConvergence, ValidationError,
-                     check_working_set)
+from .errors import GridTooCoarse, NoConvergence, ValidationError, check_working_set
 
 DEFAULT_LEVELS = 64
 
@@ -159,13 +158,21 @@ def pi_matrix(s, N):
     return ratio * gap
 
 
+def pi_derivative(s, N):
+    """d_s Pi(s) in closed form.  Pi_mn depends on s only through
+    log w_n = -(1/2) sum_{k<=n} log(1 + s/k), so
+
+        d_s Pi_mn = -(1/2) (H_max(m,n) - H_min(m,n)) Pi_mn,   H_j = sum_{k<=j} 1/(k+s),
+
+    hermitian and zero on the diagonal like Pi, finite for every s."""
+    k = np.arange(1.0, N)
+    harm = np.concatenate(([0.0], np.cumsum(1.0 / (k + s))))
+    return -0.5 * np.abs(np.subtract.outer(harm, harm)) * pi_matrix(s, N)
+
+
 def coupling_matrix(family):
     """Pi of an analytic family, <chi_m, d_sH chi_n> / (E_n - E_m) in the
-    closed form of pi_matrix (the same array), behind a guard against
-    degenerate gaps."""
-    gaps = np.diff(family.energies)
-    if np.any(np.abs(gaps) < 1e-12):
-        raise DegenerateGap("eigenvalue gap below 1e-12")
+    closed form of pi_matrix (the same array)."""
     return pi_matrix(family.s, family.N)
 
 
@@ -201,14 +208,10 @@ def coupling_norm(pi, truncations):
 
 def gamma_potential(pi, family):
     """Gamma with i[H, Gamma] = Pi on the truncation: Gamma_mn = -i Pi_mn/(E_m - E_n)."""
-    energy = family.energies
-    gaps = energy[:, None] - energy[None, :]
-    if np.any(np.abs(gaps + np.eye(family.N)) < 1e-12):
-        raise DegenerateGap("eigenvalue gap below 1e-12")
-    n = np.arange(family.N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = -1j * pi / gaps
-    g[n, n] = 0.0
+    gaps = np.subtract.outer(family.energies, family.energies)
+    np.fill_diagonal(gaps, 1.0)
+    g = -1j * pi / gaps
+    np.fill_diagonal(g, 0.0)
     return g
 
 

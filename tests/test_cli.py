@@ -459,6 +459,32 @@ def test_spectral_coupling_check_past_running_product_underflow(tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("error")
+def test_spectral_gamma_check_past_difference_step_resolution(tmp_path, capsys):
+    # from s = 2^44 on, s +/- 1e-3 rounds to s; d_s Gamma in closed form
+    # stays finite there, and only the commutator gate fails (exit 5)
+    out = str(tmp_path / "far")
+    code = run(["spectral", "--s", "1e14", "--levels", "8", "--check", "gamma",
+                "--out", out])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == "one or more spectral checks failed; see JSON report\n"
+    gamma = read_json(out + ".json")["checks"]["100000000000000"]["gamma"]
+    dgam = gamma["gamma_derivative_norm"]
+    assert dgam is not None and 0.0 < dgam < np.inf
+    assert gamma["bound_constant"] == gamma["gamma_norm"] + dgam
+
+
+def test_spectral_all_checks_at_two_levels(tmp_path):
+    # two levels are admitted, so every coupling truncation is clipped to 2
+    out = str(tmp_path / "two")
+    code = run(["spectral", "--s", "1", "--levels", "2", "--check", "all", "--out", out])
+    assert code == 0
+    report = read_json(out + ".json")
+    assert report["pass"] is True
+    assert report["checks"]["1"]["coupling"]["truncations"] == [2, 2, 2]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("values", [["--phi", "1e300"],
                                     ["--phi", "0.5", "--c1", "1e300"],
                                     ["--phi", "0.5", "--c2=-1e300"]])

@@ -336,6 +336,26 @@ def test_pi_matrix_past_running_product_underflow(s, n):
             assert abs(float((mp.mpf(p[m, k].imag) - ref) / ref)) <= 1e-12, (m, k)
 
 
+@pytest.mark.parametrize("s, n", [(0.0, 64), (1.7, 64), (2e6, 64), (1e14, 8), (4e15, 8),
+                                  (0.5, 2228)])
+def test_pi_derivative_matches_extended_precision(s, n):
+    # d_s of the entries w_k/w_m i/(2(k-m)) by a 50-digit mpmath derivative,
+    # through the running product's underflow (2e6), past s = 2^44 where
+    # s +/- 1e-3 rounds to s (1e14, 4e15), and at the largest family (2228)
+    mp = pytest.importorskip("mpmath")
+    d = sp.pi_derivative(s, n)
+    assert np.all(np.isfinite(d)) and np.array_equal(d, d.conj().T)
+    assert np.all(np.diag(d) == 0.0)
+    with mp.workdps(50):
+        for m, k in [(0, 1), (0, 5), (3, 4), (n - 2, n - 1), (n // 2, n - 1), (0, n - 1)]:
+            def entry(t):
+                log_ratio = mp.fsum(mp.log(mp.mpf(j) / (j + t)) for j in range(m + 1, k + 1))
+                return mp.exp(log_ratio / 2) / (2 * (k - m))
+            ref = mp.diff(entry, mp.mpf(s))
+            assert d[m, k].real == 0.0
+            assert abs(float((mp.mpf(d[m, k].imag) - ref) / ref)) <= 1e-12, (m, k)
+
+
 @pytest.mark.parametrize("s", [0.0, 1.3, 2e6])
 def test_pi_is_one_array(s):
     # the closed form and the family's coupling are one ndarray, bit for
@@ -452,10 +472,3 @@ def test_fd_grid_representable_matches_full_grid():
 def test_fd_spectrum_rejects_grid_out_of_double_range():
     with pytest.raises(ValidationError):
         sp.fd_spectrum(sp.SectorParams(s=30.0, N=4), r_max=sp.fd_r_max(30.0, 8))
-
-
-def test_degenerate_gap_guard():
-    fam = sp.analytic_spectrum(sp.SectorParams(s=1.0, N=8))
-    squeezed = sp.SpectralFamily(s=fam.s, N=fam.N, energies=np.ones(8))
-    with pytest.raises(Exception):
-        sp.coupling_matrix(squeezed)
