@@ -18,10 +18,10 @@ integral of W uses a quadratic (Filon) model of the slowly varying Pi
 against exact oscillatory moments, and C advances by the exponential of
 that panel integral plus its commutator term (a second-order Magnus step,
 made exactly unitary by the diagonal Pade approximant of _magnus_step).
-Panel size is tied to eps only mildly (h <= eps/4) to keep the remainder
-of the Magnus step negligible; twisted_coupling_integral checks panel
-halving.  The twisted integral I(s) is the running sum of the same panel
-integrals, so one walk over the panels yields I and C together.
+Panel size is tied to eps only mildly (h <= min(PANEL_MAX, eps/4)) to
+keep the remainder of the Magnus step negligible.  The twisted integral
+I(s) is the running sum of the same panel integrals, so one walk over the
+panels yields I and C together.
 
 On the N-level truncation U_ad satisfies its own generator identity
 exactly and U_w satisfies i eps dU_w/ds = H U_w identically (the corrector
@@ -30,11 +30,11 @@ residuals of both identities measure differencing, not a mathematical gap.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from .errors import GridTooCoarse, StepFailure, ValidationError, check_working_set
+from .errors import StepFailure, ValidationError, check_working_set
 from .spectral import pi_matrix
 
 # Most Filon/Magnus panels one epsilon may walk (AdiabaticConfig.panels):
@@ -42,6 +42,11 @@ from .spectral import pi_matrix
 # the budget is about 17 s (4 levels) to 2.5 min (64 levels) per epsilon.
 # The README and benchmark sweeps use at most 400.
 MAX_PANELS = 100_000
+
+# Widest Filon/Magnus panel for eps >= 0.04 (AdiabaticConfig.panel_width
+# reads it at call time); halving it moves the endpoint ||I|| by at most
+# 5e-12 at eps 0.01-0.2 on 16 levels, against the tests' bound of 1e-6.
+PANEL_MAX = 0.01
 
 # Working set of one epsilon's walk, from peak memory measured on one core:
 # about 40 N x N complex arrays (36-39 at 256 and 512 levels: the panel
@@ -54,7 +59,7 @@ BYTES_PER_SAMPLE = 700
 
 @dataclass(frozen=True)
 class AdiabaticConfig:
-    """Adiabatic parameter, output grid, truncation and panel control.
+    """Adiabatic parameter, output grid and truncation.
 
     A config whose walk would exceed MAX_PANELS panels, or whose levels and
     samples would exceed the working-set budget, is refused.
@@ -64,7 +69,6 @@ class AdiabaticConfig:
     s_end: float = 2.0
     n_samples: int = 41
     N: int = 64
-    panel_max: float = 0.01
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
@@ -95,28 +99,30 @@ class AdiabaticConfig:
 
     @property
     def panel_width(self):
-        """Widest Filon/Magnus panel: min(panel_max, epsilon/4)."""
-        return min(self.panel_max, self.epsilon / 4.0)
+        """Widest Filon/Magnus panel: min(PANEL_MAX, epsilon/4)."""
+        return min(PANEL_MAX, self.epsilon / 4.0)
 
     @property
     def panels(self):
-        """Panels of the walk over the sample grid, in closed form: each of
-        the n_samples - 1 intervals takes _interval_panels of its spacing."""
-        spacing = self.s_end / (self.n_samples - 1)
-        return (self.n_samples - 1) * _interval_panels(spacing, self.panel_width)
+        """Panels of the walk over the sample grid: _interval_panels of its
+        intervals, summed; inf when a count overflows."""
+        total = _interval_panels(np.diff(self.s_grid), self.panel_width).sum()
+        return int(total) if total < math.inf else math.inf
 
     @property
     def s_grid(self):
         return np.linspace(0.0, self.s_end, self.n_samples)
 
 
-def _interval_panels(length, width):
-    """Equal panels no wider than ``width`` over an interval of ``length``,
-    at least one; inf when a subnormal or zero width overflows the count.
-    A linspace grid leaves ulp noise in the length, so an interval that is
-    a whole number of panels to within rounding does not gain one."""
-    quotient = length / width * (1.0 - 1e-12) if width > 0 else math.inf
-    return max(1, math.ceil(quotient)) if quotient < math.inf else math.inf
+def _interval_panels(lengths, width):
+    """Equal panels no wider than ``width`` over each interval of
+    ``lengths``, at least one, as floats; inf where a subnormal or zero
+    width overflows the count.  A linspace grid leaves ulp noise in its
+    lengths, so an interval that is a whole number of panels to within
+    rounding does not gain one.  The noise differs between intervals, so
+    a count is taken per interval, never from the nominal spacing."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.maximum(1.0, np.ceil(lengths / width * (1.0 - 1e-12)))
 
 
 def unitarity_defect(m):
@@ -136,16 +142,37 @@ def _u_ad(s, N, epsilon):
     return np.diag(np.exp(-1j * phase_integrals(s, N, epsilon)))
 
 
-class _FilonPanels:
-    """Panel integrals of W(s) = exp(2i(m-n)s/eps) Pi_mn(s).
+def _moments(omega, c):
+    """int_{-c}^{c} tau^k e^{i omega tau} dtau for k = 0, 1, 2."""
+    w = omega * c
+    small = np.abs(w) < 1e-6
+    ws = np.where(small, 1.0, omega)
+    sin, cos = np.sin(w), np.cos(w)
+    m0 = np.where(small, 2.0 * c, 2.0 * sin / ws)
+    m1 = np.where(small, 0.0 + 0j, 2j * (sin - w * cos) / ws ** 2)
+    m2 = np.where(small, 2.0 * c ** 3 / 3.0,
+                  2.0 * ((w * w - 2.0) * sin + 2.0 * w * cos) / ws ** 3)
+    return m0, m1, m2
 
-    The quadratic model of Pi uses the panel endpoints and midpoint against
-    the exact oscillatory moments int tau^k exp(i omega tau) dtau
-    (omega = 2(m-n)/eps).  ``stops`` is any ascending sequence of times
-    (default: the sample grid); each interval between consecutive stops is
-    split into equal panels no wider than min(panel_max, eps/4), so every
-    stop is a panel edge and propagation can halt there.  ``count`` is the
-    number of panels the walk integrates.
+
+def _panel_integrals(config, stops):
+    """Yields (a, b, integral of W, Magnus-2 term) per panel of the walk
+    over ``stops``, where W(s) = exp(2i(m-n)s/eps) Pi_mn(s).
+
+    ``stops`` is any ascending sequence of times; each interval between
+    consecutive stops is split into _interval_panels equal panels no wider
+    than config.panel_width (the count AdiabaticConfig.panels sums over
+    the sample grid), so every stop is a panel edge and propagation
+    can halt there.  The quadratic model of Pi uses the panel endpoints and
+    midpoint against the exact oscillatory moments
+    int tau^k exp(i omega tau) dtau (omega = 2(m-n)/eps).
+
+    The Magnus-2 term is
+    Omega_2 = -(1/2) int_a^b int_a^{s1} [W(s1), W(s2)] ds2 ds1
+    with Pi frozen at the midpoint; because the phase frequencies add
+    along index chains (w_mk + w_kn = w_mn) the double integral reduces
+    to Hadamard/matrix products per panel, and since every factor
+    is hermitian, two of the four products are adjoints of the others.
 
     Moments, phases and commutator factors depend on (m, n) only through
     d = m - n, so they are evaluated on the 2N-1 values of d and gathered
@@ -153,93 +180,58 @@ class _FilonPanels:
     c, so the moment tables are built once per interval; a panel itself
     costs 2N-1 exponentials (its phase) plus the matrix products.
     """
-
-    def __init__(self, config, stops=None):
-        self.config = config
-        self.stops = config.s_grid if stops is None else stops
-        width = config.panel_width
-        self.intervals = []
-        for a, b in zip(self.stops[:-1], self.stops[1:]):
-            self.intervals.append(np.linspace(a, b, _interval_panels(b - a, width) + 1))
-        # panel_integrals skips an edge pair that rounding collapsed
-        self.count = sum(int(np.count_nonzero(np.diff(edges) > 0))
-                         for edges in self.intervals)
-        n = np.arange(config.N)
-        self.omega_d = 2.0 * np.arange(1 - config.N, config.N) / config.epsilon
-        self.by_d = n[:, None] - n[None, :] + (config.N - 1)
-
-    @staticmethod
-    def _moments(omega, c):
-        """int_{-c}^{c} tau^k e^{i omega tau} dtau for k = 0, 1, 2."""
-        w = omega * c
-        small = np.abs(w) < 1e-6
-        ws = np.where(small, 1.0, omega)
-        sin, cos = np.sin(w), np.cos(w)
-        m0 = np.where(small, 2.0 * c, 2.0 * sin / ws)
-        m1 = np.where(small, 0.0 + 0j, 2j * (sin - w * cos) / ws ** 2)
-        m2 = np.where(small, 2.0 * c ** 3 / 3.0,
-                      2.0 * ((w * w - 2.0) * sin + 2.0 * w * cos) / ws ** 3)
-        return m0, m1, m2
-
-    def panel_integrals(self):
-        """Yields (a, b, integral of W, Magnus-2 term) per panel.
-
-        The Magnus-2 term is
-        Omega_2 = -(1/2) int_a^b int_a^{s1} [W(s1), W(s2)] ds2 ds1
-        with Pi frozen at the midpoint; because the phase frequencies add
-        along index chains (w_mk + w_kn = w_mn) the double integral reduces
-        to Hadamard/matrix products per panel, and since every factor
-        is hermitian, two of the four products are adjoints of the others.
-        """
-        omega_d, by_d = self.omega_d, self.by_d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_iw_d = np.where(omega_d != 0.0, 1.0 / (1j * omega_d), 0.0)
-        inv_iw = inv_iw_d[by_d]
-        pi_right = pi_matrix(self.intervals[0][0], self.config.N)
-        for edges in self.intervals:
-            c = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
-            m0, m1, m2 = (m[by_d] for m in self._moments(omega_d, c))
-            e_iw = (np.exp(-1j * omega_d * c) * inv_iw_d)[by_d]
-            for a, b in zip(edges[:-1], edges[1:]):
-                if b <= a:
-                    continue
-                mid = 0.5 * (a + b)
-                pa = pi_right
-                pm = pi_matrix(mid, self.config.N)
-                pb = pi_matrix(b, self.config.N)
-                pi_right = pb
-                beta = (pb - pa) / (2.0 * c)
-                gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
-                phase = np.exp(1j * omega_d * mid)[by_d]
-                block = phase * (pm * m0 + beta * m1 + gamma * m2)
-                # D(alpha_f, beta_f) = e^{i(alpha_f+beta_f) mid}
-                #                      [F(alpha_f+beta_f) - e^{-i beta_f c} F(alpha_f)]
-                #                      / (i beta_f),  F = m0 above.
-                # sum_k Pi Pi [D(w_mk, w_kn) - D(w_kn, w_mk)] splits into
-                #   F(w_mn) * [Pi @ pw - pw @ Pi]  -  pf @ pe  +  pe @ pf
-                # with pf = Pi F, pw = Pi/(iw), pe = Pi e^{-iwc}/(iw) entrywise;
-                # all four are hermitian, so pw @ Pi = (Pi @ pw)^H and
-                # pe @ pf = (pf @ pe)^H.
-                pf = pm * m0
-                x = pm @ (pm * inv_iw)
-                y = pf @ (pm * e_iw)
-                dd = m0 * (x - x.conj().T) - (y - y.conj().T)
-                omega2 = -0.5 * phase * dd
-                yield a, b, block, omega2
+    N = config.N
+    n = np.arange(N)
+    omega_d = 2.0 * np.arange(1 - N, N) / config.epsilon
+    by_d = n[:, None] - n[None, :] + (N - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_iw_d = np.where(omega_d != 0.0, 1.0 / (1j * omega_d), 0.0)
+    inv_iw = inv_iw_d[by_d]
+    counts = _interval_panels(np.diff(stops), config.panel_width).tolist()
+    pi_right = pi_matrix(stops[0], N)
+    for start, stop, count in zip(stops[:-1], stops[1:], counts):
+        edges = np.linspace(start, stop, int(count) + 1)
+        c = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
+        m0, m1, m2 = (m[by_d] for m in _moments(omega_d, c))
+        e_iw = (np.exp(-1j * omega_d * c) * inv_iw_d)[by_d]
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (a + b)
+            pa = pi_right
+            pm = pi_matrix(mid, N)
+            pb = pi_matrix(b, N)
+            pi_right = pb
+            beta = (pb - pa) / (2.0 * c)
+            gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
+            phase = np.exp(1j * omega_d * mid)[by_d]
+            block = phase * (pm * m0 + beta * m1 + gamma * m2)
+            # D(alpha_f, beta_f) = e^{i(alpha_f+beta_f) mid}
+            #                      [F(alpha_f+beta_f) - e^{-i beta_f c} F(alpha_f)]
+            #                      / (i beta_f),  F = m0 above.
+            # sum_k Pi Pi [D(w_mk, w_kn) - D(w_kn, w_mk)] splits into
+            #   F(w_mn) * [Pi @ pw - pw @ Pi]  -  pf @ pe  +  pe @ pf
+            # with pf = Pi F, pw = Pi/(iw), pe = Pi e^{-iwc}/(iw) entrywise;
+            # all four are hermitian, so pw @ Pi = (Pi @ pw)^H and
+            # pe @ pf = (pf @ pe)^H.
+            pf = pm * m0
+            x = pm @ (pm * inv_iw)
+            y = pf @ (pm * e_iw)
+            dd = m0 * (x - x.conj().T) - (y - y.conj().T)
+            omega2 = -0.5 * phase * dd
+            yield a, b, block, omega2
 
 
-def _propagate(panels):
-    """Yields (s, I, C) at each stop of the ``panels`` walk, from I = 0 and
-    C = id at the first stop: the walk sums the panel integrals of W into
-    I, in panel order, and advances C by their Magnus steps.  Yielded
-    arrays are never written afterwards.  StepFailure guards the unitarity
-    drift of the last C."""
-    config, stops = panels.config, panels.stops
+def _propagate(config, stops=None):
+    """Yields (s, I, C) at each of ``stops`` (default: the sample grid),
+    from I = 0 and C = id at the first stop: the walk sums the panel
+    integrals of W into I, in panel order, and advances C by their Magnus
+    steps.  Yielded arrays are never written afterwards.  StepFailure
+    guards the unitarity drift of the last C."""
+    stops = config.s_grid if stops is None else stops
     acc = np.zeros((config.N, config.N), dtype=complex)
     c = np.eye(config.N, dtype=complex)
     yield float(stops[0]), acc, c
     sample_at = set(stops[1:].tolist())
-    for _, b, block, omega2 in panels.panel_integrals():
+    for _, b, block, omega2 in _panel_integrals(config, stops):
         acc = acc + block
         c = _magnus_step(block, omega2) @ c
         if b in sample_at:
@@ -249,24 +241,14 @@ def _propagate(panels):
         raise StepFailure(f"corrector unitarity defect {defect:.2e}")
 
 
-def twisted_coupling_integral(config, check_refinement=True):
+def twisted_coupling_integral(config):
     """I(s) = integral_0^s U_ad^(-1) Pi U_ad and its norm curve on the grid.
 
-    Returns (matrices at the sample points, norms).  With
-    ``check_refinement`` the walked panel width is halved and the endpoint
-    norm compared; a change above 1e-6 raises GridTooCoarse.  The walk also
-    advances C, so its StepFailure guard applies.  The refined config, which
-    may exceed the panel budget, is validated before either walk.
+    Returns (matrices at the sample points, norms).  The walk also
+    advances C, so its StepFailure guard applies.
     """
-    if check_refinement:
-        fine = replace(config, panel_max=config.panel_width / 2.0)
-    mats = [i_mat for _, i_mat, _ in _propagate(_FilonPanels(config))]
+    mats = [i_mat for _, i_mat, _ in _propagate(config)]
     norms = np.array([np.linalg.norm(m, 2) for m in mats])
-    if check_refinement:
-        _, norms_fine = twisted_coupling_integral(fine, check_refinement=False)
-        drift = abs(norms_fine[-1] - norms[-1])
-        if drift > 1e-6:
-            raise GridTooCoarse(f"twisted integral norm moved {drift:.2e} under panel halving")
     return mats, norms
 
 
@@ -276,7 +258,7 @@ def dyson_corrector(config):
     Returns the list of N x N arrays from the Magnus-Filon panel walk;
     each step is exactly unitary, and StepFailure guards unitarity drift.
     """
-    return [c for _, _, c in _propagate(_FilonPanels(config))]
+    return [c for _, _, c in _propagate(config)]
 
 
 def _magnus_step(block, omega2):
@@ -328,8 +310,7 @@ def run_sweep(epsilons, s_end, N, n_samples):
     for cfg in configs:
         s_grid = cfg.s_grid
         norms_i, norms_c, norms_w, defects_c, defects_w = [], [], [], [], []
-        walk = _FilonPanels(cfg)
-        for s, i_mat, c in _propagate(walk):
+        for s, i_mat, c in _propagate(cfg):
             u = _u_ad(s, N, cfg.epsilon)
             u_w = u @ c
             norms_i.append(np.linalg.norm(i_mat, 2))
@@ -341,7 +322,7 @@ def run_sweep(epsilons, s_end, N, n_samples):
         nc.append(norms_c)
         nw.append(norms_w)
         ud.append(max(max(defects_c), max(defects_w)))
-        panels.append(walk.count)
+        panels.append(cfg.panels)
     nt, nc, nw = np.asarray(nt), np.asarray(nc), np.asarray(nw)
     exponents = None
     if epsilons.size >= 2:

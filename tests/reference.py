@@ -134,8 +134,7 @@ def residual_generator_check(config, probes=None, delta=1e-6):
     eps = config.epsilon
 
     stops = np.unique(np.concatenate([[0.0], probes - delta, probes, probes + delta]))
-    walk = adiabatic._FilonPanels(config, stops)
-    corrector = {s: c for s, _, c in adiabatic._propagate(walk)}
+    corrector = {s: c for s, _, c in adiabatic._propagate(config, stops)}
     res_ad, res_w = [], []
     for s in probes:
         pim = adiabatic.pi_matrix(s, config.N)

@@ -34,7 +34,7 @@ def test_config_validation():
 
 
 def test_config_panel_budget():
-    # the walk splits (0, s_end) into panels of width min(panel_max, eps/4);
+    # the walk splits (0, s_end) into panels of width min(PANEL_MAX, eps/4);
     # a config is built right at the budget and refused one panel above it
     at_budget = ad.AdiabaticConfig(epsilon=1e-3, s_end=ad.MAX_PANELS * 2.5e-4)
     assert at_budget.panel_width == 2.5e-4
@@ -71,41 +71,31 @@ def test_config_working_set_budget():
     (0.2, dict(n_samples=501)),                 # intervals narrower than a panel: 1
     (0.05, dict(s_end=0.3, n_samples=4, panel_max=0.03)),  # exactly 8 of eps/4
     (0.4, dict(s_end=1.0, n_samples=2, panel_max=0.07)),
+    # spacing a hair above 0.01, where the linspace noise in the interval
+    # lengths decides between one and two panels: 14, where the nominal
+    # spacing gives 20
+    (0.1, dict(s_end=0.10000000000010002, n_samples=11)),
 ])
-def test_config_panel_count_matches_walk(eps, kw):
-    # the budget's closed-form count is the walk's count
+def test_config_panel_count_matches_walk(monkeypatch, eps, kw):
+    # the budget's count is the walk's count
+    kw = dict(kw)
+    monkeypatch.setattr(ad, "PANEL_MAX", kw.pop("panel_max", ad.PANEL_MAX))
     config = cfg(eps, N=2, **kw)
-    assert config.panels == ad._FilonPanels(config).count
+    assert config.panels == sum(1 for _ in ad._panel_integrals(config, config.s_grid))
 
 
-def test_refinement_check_validates_panel_budget_before_walking(monkeypatch):
-    # panel halving doubles the walk; past the budget that fails up front
-    monkeypatch.setattr(ad, "MAX_PANELS", 200)
-    config = cfg(0.1, n_samples=3, N=4)  # 200 panels of 0.01
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("walk started before the refined config was checked")
-
-    monkeypatch.setattr(ad, "_FilonPanels", unreachable)
-    with pytest.raises(ValidationError, match="400 panels"):
-        ad.twisted_coupling_integral(config)
-
-
-@pytest.mark.parametrize("eps", [0.1, 0.03, 0.02, 0.01])
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.03, 0.02, 0.01])
 def test_refinement_check_halves_the_walked_panel_width(monkeypatch, eps):
-    # the walked width is min(panel_max, eps/4); halving it doubles the walk
-    # also where eps/4 is the narrower bound (200, 270, 400 and 800 panels)
-    counts = []
-    walk = ad._FilonPanels
-
-    def counted(config, stops=None):
-        panels = walk(config, stops)
-        counts.append(panels.count)
-        return panels
-
-    monkeypatch.setattr(ad, "_FilonPanels", counted)
-    ad.twisted_coupling_integral(cfg(eps, N=4))
-    assert counts == [counts[0], 2 * counts[0]]
+    # the walked width is min(PANEL_MAX, eps/4); halving it doubles the walk
+    # also where eps/4 is the narrower bound (200, 200, 270, 400 and 800
+    # panels), and the endpoint ||I|| holds to 1e-6
+    c = cfg(eps)
+    panels = c.panels
+    _, norms = ad.twisted_coupling_integral(c)
+    monkeypatch.setattr(ad, "PANEL_MAX", c.panel_width / 2.0)
+    assert c.panels == 2 * panels
+    _, norms_fine = ad.twisted_coupling_integral(c)
+    assert abs(norms_fine[-1] - norms[-1]) <= 1e-6
 
 
 def test_u_ad_identity_and_phases():
@@ -127,7 +117,7 @@ def test_u_ad_composition():
 def test_zero_coupling_hooks(monkeypatch):
     monkeypatch.setattr(ad, "pi_matrix", ref.zero_pi)
     c = cfg(0.1)
-    mats, norms = ad.twisted_coupling_integral(c, check_refinement=False)
+    mats, norms = ad.twisted_coupling_integral(c)
     assert norms.max() == 0.0
     for m in ad.dyson_corrector(c):
         assert_allclose(m, np.eye(N_SMALL), atol=0)
@@ -160,16 +150,10 @@ def test_epsilon_halving_ratios():
 
 def test_twisted_integral_s_scaling_bounded():
     c = ad.AdiabaticConfig(epsilon=0.1, s_end=5.0, n_samples=26, N=N_SMALL)
-    _, norms = ad.twisted_coupling_integral(c, check_refinement=False)
+    _, norms = ad.twisted_coupling_integral(c)
     s = c.s_grid
     mask = s >= 1.0
     assert np.max(norms[mask] / s[mask]) < 1.0
-
-
-def test_twisted_integral_refinement_gate():
-    c = cfg(0.2)
-    mats, norms = ad.twisted_coupling_integral(c, check_refinement=True)
-    assert len(mats) == len(c.s_grid)
 
 
 def test_corrector_matches_two_term_dyson():
@@ -180,7 +164,7 @@ def test_corrector_matches_two_term_dyson():
     rems = {}
     for eps in (0.2, 0.1):
         c = cfg(eps, n_samples=21, N=32)
-        mats, _ = ad.twisted_coupling_integral(c, check_refinement=False)
+        mats, _ = ad.twisted_coupling_integral(c)
         cs = ad.dyson_corrector(c)
         ident = np.eye(32)
         rem = max(np.linalg.norm(cs[k] - ident - 1j * mats[k], 2)
@@ -229,7 +213,7 @@ def test_run_sweep_rows_equal_public_views():
     ident = np.eye(12)
     for i, eps in enumerate(res.epsilons):
         c = ad.AdiabaticConfig(epsilon=float(eps), s_end=1.3, n_samples=9, N=12)
-        _, norms = ad.twisted_coupling_integral(c, check_refinement=False)
+        _, norms = ad.twisted_coupling_integral(c)
         assert np.array_equal(res.norm_twisted[i], norms)
         cs = ad.dyson_corrector(c)
         assert np.array_equal(res.norm_c_minus_id[i],
@@ -246,7 +230,7 @@ def _panel_reference(N, eps, a, b):
     pa, pm, pb = (pi_matrix(t, N) for t in (a, mid, b))
     beta = (pb - pa) / (2.0 * c)
     gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
-    m0, m1, m2 = ad._FilonPanels._moments(omega, c)
+    m0, m1, m2 = ad._moments(omega, c)
     phase = np.exp(1j * omega * mid)
     block = phase * (pm * m0 + beta * m1 + gamma * m2)
     inv_iw = np.zeros((N, N), dtype=complex)
@@ -274,17 +258,19 @@ def _rel_gap(got, ref, scale=0.0):
        panel_max=st.floats(5e-3, 0.2))
 def test_panel_walk_matches_per_panel_formulas(N, eps, start, gaps, panel_max):
     stops = start + np.concatenate([[0.0], np.cumsum(gaps)])
-    config = ad.AdiabaticConfig(epsilon=eps, s_end=1.0, N=N, panel_max=panel_max)
-    panels = ad._FilonPanels(config, stops)
+    config = ad.AdiabaticConfig(epsilon=eps, s_end=1.0, N=N)
     ends = []
-    for a, b, block, omega2 in panels.panel_integrals():
-        ref_block, ref_omega2, scale = _panel_reference(N, eps, a, b)
-        assert _rel_gap(block, ref_block) <= 1e-12
-        assert _rel_gap(omega2, ref_omega2, scale) <= 1e-12
-        assert _rel_gap(block.conj().T, block) <= 1e-14
-        ends.append(b)
+    # hypothesis rejects function-scoped fixtures, so no monkeypatch argument
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "PANEL_MAX", panel_max)
+        for a, b, block, omega2 in ad._panel_integrals(config, stops):
+            ref_block, ref_omega2, scale = _panel_reference(N, eps, a, b)
+            assert _rel_gap(block, ref_block) <= 1e-12
+            assert _rel_gap(omega2, ref_omega2, scale) <= 1e-12
+            assert _rel_gap(block.conj().T, block) <= 1e-14
+            assert b > a
+            ends.append(b)
     assert set(stops[1:].tolist()) <= set(ends)
-    assert len(ends) == panels.count
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-10, 1e-6, 1e-2])

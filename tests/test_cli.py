@@ -273,7 +273,7 @@ def test_bad_input_rejected_before_any_work(tmp_path, tmp_path_factory, monkeypa
         raise AssertionError("computation started on invalid input")
 
     monkeypatch.setattr(reduced, "_PanelQuadrature", unreachable)
-    monkeypatch.setattr(adiabatic, "_FilonPanels", unreachable)
+    monkeypatch.setattr(adiabatic, "_panel_integrals", unreachable)
     monkeypatch.setattr(classical, "solve_ivp", unreachable)
     monkeypatch.setattr(spectral, "analytic_spectrum", unreachable)
     conf = tmp_path_factory.mktemp("conf")

@@ -132,12 +132,13 @@ def test_samples_are_rows_of_the_state():
 def test_samples_hold_no_python_object(n):
     # each sample is written in place as one row of an (n, 4) float array:
     # 32 bytes per sample, against about 280 when every sample was staged
-    # as a Python float and a tuple of four
-    t_eval = np.linspace(0.0, 100.0, n)
+    # as a Python float and a tuple of four.  The span is short because
+    # tracemalloc costs about 3 ms per step; the bound is per sample.
+    t_eval = np.linspace(0.0, 10.0, n)
     ode._stepper(4)  # the generated stage code is compiled once per dimension
     tracemalloc.start()
     try:
-        sol = ode.solve_ivp(cl._rhs_flat, (0.0, 100.0), (*Q0, *P0), 1e-10, 1e-12,
+        sol = ode.solve_ivp(cl._rhs_flat, (0.0, 10.0), (*Q0, *P0), 1e-10, 1e-12,
                             t_eval, args=(0.5,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
