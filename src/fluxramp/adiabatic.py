@@ -16,8 +16,11 @@ from it per sample in run_sweep, never propagated on its own.
 Time stepping never resolves the 1/eps phases by brute force: each panel
 integral of W uses a quadratic (Filon) model of the slowly varying Pi
 against exact oscillatory moments, and C advances by the exponential of
-that panel integral plus its commutator term (a second-order Magnus step,
-made exactly unitary by the diagonal Pade approximant of _magnus_step).
+that panel integral plus its commutator term (a second-order Magnus step).
+Pi is purely imaginary, so a panel's arithmetic is real up to its phase.
+The exponential is the Taylor polynomial of degree 6 (_magnus_step), whose
+remainder stays below half an ulp on every panel PANEL_MAX admits; the
+step is not unitary by construction, and StepFailure guards the drift.
 Panel size is tied to eps only mildly (h <= min(PANEL_MAX, eps/4)) to
 keep the remainder of the Magnus step negligible.  The twisted integral
 I(s) is the running sum of the same panel integrals, so one walk over the
@@ -38,14 +41,16 @@ from .errors import StepFailure, ValidationError, check_working_set
 from .spectral import pi_matrix
 
 # Most Filon/Magnus panels one epsilon may walk (AdiabaticConfig.panels):
-# a panel costs about 0.17 ms at 4 levels and 1.4 ms at 64 on one core, so
-# the budget is about 17 s (4 levels) to 2.5 min (64 levels) per epsilon.
+# a panel costs about 0.16 ms at 4 levels and 0.5 ms at 64 on one core, so
+# the budget is about 16 s (4 levels) to 50 s (64 levels) per epsilon.
 # The README and benchmark sweeps use at most 400.
 MAX_PANELS = 100_000
 
 # Widest Filon/Magnus panel for eps >= 0.04 (AdiabaticConfig.panel_width
 # reads it at call time); halving it moves the endpoint ||I|| by at most
 # 5e-12 at eps 0.01-0.2 on 16 levels, against the tests' bound of 1e-6.
+# Above about 0.0107 the degree-6 Taylor step of _magnus_step no longer
+# holds its remainder below 2^-53.
 PANEL_MAX = 0.01
 
 # Working set of one epsilon's walk, from peak memory measured on one core:
@@ -155,6 +160,14 @@ def _moments(omega, c):
     return m0, m1, m2
 
 
+def _mirrored(table, parity):
+    """A table on d = 0..N-1 extended to d = 1-N..N-1 by table(-d) =
+    parity * table(d), so that gathered N x N forms are exactly symmetric
+    (parity 1) or antisymmetric (parity -1) whatever the rounding of the
+    functions evaluated on it."""
+    return np.concatenate((parity * table[:0:-1], table))
+
+
 def _panel_integrals(config, stops):
     """Yields (a, b, integral of W, Magnus-2 term) per panel of the walk
     over ``stops``, where W(s) = exp(2i(m-n)s/eps) Pi_mn(s).
@@ -171,52 +184,79 @@ def _panel_integrals(config, stops):
     Omega_2 = -(1/2) int_a^b int_a^{s1} [W(s1), W(s2)] ds2 ds1
     with Pi frozen at the midpoint; because the phase frequencies add
     along index chains (w_mk + w_kn = w_mn) the double integral reduces
-    to Hadamard/matrix products per panel, and since every factor
-    is hermitian, two of the four products are adjoints of the others.
+    to Hadamard/matrix products per panel.
+
+    Pi = i R is purely imaginary with R real antisymmetric, and the
+    moments split as m0, m2 real and even in omega, m1 = i mu1 with mu1
+    odd, so all arithmetic before the phase is real: the Filon integral is
+    -beta_R o mu1 + i (R o m0 + gamma_R o m2), and Omega_2 takes the three
+    real products X = R (R o nu), Y1 = (R o m0)(R o cos(omega c) nu) and
+    Y2 = (R o m0)(R o sin(omega c) nu), nu = 1/omega (0 at omega = 0);
+    Y1 and Y2 come from one product against their right factors side by
+    side.  Every table is built with its parity in d, so the integral comes out
+    exactly hermitian and Omega_2 exactly anti-hermitian.
 
     Moments, phases and commutator factors depend on (m, n) only through
-    d = m - n, so they are evaluated on the 2N-1 values of d and gathered
-    by one index array.  All panels of one interval share their half-width
-    c, so the moment tables are built once per interval; a panel itself
-    costs 2N-1 exponentials (its phase) plus the matrix products.
+    d = m - n, so they are evaluated on the N values d >= 0, mirrored and
+    gathered by one index array.  All panels of one interval share their
+    half-width c, so the moment tables (with the factors -1/(2c), 1/(2c^2)
+    and the -1/2 of Omega_2 folded in) are built once per interval; a panel
+    itself costs 2N sines and cosines (its phase) plus the products.
     """
     N = config.N
     n = np.arange(N)
-    omega_d = 2.0 * np.arange(1 - N, N) / config.epsilon
+    omega_k = 2.0 * n / config.epsilon
     by_d = n[:, None] - n[None, :] + (N - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_iw_d = np.where(omega_d != 0.0, 1.0 / (1j * omega_d), 0.0)
-    inv_iw = inv_iw_d[by_d]
+    with np.errstate(divide="ignore"):
+        half_nu = _mirrored(np.where(omega_k != 0.0, -0.5 / omega_k, 0.0), -1)
     counts = _interval_panels(np.diff(stops), config.panel_width).tolist()
-    pi_right = pi_matrix(stops[0], N)
+    pf, curv, work, x_mat, y1_sym = (np.empty((N, N)) for _ in range(5))
+    right, y = np.empty((N, 2 * N)), np.empty((N, 2 * N))
+    y1, y2 = y[:, :N], y[:, N:]
+    r_right = np.ascontiguousarray(pi_matrix(stops[0], N).imag)
     for start, stop, count in zip(stops[:-1], stops[1:], counts):
         edges = np.linspace(start, stop, int(count) + 1)
         c = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
-        m0, m1, m2 = (m[by_d] for m in _moments(omega_d, c))
-        e_iw = (np.exp(-1j * omega_d * c) * inv_iw_d)[by_d]
+        m0, m1, m2 = _moments(omega_k, c)
+        m0_t = _mirrored(m0, 1)[by_d]
+        mu1_t = _mirrored(m1.imag * (-0.5 / c), -1)[by_d]
+        m2_t = _mirrored(m2 / (2.0 * c * c), 1)[by_d]
+        nu_t = half_nu[by_d]
+        cos_nu = (_mirrored(np.cos(omega_k * c), 1) * half_nu)[by_d]
+        sin_nu = (_mirrored(np.sin(omega_k * c), -1) * half_nu)[by_d]
         for a, b in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (a + b)
-            pa = pi_right
-            pm = pi_matrix(mid, N)
-            pb = pi_matrix(b, N)
-            pi_right = pb
-            beta = (pb - pa) / (2.0 * c)
-            gamma = (pa + pb - 2.0 * pm) / (2.0 * c * c)
-            phase = np.exp(1j * omega_d * mid)[by_d]
-            block = phase * (pm * m0 + beta * m1 + gamma * m2)
-            # D(alpha_f, beta_f) = e^{i(alpha_f+beta_f) mid}
-            #                      [F(alpha_f+beta_f) - e^{-i beta_f c} F(alpha_f)]
-            #                      / (i beta_f),  F = m0 above.
-            # sum_k Pi Pi [D(w_mk, w_kn) - D(w_kn, w_mk)] splits into
-            #   F(w_mn) * [Pi @ pw - pw @ Pi]  -  pf @ pe  +  pe @ pf
-            # with pf = Pi F, pw = Pi/(iw), pe = Pi e^{-iwc}/(iw) entrywise;
-            # all four are hermitian, so pw @ Pi = (Pi @ pw)^H and
-            # pe @ pf = (pf @ pe)^H.
-            pf = pm * m0
-            x = pm @ (pm * inv_iw)
-            y = pf @ (pm * e_iw)
-            dd = m0 * (x - x.conj().T) - (y - y.conj().T)
-            omega2 = -0.5 * phase * dd
+            ra = r_right
+            rm = np.ascontiguousarray(pi_matrix(mid, N).imag)
+            rb = np.ascontiguousarray(pi_matrix(b, N).imag)
+            r_right = rb
+            arg = omega_k * mid
+            phase = (_mirrored(np.cos(arg), 1) + 1j * _mirrored(np.sin(arg), -1))[by_d]
+            # phase o [(rb - ra) o mu1_t + i (rm o m0 + (ra + rb - 2 rm) o m2_t)]
+            block = np.empty((N, N), dtype=complex)
+            np.subtract(rb, ra, out=block.real)
+            block.real *= mu1_t
+            np.add(ra, rb, out=curv)
+            np.multiply(rm, 2.0, out=work)
+            curv -= work
+            curv *= m2_t
+            np.multiply(rm, m0_t, out=pf)
+            np.add(pf, curv, out=block.imag)
+            block *= phase
+            # phase o [(Y2^T - Y2) + i (m0 o (X + X^T) - (Y1 + Y1^T))], whose
+            # factor -1/2 sits in the nu tables
+            np.multiply(rm, nu_t, out=work)
+            np.matmul(rm, work, out=x_mat)
+            np.multiply(rm, cos_nu, out=right[:, :N])
+            np.multiply(rm, sin_nu, out=right[:, N:])
+            np.matmul(pf, right, out=y)
+            np.add(x_mat, x_mat.T, out=work)
+            work *= m0_t
+            np.add(y1, y1.T, out=y1_sym)
+            omega2 = np.empty((N, N), dtype=complex)
+            np.subtract(work, y1_sym, out=omega2.imag)
+            np.subtract(y2.T, y2, out=omega2.real)
+            omega2 *= phase
             yield a, b, block, omega2
 
 
@@ -256,25 +296,40 @@ def dyson_corrector(config):
     """Corrector C on the sample grid: i dC/ds = -W C, C(0) = id.
 
     Returns the list of N x N arrays from the Magnus-Filon panel walk;
-    each step is exactly unitary, and StepFailure guards unitarity drift.
+    StepFailure guards unitarity drift.
     """
     return [c for _, _, c in _propagate(config)]
 
 
 def _magnus_step(block, omega2):
-    """exp(i int W + Omega_2) by the diagonal Pade (2,2) approximant.
+    """exp(i int W + Omega_2) by its Taylor polynomial of degree 6.
 
-    The generator is anti-hermitian (enforced against rounding), so
-    numerator and denominator are adjoints of each other and commute,
-    making the approximant exactly unitary; the Pade error O(||Omega||^5)
-    sits far below the Magnus truncation for the panel sizes in use.
+    The polynomial is evaluated Paterson-Stockmeyer style as
+    (I + G + G^2/2 + G^3/6) + G^3 (G/24 + G^2/120 + G^3/720): three
+    products, no solve.  ||Pi_N(s)||_2 <= pi/2 for every N and s, so a
+    panel of width h <= PANEL_MAX has ||G||_2 <= about h pi/2 = 0.0157,
+    and the remainder theta^7/7! ~ 5e-17 lies below half an ulp of the
+    identity.  The step is not unitary by construction: its drift is
+    rounding, which the StepFailure gate of _propagate guards.
     """
-    gen = 1j * 0.5 * (block + block.conj().T) + 0.5 * (omega2 - omega2.conj().T)
+    gen = 1j * block + omega2
     gen2 = gen @ gen
-    ident = np.eye(gen.shape[0], dtype=complex)
-    num = ident + 0.5 * gen + gen2 / 12.0
-    den = ident - 0.5 * gen + gen2 / 12.0
-    return np.linalg.solve(den, num)
+    gen3 = gen2 @ gen
+    # tail = G/24 + G^2/120 + G^3/720, head = G + G^2/2 + G^3/6
+    tail = gen3 * (1.0 / 6.0)
+    tail += gen2
+    tail *= 1.0 / 5.0
+    tail += gen
+    tail *= 1.0 / 24.0
+    step = gen3 @ tail
+    head = gen3                 # G^3 is spent
+    head *= 1.0 / 3.0
+    head += gen2
+    head *= 0.5
+    head += gen
+    step += head
+    step.reshape(-1)[::gen.shape[0] + 1] += 1.0
+    return step
 
 
 @dataclass(frozen=True)

@@ -268,9 +268,60 @@ def test_panel_walk_matches_per_panel_formulas(N, eps, start, gaps, panel_max):
             assert _rel_gap(block, ref_block) <= 1e-12
             assert _rel_gap(omega2, ref_omega2, scale) <= 1e-12
             assert _rel_gap(block.conj().T, block) <= 1e-14
+            # exact structure: every table carries its parity in m - n
+            assert np.array_equal(block, block.conj().T)
+            assert np.array_equal(omega2, -omega2.conj().T)
             assert b > a
             ends.append(b)
     assert set(stops[1:].tolist()) <= set(ends)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.5, 2e4])
+def test_pi_is_purely_imaginary(s):
+    # the panels work on Pi = i R; at 2e4 the running product of w_n^2
+    # underflows and the log branch builds the ratios
+    assert not np.any(pi_matrix(s, 128).real)
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_taylor_degree_covers_every_panel(N):
+    # the walk from s = 0 at eps 1 meets the largest ||Pi|| (about pi/2) on
+    # full-width panels: every generator must lie within the norm where the
+    # degree-6 remainder theta^7/7! stays below 2^-53, so a wider PANEL_MAX
+    # fails here.  The step matches the exponential to rounding on the
+    # largest generator (1.1e-16 at 512 levels), where the remainder and
+    # the rounding of the products are largest.
+    from scipy.linalg import expm
+    theta = 1.05 * ad.PANEL_MAX * math.pi / 2.0
+    assert theta ** 7 / math.factorial(7) < 2.0 ** -53
+    config = ad.AdiabaticConfig(epsilon=1.0, s_end=0.3, n_samples=2, N=N)
+    largest = 0.0
+    for _, _, block, omega2 in ad._panel_integrals(config, config.s_grid):
+        # anti-hermitian, so its 2-norm is its largest |eigenvalue|
+        norm = np.max(np.abs(np.linalg.eigvalsh(block - 1j * omega2)))
+        assert norm <= theta
+        if norm > largest:
+            largest, worst = norm, (block, omega2)
+    block, omega2 = worst
+    step = ad._magnus_step(block, omega2)
+    assert np.linalg.norm(step - expm(1j * block + omega2), 2) <= 4e-16
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0275])
+def test_corrector_accuracy_against_finer_panels(monkeypatch, eps):
+    # C and I of the walk against one at an eighth of PANEL_MAX: C's error
+    # relative to the size of C - id (7.2e-7 at both epsilons), and I's
+    # absolute error (1.5e-10 and 3.7e-11)
+    config = ad.AdiabaticConfig(epsilon=eps, s_end=2.0, n_samples=41, N=32)
+    walk = list(ad._propagate(config))
+    monkeypatch.setattr(ad, "PANEL_MAX", ad.PANEL_MAX / 8.0)
+    fine = list(ad._propagate(config))
+    ident = np.eye(32)
+    err_c = max(np.linalg.norm(c - c_f, 2) for (_, _, c), (_, _, c_f) in zip(walk, fine))
+    size_c = max(np.linalg.norm(c_f - ident, 2) for _, _, c_f in fine)
+    err_i = max(np.linalg.norm(i - i_f, 2) for (_, i, _), (_, i_f, _) in zip(walk, fine))
+    assert err_c <= 1e-6 * size_c
+    assert err_i <= 1e-9
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-10, 1e-6, 1e-2])
