@@ -303,27 +303,34 @@ def kernel_bound_check(s):
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-# Absolute bisection tolerance of the oracle's two bisected grids (12k and
-# 24k cells).  LAPACK's default (tol <= 0) stops at ulp * ||T||_1, about
-# 5.7e-9 on a 96k-cell grid of 64 levels: larger than the Richardson error
-# the oracle reports, and it shifts with the number of levels requested (up
-# to 7e-9 between 32 and 64).  At 1e-10 the extrapolated error sits at its
-# rounding floor (1e-12 gives the same), for 15-25% more bisection time.
+# Absolute bisection tolerance of the oracle's bisected grid (12k cells),
+# the only one that reads no coarser grid.  LAPACK's default (tol <= 0)
+# stops at ulp * ||T||_1, about 5.7e-9 on a 96k-cell grid of 64 levels:
+# larger than the Richardson error the oracle reports, and it shifts with
+# the number of levels requested (up to 7e-9 between 32 and 64).  At 1e-10
+# the 12k energies sit at their rounding floor (1e-12 gives the same), for
+# 15-25% more bisection time; the finer grids start from them (_fd_refine).
 FD_BISECTION_TOL = 1e-10
 
 # Cells of the oracle's coarsest grid; its two Richardson partners have 2x
-# and 4x as many (12k/24k/48k).  Only the finest one computes vectors, and
-# it is refined from the other two instead of bisected (_fd_refine).
+# and 4x as many (12k/24k/48k).  Only the coarsest is bisected; each finer
+# one is refined from the energies of the grid below it (_fd_refine), and
+# only the finest keeps its vectors.
 FD_CELLS = 12000
+
+# Steps of Rayleigh-quotient iteration one mode of the 24k or 48k grid may
+# take (_fd_refine); two suffice at 64 levels, three at 128 and 256.
+FD_RQI_STEPS = 7
 
 # Working set of the checks of an N-level family.  The oracle holds one
 # array on its finest grid (its modes; the analytic ones come a row at a
 # time) per level it solves, the lower half: 0.183 MiB per level of the
-# family.  Peak memory of `spectral --s 1 --check all`, measured on one
-# core, grew by 0.1808-0.1817, 0.1814-0.1828 and 0.1829-0.1831 MiB per
-# level from 64 to 128, 256 and 512 levels (two runs); the estimate is
-# rounded up to 0.1875 MiB.  The coupling and gamma checks hold about
-# eight N x N complex arrays.
+# family (the 24k grid's modes, half as large, are gone by then).  Peak
+# memory of `spectral --s 1 --check all`, measured on one core, grew by
+# 0.1816-0.1824, 0.1826-0.1834 and 0.1834-0.1836 MiB per level from 64 to
+# 128, 256 and 512 levels (two runs); the estimate is rounded up to
+# 0.1875 MiB.  The coupling and gamma checks hold about eight N x N
+# complex arrays.
 ORACLE_BYTES_PER_LEVEL = 3 * 2 ** 20 // 16
 DENSE_BYTES_PER_ENTRY = 8 * 16
 
@@ -342,8 +349,8 @@ class FdSpectrum:
 
     Energies are Richardson-extrapolated over the steps h, h/2 and h/4
     (fourth order removed).  The grid, mode values and cell masses refer to
-    the finest (h/4) grid, the only one solved with vectors.  ``g`` holds the
-    smooth part of the eigenfunctions, psi_n(r) = r^s g_n(r), normalized so
+    the finest (h/4) grid, the only one whose vectors are kept.  ``g`` holds
+    the smooth part of the eigenfunctions, psi_n(r) = r^s g_n(r), normalized so
     that sum(g^2 * mass) = 1, which makes overlaps in L^2(r dr) plain
     weighted dot products.
     """
@@ -435,10 +442,10 @@ def _fd_solve(s, N, r_max, cells):
                             select_range=(0, N - 1), tol=FD_BISECTION_TOL)
 
 
-def _fd_refine(s, r_max, cells, shifts):
-    """Eigenpairs of the ``cells`` grid next to the ascending ``shifts``,
-    without bisection: inverse iteration at each shift (LAPACK stein, the
-    step eigh_tridiagonal runs after stebz), then each energy as the
+def _fd_refine(s, r_max, cells, seeds):
+    """Eigenpairs of the ``cells`` grid next to the ascending ``seeds`` (the
+    energies of the Richardson grid below, its shifts), without bisection:
+    Rayleigh-quotient iteration from each seed, then each energy as the
     Rayleigh quotient of its mode g in the positive form
 
         E = [sum_f mu_f (g_(i+1) - g_i)^2 / h + sum V mass g^2] / sum mass g^2
@@ -449,40 +456,71 @@ def _fd_refine(s, r_max, cells, shifts):
     same grid sits 1e-10 to 5e-10 off (its rounding floor, about
     0.05 ulp * ||T||_1), the quotients much closer.
 
+    A mode starts as the vector of ones at sigma = its seed.  A step solves
+    (T - sigma I) b = x (LAPACK gtsv) and sets x = b / ||b|| and sigma to
+    the Rayleigh quotient x^T T x.  With c = x_old . x, both come without a
+    product with T: T x - sigma x = x_old / ||b|| at the old sigma, so the
+    quotient is sigma + c / ||b|| and its residual ||T x - sigma x|| is
+    sqrt(1 - c^2) / ||b||.  The iteration stops once that residual is at
+    most 64 eps ||T||, or at a zero pivot (sigma an eigenvalue to working
+    precision; x is kept), within FD_RQI_STEPS steps.
+
     Returns the energies, the modes (normalized to sum(g^2 * mass) = 1 and
     oriented positive next to the origin, like the analytic g_n(0) with the
     sign of L_n^s(0) > 0), the cell centers and the cell masses.
-    NoConvergence when stein leaves a mode unconverged; GridTooCoarse when
-    the shifts or the energies do not increase strictly, or an energy lies
-    nearer a neighbouring shift than its own, so a shift caught the wrong
+    NoConvergence when a mode exhausts its steps; GridTooCoarse when the
+    seeds or the energies do not increase strictly, or an energy lies
+    nearer a neighbouring seed than its own, so a seed caught the wrong
     level.
     """
-    if not np.all(np.diff(shifts) > 0):
+    if not np.all(np.diff(seeds) > 0):
         raise GridTooCoarse(f"Richardson shifts for {cells} cells do not increase")
     from scipy.linalg import lapack
     diag, lower, h, centers, mass, mbar, potential = _fd_operator(s, r_max, cells)
-    # T as one block: stebz splits it only where an off-diagonal is
-    # negligible, to save work, and inverse iteration needs no split
-    vec, info = lapack.dstein(diag, lower, shifts, np.ones(cells, dtype=np.intc),
-                              np.full(cells, cells, dtype=np.intc))
-    if info > 0:
-        raise NoConvergence(f"inverse iteration left {info} of {shifts.size} oracle "
-                            f"modes unconverged on {cells} cells")
-    g = vec.T  # C-ordered rows; scaled in place, row by row below
+    t_norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(lower))
+    tol = 64.0 * np.finfo(float).eps * t_norm
+    # each mode iterates in its own row; gtsv overwrites its three bands
+    # with the factors and b with the solution, so they are refilled
+    g = np.full((seeds.size, cells), 1.0 / np.sqrt(cells))
+    sub, sup = np.empty(cells - 1), np.empty(cells - 1)
+    dia, b = np.empty(cells), np.empty(cells)
+    unconverged = 0
+    for x, sigma in zip(g, seeds):
+        for _ in range(FD_RQI_STEPS):
+            np.copyto(sub, lower)
+            np.subtract(diag, sigma, out=dia)
+            np.copyto(sup, lower)
+            np.copyto(b, x)
+            info = lapack.dgtsv(sub, dia, sup, b, overwrite_dl=1, overwrite_d=1,
+                                overwrite_du=1, overwrite_b=1)[-1]
+            if info > 0:
+                break
+            norm = np.sqrt(np.dot(b, b))
+            cos = np.dot(x, b) / norm
+            sigma += cos / norm
+            np.multiply(b, 1.0 / norm, out=x)
+            if 1.0 - cos * cos <= (tol * norm) ** 2:
+                break
+        else:
+            unconverged += 1
+    if unconverged:
+        raise NoConvergence(f"Rayleigh-quotient iteration left {unconverged} of "
+                            f"{seeds.size} oracle modes unconverged on {cells} cells")
+    del sub, dia, sup, b  # freed before the quotients' temporaries
     g /= np.sqrt(mbar)
     face_weight = (np.arange(1, cells + 1) * h) ** (2 * s + 1) / h
     v_mass = potential * mass
-    energies = np.empty(shifts.size)
+    energies = np.empty(seeds.size)
     for n, g_n in enumerate(g):
         step = np.diff(g_n, append=0.0)
         norm2 = np.dot(mass * g_n, g_n)
         energies[n] = (np.dot(face_weight * step, step)
                        + np.dot(v_mass * g_n, g_n)) / norm2
         g_n /= np.sqrt(norm2)
-    own = np.abs(energies - shifts)
+    own = np.abs(energies - seeds)
     if not (np.all(np.diff(energies) > 0)
-            and np.all(np.abs(energies[1:] - shifts[:-1]) >= own[1:])
-            and np.all(np.abs(energies[:-1] - shifts[1:]) >= own[:-1])):
+            and np.all(np.abs(energies[1:] - seeds[:-1]) >= own[1:])
+            and np.all(np.abs(energies[:-1] - seeds[1:]) >= own[:-1])):
         raise GridTooCoarse(f"oracle energies on {cells} cells do not follow "
                             f"their Richardson shifts")
     lead = np.sign(np.sum(g[:, : max(4, cells // 256)], axis=1))
@@ -511,19 +549,20 @@ def fd_spectrum(params, r_max=None):
     caller that checks only the lower levels of a larger family passes that
     family's radius and solves no more levels than it compares.  Three-level
     Richardson extrapolation over the steps (h, h/2, h/4), see _richardson,
-    removes the O(h^2) and O(h^4) errors.  The h and h/2 grids are bisected
-    to the absolute tolerance FD_BISECTION_TOL (_fd_solve).  The h/4 grid,
-    the only one with eigenvectors (the overlaps, second order in h), is not
-    bisected: _fd_refine runs inverse iteration at the oracle's own
-    two-level values R(h) = (4 E(h/2) - E(h))/3 and takes the Rayleigh
-    quotients of the modes.  The closed form sets the default grid extent
-    only; no closed-form value is used as a shift or a bracket.
+    removes the O(h^2) and O(h^4) errors.  The h grid is bisected to the
+    absolute tolerance FD_BISECTION_TOL (_fd_solve).  The h/2 and h/4 grids
+    are not bisected but climbed as a ladder: _fd_refine runs
+    Rayleigh-quotient iteration on h/2 from the h energies and on h/4 from
+    the h/2 energies, and takes the Rayleigh quotients of the modes.  The
+    h/4 modes are the oracle's eigenvectors (the overlaps, second order in
+    h).  The closed form sets the default grid extent only; no closed-form
+    value is used as a shift or a bracket.
     """
     s, N = params.s, params.N
     if r_max is None:
         r_max = fd_r_max(s, N)
     e_h = _fd_solve(s, N, r_max, FD_CELLS)
-    e_h2 = _fd_solve(s, N, r_max, 2 * FD_CELLS)
-    e_h4, g, centers, mass = _fd_refine(s, r_max, 4 * FD_CELLS, (4.0 * e_h2 - e_h) / 3.0)
+    e_h2 = _fd_refine(s, r_max, 2 * FD_CELLS, e_h)[0]
+    e_h4, g, centers, mass = _fd_refine(s, r_max, 4 * FD_CELLS, e_h2)
     return FdSpectrum(s=s, N=N, energies=_richardson(e_h, e_h2, e_h4),
                       r=centers, g=g, mass=mass)

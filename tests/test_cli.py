@@ -541,22 +541,43 @@ def test_classical_overflowing_step_guess_exit(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("info, code, prefix", [(3, 4, "no convergence:"),
-                                               (0, 1, "numerical failure:")])
+@pytest.mark.parametrize("fault, code, prefix", [("one_step", 4, "no convergence:"),
+                                                 ("next_level", 1, "numerical failure:")])
 def test_spectral_oracle_inverse_iteration_failure_exit(tmp_path, monkeypatch, capsys,
-                                                        info, code, prefix):
-    # unconverged modes (stein info > 0) exit 4; modes that left their shifts
-    # (here the reversed order) are a grid too coarse, exit 1; one line each
+                                                        fault, code, prefix):
+    # modes left unconverged (here by a budget of one Rayleigh-quotient step)
+    # exit 4; modes that left their shifts (here each first step solved one
+    # level up) are a grid too coarse, exit 1; one line each
     from scipy.linalg import lapack
 
-    real = lapack.dstein
-    monkeypatch.setattr(lapack, "dstein",
-                        lambda *args: (real(*args)[0][:, ::-1], info))
+    if fault == "one_step":
+        monkeypatch.setattr(spectral, "FD_RQI_STEPS", 1)
+    else:
+        real = lapack.dgtsv
+
+        def solve(dl, d, du, b, **flags):
+            if b.min() == b.max():  # the start vector of a mode
+                d -= 2.0
+            return real(dl, d, du, b, **flags)
+
+        monkeypatch.setattr(lapack, "dgtsv", solve)
     assert run(["spectral", "--s", "0.5", "--levels", "8", "--check", "oracle",
-                "--out", str(tmp_path / "stein")]) == code
+                "--out", str(tmp_path / "rqi")]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_spectral_oracle_unverifiable_family_exit(tmp_path, monkeypatch, capsys):
+    # at 768 levels (s = 1) the 12k energies sit up to 1.3 from their 24k
+    # levels, more than half a gap, and Rayleigh-quotient iteration started
+    # there leaves modes unconverged: exit 4, one line.  32 levels on 140
+    # coarse cells put the starts up to 1.07 off in the same way
+    monkeypatch.setattr(spectral, "FD_CELLS", 140)
+    assert run(["spectral", "--s", "1", "--levels", "32", "--check", "oracle",
+                "--out", str(tmp_path / "coarse")]) == 4
+    assert capsys.readouterr().err == ("no convergence: Rayleigh-quotient iteration left "
+                                       "1 of 16 oracle modes unconverged on 280 cells\n")
 
 
 def test_spectral_check_failure_exit(tmp_path, monkeypatch):

@@ -130,7 +130,7 @@ def test_fd_half_solve_matches_full_solve_on_same_grid():
 
 @pytest.mark.parametrize("s", [0.0, 1.3])
 def test_fd_values_only_coarse_solve_is_bit_identical(s):
-    # the bisected grids need no vectors: stebz gives the same bits whether
+    # the bisected grid needs no vectors: stebz gives the same bits whether
     # or not eigh_tridiagonal goes on to inverse iteration
     diag, lower = sp._fd_operator(s, sp.fd_r_max(s, 6), 6000)[:2]
     with_vectors = eigh_tridiagonal(diag, lower, select="i", select_range=(0, 5),
@@ -142,53 +142,110 @@ def test_fd_values_only_coarse_solve_is_bit_identical(s):
                                                      (128, 2e-10)])
 def test_fd_rayleigh_quotients_match_bisection_on_finest_grid(levels, bisection_floor):
     # the CLI path at the default cells: the lower half of the family on its
-    # radius, the 48k-cell energies from inverse iteration at the two-level
-    # shifts.  Bisection on the same grid agrees to its own rounding floor,
-    # about 0.05 ulp * ||T||_1 (the Sturm count is exact only for a nearby
-    # matrix): 1.3e-10 at 64 levels, 4.5e-10 at 8, whose grid is 2.1x finer.
-    # The quotients are the closer values: the three-level energies they
-    # give sit within 1e-10 of the closed form (bisected: 6e-10 at 8 levels)
+    # radius, the 24k- and 48k-cell energies from Rayleigh-quotient
+    # iteration up the ladder 12k -> 24k -> 48k.  Bisection on the same grid
+    # agrees to its own rounding floor, about 0.05 ulp * ||T||_1 (the Sturm
+    # count is exact only for a nearby matrix): 1.3e-10 at 64 levels,
+    # 4.5e-10 at 8, whose grid is 2.1x finer.  At 128 levels this holds
+    # level 59 on 24k cells (2.9e-11 off), where fixed-shift inverse
+    # iteration from the 12k energies sat 1.2e-9 off.  The quotients are the
+    # closer values: the three-level energies they give sit within 1e-11 of
+    # the closed form (3.1e-12 measured; bisected: 6e-10 at 8 levels)
     s, n = 1.5, levels // 2
     r_max = sp.fd_r_max(s, levels)
-    e_h, e_h2 = (sp._fd_solve(s, n, r_max, m * sp.FD_CELLS) for m in (1, 2))
-    refined = sp._fd_refine(s, r_max, 4 * sp.FD_CELLS, (4.0 * e_h2 - e_h) / 3.0)[0]
-    bisected = sp._fd_solve(s, n, r_max, 4 * sp.FD_CELLS)
-    assert np.max(np.abs(refined - bisected)) <= bisection_floor
+    e_h = sp._fd_solve(s, n, r_max, sp.FD_CELLS)
+    e_h2 = sp._fd_refine(s, r_max, 2 * sp.FD_CELLS, e_h)[0]
+    refined = sp._fd_refine(s, r_max, 4 * sp.FD_CELLS, e_h2)[0]
+    for cells, ladder in ((2, e_h2), (4, refined)):
+        bisected = sp._fd_solve(s, n, r_max, cells * sp.FD_CELLS)
+        assert np.max(np.abs(ladder - bisected)) <= bisection_floor
     exact = 2.0 * np.arange(n) + 2.0 * s + 1.0
-    assert np.max(np.abs(sp._richardson(e_h, e_h2, refined) - exact)) <= 1e-10
+    assert np.max(np.abs(sp._richardson(e_h, e_h2, refined) - exact)) <= 1e-11
 
 
-def _stein_replaced(monkeypatch, make):
-    """Route the oracle's inverse iteration through ``make(real_dstein)``."""
+@pytest.mark.parametrize("levels", [64, 128])
+@pytest.mark.parametrize("s", [0.0, 7.0, 25.0])
+def test_fd_ladder_matches_bisection_on_both_refined_grids(s, levels):
+    # each rung of the ladder starts from the energies of the rung below;
+    # on the 24k and the 48k grid alike it lands within the bisection
+    # floor of stebz on that grid (at most 1.4e-10 measured); s = 1.5 is
+    # the test above
+    n = levels // 2
+    r_max = sp.fd_r_max(s, levels)
+    energies = sp._fd_solve(s, n, r_max, sp.FD_CELLS)
+    for cells in (2 * sp.FD_CELLS, 4 * sp.FD_CELLS):
+        energies = sp._fd_refine(s, r_max, cells, energies)[0]
+        assert np.max(np.abs(energies - sp._fd_solve(s, n, r_max, cells))) <= 2e-10
+
+
+def _dgtsv_replaced(monkeypatch, make):
+    """Route the oracle's tridiagonal solves through ``make(real_dgtsv)``."""
     from scipy.linalg import lapack
-    monkeypatch.setattr(lapack, "dstein", make(lapack.dstein))
+    monkeypatch.setattr(lapack, "dgtsv", make(lapack.dgtsv))
+
+
+def _first_step(b):
+    """Whether a solve's right-hand side is the start vector of a mode."""
+    return b.min() == b.max()
 
 
 def test_fd_refine_unconverged_modes_raise_no_convergence(monkeypatch):
+    # one step from the vector of ones leaves every mode short of the
+    # residual test (the ladder takes two)
     monkeypatch.setattr(sp, "FD_CELLS", 2000)
-    _stein_replaced(monkeypatch, lambda real: lambda *a: (real(*a)[0], 2))
-    with pytest.raises(NoConvergence, match="2 of 4 oracle modes unconverged"):
+    monkeypatch.setattr(sp, "FD_RQI_STEPS", 1)
+    with pytest.raises(NoConvergence, match="4 of 4 oracle modes unconverged on 4000 cells"):
         sp.fd_spectrum(sp.SectorParams(s=0.5, N=4))
+
+
+def test_fd_refine_zero_pivot_ends_the_iteration(monkeypatch):
+    # a zero pivot (gtsv info > 0) makes sigma an eigenvalue to working
+    # precision: the mode keeps its last vector and counts as converged.
+    # Every step after the first reports one here, so each mode ends on its
+    # first iterate, whose quotient is still close
+    monkeypatch.setattr(sp, "FD_CELLS", 2000)
+    par = sp.SectorParams(s=0.5, N=4)
+    converged = sp.fd_spectrum(par).energies
+
+    def make(real):
+        def solve(dl, d, du, b, **flags):
+            if _first_step(b):
+                return real(dl, d, du, b, **flags)
+            return dl, d, du, b, 1
+        return solve
+
+    _dgtsv_replaced(monkeypatch, make)
+    one_step = sp.fd_spectrum(par).energies
+    assert 0.0 < np.max(np.abs(one_step - converged)) <= 1e-8
 
 
 @pytest.mark.parametrize("fault", ["reversed", "next_level"])
 def test_fd_refine_modes_off_their_shifts_raise_grid_too_coarse(monkeypatch, fault):
-    # reversed modes give decreasing energies; modes of the next level up
-    # (shifts moved by the gap 2) increase but sit nearer the next shift
-    def make(real):
-        if fault == "reversed":
-            return lambda d, e, w, *rest: (real(d, e, w, *rest)[0][:, ::-1], 0)
-        return lambda d, e, w, *rest: real(d, e, w + 2.0, *rest)
-
+    # the first step of each 24k-analog mode solves at another level: the
+    # coarse energies in reverse order give decreasing energies; the next
+    # level up (the shift moved by the gap 2) increasing energies that sit
+    # nearer the next shift
+    s, n = 0.5, 4
     monkeypatch.setattr(sp, "FD_CELLS", 2000)
-    _stein_replaced(monkeypatch, make)
-    with pytest.raises(GridTooCoarse, match="Richardson shifts"):
-        sp.fd_spectrum(sp.SectorParams(s=0.5, N=4))
+    shifts = sp._fd_solve(s, n, sp.fd_r_max(s, n), 2000)
+    moves = iter(shifts[::-1] - shifts if fault == "reversed" else np.full(n, 2.0))
+
+    def make(real):
+        def solve(dl, d, du, b, **flags):
+            if _first_step(b):
+                d -= next(moves, 0.0)
+            return real(dl, d, du, b, **flags)
+        return solve
+
+    _dgtsv_replaced(monkeypatch, make)
+    with pytest.raises(GridTooCoarse, match="on 4000 cells do not follow their "
+                                            "Richardson shifts"):
+        sp.fd_spectrum(sp.SectorParams(s=s, N=n))
 
 
 def test_fd_refine_rejects_shifts_out_of_order():
-    # stein needs ascending shifts; two-level values out of order mean the
-    # coarse grids resolve no level ordering at all
+    # the ladder needs ascending shifts; energies of the grid below out of
+    # order mean that grid resolves no level ordering at all
     with pytest.raises(GridTooCoarse, match="Richardson shifts"):
         sp._fd_refine(0.5, sp.fd_r_max(0.5, 4), 2000, np.array([4.0, 2.0]))
 
@@ -221,18 +278,34 @@ def test_fd_overlaps_hold_a_few_rows(monkeypatch):
     assert peak <= 16 * fd.r.nbytes
 
 
+def test_fd_spectrum_holds_its_modes_and_a_few_rows(monkeypatch):
+    # beyond the 32 x cells block of its modes the oracle holds its operator,
+    # four work rows of the tridiagonal solve and the quotients' temporaries:
+    # 11.3 finest-grid rows measured, so per-step temporaries cannot creep
+    # back
+    monkeypatch.setattr(sp, "FD_CELLS", 2000)
+    tracemalloc.start()
+    try:
+        fd = sp.fd_spectrum(sp.SectorParams(s=0.5, N=32), r_max=sp.fd_r_max(0.5, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fd.g.shape == (32, 8000)
+    assert peak - fd.g.nbytes <= 12 * fd.r.nbytes
+
+
 def test_fd_refinement_check_passes_on_fine_grid(monkeypatch):
-    # an h/8 rung, refined like the h/4 one from the shifts of (h/2, h/4),
-    # moves the three-level value by at most 1e-6
+    # an h/8 rung, refined like the h/4 one from the rung below it, moves
+    # the three-level value by at most 1e-6
     monkeypatch.setattr(sp, "FD_CELLS", 6000)
     s, n = 0.5, 6
     r_max = sp.fd_r_max(s, n)
     fd = sp.fd_spectrum(sp.SectorParams(s=s, N=n))
     assert fd.energies.shape == (6,)
     assert fd.r.size == 24000
-    e_h, e_h2 = (sp._fd_solve(s, n, r_max, cells) for cells in (6000, 12000))
-    e_h4 = sp._fd_refine(s, r_max, 24000, (4.0 * e_h2 - e_h) / 3.0)[0]
-    e_h8 = sp._fd_refine(s, r_max, 48000, (4.0 * e_h4 - e_h2) / 3.0)[0]
+    e_h2 = sp._fd_refine(s, r_max, 12000, sp._fd_solve(s, n, r_max, 6000))[0]
+    e_h4 = sp._fd_refine(s, r_max, 24000, e_h2)[0]
+    e_h8 = sp._fd_refine(s, r_max, 48000, e_h4)[0]
     assert np.max(np.abs(sp._richardson(e_h2, e_h4, e_h8) - fd.energies)) <= 1e-6
 
 
