@@ -281,7 +281,7 @@ def _check_kernel(s):
             "extrapolated": res.extrapolated, "refinement_drift": res.refinement_drift,
             "tail_estimate": res.tail_estimate,
             "grid_points": list(res.grid_points),
-            "lanczos_matvecs": list(res.lanczos_matvecs),
+            "bisection_probes": list(res.bisection_probes),
             "pass": bool(res.refined_norm <= res.bound + 1e-6)}
 
 
@@ -305,7 +305,6 @@ def _check_coupling(fam):
             "envelope_min": float(ratios.min()), "envelope_max": float(ratios.max()),
             "norms": norm_est.norms.tolist(),
             "truncations": norm_est.truncations.tolist(),
-            "extrapolated_norm": norm_est.extrapolated,
             "pass": bool(herm <= 1e-10 and diag <= 1e-10 and envelope_ok)}
 
 

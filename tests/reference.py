@@ -1,11 +1,11 @@
 """Reference computations that only the tests use.
 
 Mode evaluation, an exact Gauss-type quadrature for mode overlaps, the
-running-maximum table of coupling norms, the Bessel kernel factor,
-homogeneous part and homogeneous-constant match of the reduced equations,
-a zero nonlinearity and a zero coupling for the exactly solvable limits
-of ``reduced`` and ``adiabatic``, and the finite-difference residuals of
-the adiabatic generator identities.
+geometric extrapolation and running-maximum table of coupling norms, the
+Bessel kernel factor, homogeneous part and homogeneous-constant match of
+the reduced equations, a zero nonlinearity and a zero coupling for the
+exactly solvable limits of ``reduced`` and ``adiabatic``, and the
+finite-difference residuals of the adiabatic generator identities.
 The package computes none of these on a CLI path; the tests use them as
 independent checks of ``spectral``, ``reduced`` and ``adiabatic``.
 """
@@ -65,19 +65,35 @@ def overlap_diag(fam_a, fam_b):
     return np.sum(ca * cb, axis=1)
 
 
+def geometric_extrapolation(norms):
+    """Limit of a sequence of truncated norms, assuming its successive
+    differences fall geometrically (Richardson style); the last norm when
+    there are fewer than three or the last two differences do not shrink
+    with one sign.  The law is not the coupling norms' own: against the
+    limit pi/2 it reads 1.5762, 1.5627 and 1.7320 at 64 levels for s = 0, 1
+    and 7, and 9.06 at 16 levels for s = 7."""
+    if len(norms) >= 3:
+        d1, d2 = norms[-2] - norms[-3], norms[-1] - norms[-2]
+        if d1 != 0.0 and 0.0 < d2 / d1 < 1.0:
+            ratio = d2 / d1
+            return float(norms[-1] + d2 * ratio / (1.0 - ratio))
+    return float(norms[-1])
+
+
 def empirical_m_table(s_grid, N, truncations=None):
-    """Norm data of Pi over an s-grid: per-s truncation norms, extrapolation,
-    and the running-maximum majorant (the smallest nondecreasing table
-    dominating the measurements)."""
+    """Norm data of Pi over an s-grid: per-s truncation norms, their
+    geometric extrapolation, and the running-maximum majorant (the smallest
+    nondecreasing table dominating the extrapolations)."""
     if truncations is None:
         truncations = [N // 4, N // 2, N]
     rows = []
     running = 0.0
     for s in s_grid:
-        est = spectral.coupling_norm(spectral.pi_matrix(s, N), truncations)
-        running = max(running, est.extrapolated)
-        rows.append({"s": float(s), "norms": est.norms.tolist(),
-                     "extrapolated": est.extrapolated, "majorant": running})
+        norms = spectral.coupling_norm(spectral.pi_matrix(s, N), truncations).norms
+        extrapolated = geometric_extrapolation(norms)
+        running = max(running, extrapolated)
+        rows.append({"s": float(s), "norms": norms.tolist(),
+                     "extrapolated": extrapolated, "majorant": running})
     return rows
 
 

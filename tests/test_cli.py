@@ -304,10 +304,11 @@ def test_spectral_eigenvalues_and_checks(tmp_path):
     kernel = report["checks"]["0"]["kernel"]
     assert kernel["bound"] == 2.0 and kernel["pass"] is True
     assert kernel["norm"] <= 2.0 + 1e-6
-    # deterministic counters: the two grids and the matvecs eigsh spent on each
+    # deterministic counters: the two grids and the definiteness tests
+    # bisection spent on each
     assert kernel["grid_points"] == [spectral.KERNEL_GRID, 2 * spectral.KERNEL_GRID]
-    assert len(kernel["lanczos_matvecs"]) == 2
-    assert all(isinstance(n, int) and n > 0 for n in kernel["lanczos_matvecs"])
+    assert len(kernel["bisection_probes"]) == 2
+    assert all(isinstance(n, int) and n > 0 for n in kernel["bisection_probes"])
 
 
 def test_spectral_all_checks_small(tmp_path):

@@ -450,12 +450,12 @@ def test_coupling_exact_value_at_s_one():
 
 def test_coupling_norm_zero_matrix_and_shrinking_differences():
     est = sp.coupling_norm(np.zeros((16, 16), dtype=complex), [4, 8, 16])
-    assert est.extrapolated == 0.0
+    assert ref.geometric_extrapolation(est.norms) == 0.0
     pi = sp.coupling_matrix(sp.analytic_spectrum(sp.SectorParams(s=1.0, N=64)))
     est = sp.coupling_norm(pi, [8, 16, 32, 64])
     diffs = np.diff(est.norms)
     assert np.all(diffs > 0) and np.all(np.diff(diffs) < 0)
-    assert est.extrapolated >= est.norms[-1]
+    assert ref.geometric_extrapolation(est.norms) >= est.norms[-1]
 
 
 def test_empirical_m_table_majorant_nondecreasing():
@@ -495,6 +495,44 @@ def test_kernel_norm_nonincreasing_in_s():
     norms = [sp.kernel_bound_check(s).norm
              for s in (0.0, 0.5, 1.0, 2.0, 5.0)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def _explicit_kernel_toeplitz(n):
+    """The check's n-point matrix at sigma = 1, entry by entry."""
+    du = 2.0 * sp.KERNEL_DECAY_LENGTHS / (n - 1)
+    k = np.subtract.outer(np.arange(n), np.arange(n))
+    return 1j * du * np.sign(k) * np.exp(-du * np.abs(k)), du
+
+
+@pytest.mark.parametrize("n", [40, 201, 600])
+def test_kernel_structured_norm_matches_dense(n):
+    t, _ = _explicit_kernel_toeplitz(n)
+    dense = np.linalg.eigvalsh(t)
+    assert_allclose(-dense[0], dense[-1], rtol=1e-13)  # spectrum symmetric about 0
+    assert_allclose(sp._toeplitz_kernel_norm(n)[0], dense[-1], rtol=1e-13, atol=0)
+
+
+def test_kernel_pencil_identity_and_bracket():
+    from scipy.linalg import lapack
+    t, du = _explicit_kernel_toeplitz(40)
+    rho = np.exp(-du)
+    shift = np.eye(40, k=-1)
+    ell = np.eye(40) - rho * shift
+    assert_allclose(ell @ t @ ell.T, 1j * du * rho * (shift - shift.T), atol=1e-15)
+    # du/sinh(du), the sup of the symbol, lies above the spectrum on every
+    # grid the check uses: the tridiagonal test succeeds there
+    for n in (40, sp.KERNEL_GRID, 2 * sp.KERNEL_GRID):
+        du = 2.0 * sp.KERNEL_DECAY_LENGTHS / (n - 1)
+        rho, lam = np.exp(-du), du / np.sinh(du)
+        diag = np.full(n, lam * (1.0 + rho * rho))
+        diag[0] = lam
+        assert lapack.dpttrf(diag, np.full(n - 1, rho * np.hypot(lam, du)))[-1] == 0
+
+
+def test_kernel_norm_scales_as_one_over_sigma():
+    # sigma du does not depend on s, so norm * sigma is one number
+    scaled = [sp.kernel_bound_check(s).norm * (s + 0.5) for s in (0.0, 1.5, 1e6)]
+    assert_allclose(scaled, scaled[0], rtol=1e-14, atol=0)
 
 
 def test_kernel_grid_too_coarse(monkeypatch):
