@@ -31,34 +31,174 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
 
 
-# rows formatted by one bytes %-format each: large enough that the per-call
-# overhead is a few percent of the formatting, small enough that one block's
-# floats, as Python objects, and its text (0.3-0.7 MB at 5-10 columns) do
-# not raise the peak memory of a run; 4096-row blocks raised it by about 1 MB
-_CSV_ROWS = 1024
+# values per CSV block: every buffer of a block (its text, 48 bytes a value,
+# is the largest) stays below glibc's default 128 KiB mmap threshold, so the
+# writer leaves the allocator's thresholds as the studies set them; with
+# 4096-value blocks, or with the lookup tables kept for the whole process
+# (they then pinned the heap above the studies' freed arrays), peak RSS of
+# the integral-eq bench was 6-7 MiB higher in a third of the runs
+_CSV_VALUES = 2048
+
+# exponents the vectorised path meets: floor(log10 |x|) for |x| in
+# [1e-250, 1e250], with room for a logarithm one ulp off
+_E_MAX = 251
 
 
 def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _format_tables():
+    """The lookup tables of ``_csv_block``, built for each file (1-2 ms).
+
+    Indexed by ``e + _E_MAX`` for the decimal exponent ``e``: ``10^(16 - e)``
+    as the double-double ``p_hi + p_lo`` (from exact integers), ``p_hi``
+    split in two 26-bit halves for Dekker's product, and the layout of the
+    exponent's row: the offset of its head word, its tail word, the divisor
+    leaving the digits after the point, and the point's byte in the slot.
+    Indexed by a digit group ``g``: the four digits of ``g`` at the even
+    bytes of a word, trailing zeros dropped (``g``) or kept (``g + 10000``).
+    """
+    p_hi, p_lo = [], []
+    exponents = range(-_E_MAX, _E_MAX + 1)
+    for e in exponents:
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        p_hi.append(hi)
+        p_lo.append((num * hi_den - hi_num * den) / (den * hi_den))
+    p_hi = np.array(p_hi)
+    t = p_hi * 134217729.0
+    p_hh = t - (t - p_hi)
+    pow10 = (p_hi, p_hh, p_hi - p_hh, np.array(p_lo))
+
+    def words(chunks):
+        return np.frombuffer(b"".join(c.ljust(8, b"\0") for c in chunks), np.uint64)
+
+    g = np.arange(10000)
+    spread = np.zeros((2, 10000, 8), np.uint8)
+    kept = np.zeros(10000, bool)
+    # last digit first, so kept marks the digits up to the last nonzero one
+    for i in (3, 2, 1, 0):
+        digit = g // 10 ** (3 - i) - g // 10 ** (4 - i) * 10 + 48
+        kept = kept | (digit != 48)
+        spread[0, :, 2 * i] = digit * kept
+        spread[1, :, 2 * i] = digit
+    groups = spread.view(np.uint64).ravel()
+    zeros = words(b"0\0" * c for c in range(5))
+    head = words(b"%s%s%d" % (sign, b"0.000"[:p + 1 if p else 0].ljust(5, b"\0"), d)
+                 for sign in (b"\0", b"-") for p in range(5) for d in range(10))
+    fixed = [-4 <= e < 17 for e in exponents]
+    lead = np.array([-10 * e if e < 0 and f else 0 for e, f in zip(exponents, fixed)])
+    tail = words((b"" if f else b"e%+03d" % e).ljust(5, b"\0") + b","
+                 for e, f in zip(exponents, fixed))
+    after = np.array([10 ** (16 - e) if e >= 0 and f else 10 ** 17 if f else 10 ** 16
+                      for e, f in zip(exponents, fixed)])
+    spot = np.array([7 + 2 * e if e >= 0 and f else 2 if f else 7
+                     for e, f in zip(exponents, fixed)])
+    return pow10, groups, zeros, head, lead, tail, after, spot
+
+
+def _scaled(a, t, pow10):
+    """``a 10^(16 - e)``, ``t = e + _E_MAX``, as ``hi + lo`` with
+    ``hi = fl(a p_hi)``, error below 1e-13.
+
+    Dekker's exact product ``a p_hi`` (Numer. Math. 18, 1971) plus the
+    rounded ``a p_lo``.
+    """
+    p_hi, p_hh, p_hl, p_lo = (p.take(t) for p in pow10)
+    hi = a * p_hi
+    t = a * 134217729.0
+    a_h = t - (t - a)
+    a_l = a - a_h
+    return hi, ((a_h * p_hh - hi) + a_h * p_hl + a_l * p_hh) + a_l * p_hl + a * p_lo
+
+
+def _csv_block(values, n_cols, tables):
+    """The CSV text of ``values``, rows of ``n_cols``: ``b"%.17g" % v`` each.
+
+    ``tables`` is ``_format_tables()``.
+
+    A finite ``v`` with ``|v|`` in [1e-250, 1e250] is formatted from whole
+    arrays.  With ``e = floor(log10 |v|)``, the product ``|v| 10^(16 - e)``,
+    accurate to 1e-13, rounded to an integer in [1e16, 1e17) gives the 17
+    digits.  Every other value goes through ``b"%.17g" % v`` itself: 0, -0,
+    nan, inf, subnormals, larger or smaller magnitudes, products within
+    1e-6 of a tie, and products that round outside [1e16, 1e17) (``e`` one
+    off next to a power of ten, or a carry to the next power), so no digit
+    rests on the approximation.  The layout is ``%g``'s: fixed for
+    ``-4 <= e < 17``, else ``d.ddde±XX``, trailing zeros and a bare point
+    dropped.  Each value fills a 48-byte slot of six words (sign, ``0.000``
+    prefix and first digit; four words of four digits, each digit followed
+    by a point byte; exponent and separator) with NUL in every byte it does
+    not use, and the NULs are deleted at the end.
+    """
+    pow10, groups, zeros, head, lead, tail, after, spot = tables
+    a = np.fmax(np.fmin(np.abs(values), 1e250), 1e-250)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    t = e + _E_MAX
+    hi, lo = _scaled(a, t, pow10)
+    r = np.rint(lo)
+    digits = hi.astype(np.int64) + r.astype(np.int64)
+    # hi + lo must lie in [1e16, 1e17): a misjudged exponent (a value next
+    # to a power of ten) or a carry to 10^17 goes through % as well
+    slow = ((a != np.abs(values)) | (np.abs(lo - r) > 0.5 - 1e-6)
+            | (digits < 10 ** 16) | (digits >= 10 ** 17) | ((digits == 10 ** 16) & (lo < r)))
+    np.putmask(digits, slow, 10 ** 16)
+
+    # int64 and bool operations only, the kinds the studies use too: each
+    # further kind of numpy loop maps its own pages of numpy's library (up
+    # to 64 KiB each), which showed in the peak RSS of studies with small files
+    top = digits // 100000000
+    low = digits - top * 100000000
+    first = top // 100000000
+    mid = top // 10000
+    g1 = mid - first * 10000
+    g2 = top - mid * 10000
+    g3 = low // 10000
+    g4 = low - g3 * 10000
+    words = np.empty((values.size, 6), np.uint64)
+    words[:, 0] = head.take(lead.take(t) + (values < 0) * 50 + first)
+    words[:, 1] = groups.take(g1 + ((g2 != 0) | (low != 0)) * 10000)
+    words[:, 2] = groups.take(g2 + (low != 0) * 10000)
+    words[:, 3] = groups.take(g3 + (g4 != 0) * 10000)
+    words[:, 4] = groups.take(g4)
+    words[:, 5] = tail.take(t)
+    div = after.take(t)
+    rest = digits - digits // div * div
+    # integers in fixed notation keep the zeros before their point
+    whole = (rest == 0) & (e > 0) & (e < 17)
+    if np.count_nonzero(whole):
+        whole = np.flatnonzero(whole)
+        words[whole, 1:5] |= zeros[np.clip(e[whole, None] - np.arange(0, 16, 4), 0, 4)]
+    text = words.view(np.uint8)
+    dotted = np.flatnonzero(rest)
+    text.reshape(-1)[dotted * 48 + spot.take(t.take(dotted))] = 46
+    text[n_cols - 1::n_cols, 45] = 10
+    if np.count_nonzero(slow):
+        rows = np.flatnonzero(slow)
+        exact = (b"%.17g\n" * rows.size % tuple(values[rows].tolist())).split(b"\n")[:-1]
+        text[rows, :45] = np.array(exact, dtype="S45").view(np.uint8).reshape(-1, 45)
+    return text.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path, header, columns):
     """Write the columns as CSV rows of ``%.17g`` floats with ``\\n`` line ends.
 
-    Rows run to the shortest column.  Bytes %-formatting of a float gives
-    the same digits as ``_fmt``, NaN and inf included; it is applied to one
-    block of ``_CSV_ROWS`` rows at a time, so no copy of the whole table
-    is made.
+    Rows run to the shortest column.  The rows are formatted by
+    ``_csv_block`` about ``_CSV_VALUES`` values at a time, and each block is
+    written as soon as it is made, so no copy of the whole table is held.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n_rows = min(map(len, columns))
-    row = (",".join(["%.17g"] * len(columns)) + "\n").encode()
+    step = max(1, _CSV_VALUES // len(columns))
+    tables = _format_tables()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n_rows, _CSV_ROWS):
-            stop = min(start + _CSV_ROWS, n_rows)
+        for start in range(0, n_rows, step):
+            stop = min(start + step, n_rows)
             block = np.column_stack([c[start:stop] for c in columns])
-            fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(block.ravel(), len(columns), tables))
 
 
 def _finite_or_null(value):

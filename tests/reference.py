@@ -4,10 +4,12 @@ Mode evaluation, an exact Gauss-type quadrature for mode overlaps, the
 geometric extrapolation and running-maximum table of coupling norms, the
 Bessel kernel factor, homogeneous part and homogeneous-constant match of
 the reduced equations, a zero nonlinearity and a zero coupling for the
-exactly solvable limits of ``reduced`` and ``adiabatic``, and the
-finite-difference residuals of the adiabatic generator identities.
+exactly solvable limits of ``reduced`` and ``adiabatic``, the
+finite-difference residuals of the adiabatic generator identities, and a
+CSV writer that formats each float by ``%``.
 The package computes none of these on a CLI path; the tests use them as
-independent checks of ``spectral``, ``reduced`` and ``adiabatic``.
+independent checks of ``spectral``, ``reduced``, ``adiabatic`` and the
+CLI's CSV text.
 """
 
 import numpy as np
@@ -165,3 +167,27 @@ def residual_generator_check(config, probes=None, delta=1e-6):
         res_ad.append(np.linalg.norm(r_ad, 2))
         res_w.append(np.linalg.norm(r_w, 2))
     return probes, np.asarray(res_ad), np.asarray(res_w)
+
+
+def csv_text(values, n_cols):
+    """CSV rows of ``n_cols`` from the flat ``values``: ``b"%.17g" % v`` each,
+    by one bytes ``%`` over all of them."""
+    values = np.asarray(values, dtype=float).ravel()
+    row = (",".join(["%.17g"] * n_cols) + "\n").encode()
+    return row * (values.size // n_cols) % tuple(values.tolist())
+
+
+def write_csv(path, header, columns, block_rows=1024):
+    """The CSV contract by ``csv_text``: ``%.17g`` floats, ``\\n`` line ends,
+    rows to the shortest column, ``block_rows`` rows per ``%``.
+
+    ``cli._write_csv`` must write the same bytes.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = min(map(len, columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n_rows, block_rows):
+            stop = min(start + block_rows, n_rows)
+            fh.write(csv_text(np.column_stack([c[start:stop] for c in columns]),
+                              len(columns)))

@@ -635,8 +635,11 @@ def test_seventeen_digit_floats_roundtrip(tmp_path):
     assert float(first[1]) == 1.3 and float(first[2]) == -0.4
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_ROWS, cli._CSV_ROWS + 1,
-                                    2 * cli._CSV_ROWS + 3])
+CSV_BLOCK_ROWS = cli._CSV_VALUES // 4  # rows of the four-column tables below
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1,
+                                    4 * CSV_BLOCK_ROWS + 3])
 def test_csv_writer_matches_per_value_format(tmp_path, n_rows):
     # reference: one f-string per value, as the CSV contract states it
     special = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0,
@@ -655,10 +658,65 @@ def test_csv_writer_matches_per_value_format(tmp_path, n_rows):
     assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
+def assert_csv_text(values, n_cols=1):
+    """``cli._csv_block`` writes ``b"%.17g" % v`` for each value, and warns not."""
+    values = np.asarray(values, dtype=float).ravel()
+    values = values[:values.size - values.size % n_cols]
+    expected = ref.csv_text(values, n_cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = cli._csv_block(values, n_cols, cli._format_tables())
+    if text != expected:
+        got, want = text.split(b"\n"), expected.split(b"\n")
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, (values.reshape(-1, n_cols)[bad].tolist(), got[bad], want[bad])
+    assert text == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_csv_text_of_any_floats(values):
+    assert_csv_text(values)
+
+
+def test_csv_text_of_powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    assert_csv_text([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                     -powers], n_cols=4)
+
+
+@pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17, 1e-250, 1e250])
+def test_csv_text_at_format_switches(switch):
+    # %g changes notation at 1e-4 and 1e17 (after rounding to 17 digits);
+    # 1e-5 and 1e16 bound the other exponents; 1e-250 and 1e250 bound the
+    # vectorised path
+    around = np.array([switch, np.nextafter(switch, 0), np.nextafter(switch, np.inf)])
+    assert_csv_text(np.concatenate([around, -around]), n_cols=3)
+
+
+def test_csv_text_of_ties_zeros_and_integers():
+    # 18th-digit ties round half to even; integral values keep the zeros
+    # before the point
+    assert_csv_text([1234567890123456.75, 1234567890123456.25, 0.5, 2.5, 1.25,
+                     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     10.0, 1200.0, 1e15, 99999999999999984.0, 12345678901234567e3,
+                     100.5, 0.001, 0.00012, -0.5, 7.0])
+
+
+def test_csv_text_of_random_bit_patterns():
+    rng = np.random.default_rng(27)
+    bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
+    decades = rng.standard_normal(100_000) * 10.0 ** rng.integers(-20, 25, 100_000)
+    assert_csv_text(bits.view(np.float64), n_cols=5)
+    assert_csv_text(decades, n_cols=3)
+
+
 # Fuzz: small valid runs of the four studies with one numeric option set to
 # an extreme.  Each extreme is refused by a validator or runs cheaply (all
 # 153 cases together take about 2 s on one core); a run that reaches the
-# time limit is a hang.
+# CPU-time limit is a hang.  The limit counts the process's own CPU time,
+# so a loaded machine does not trip it, while a busy loop still does.
 FUZZ_EXTREMES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e18", "5e-324", "0", "-1")
 FUZZ_RUNS = [
     (["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
@@ -676,17 +734,18 @@ FUZZ_TIME_LIMIT = 10.0
 
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the main thread once ``seconds`` have passed."""
+    """Raise TimeoutError in the main thread once the process has spent
+    ``seconds`` of CPU time (user and system) inside the block."""
     def expire(signum, frame):
-        raise TimeoutError(f"the run took longer than {seconds} s")
+        raise TimeoutError(f"the run took more than {seconds} s of CPU time")
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 @pytest.mark.parametrize("argv, options", FUZZ_RUNS, ids=[argv[0] for argv, _ in FUZZ_RUNS])
