@@ -8,9 +8,10 @@ Every data file is deterministic: floats are written with 17 significant
 digits, JSON keys are sorted, and nothing time- or host-dependent goes
 into the files, so repeated runs with the same flags are byte-identical.
 The JSON is strict: a non-finite value is written as null.
-A simple ``key = value`` config file can seed any long option; explicit
-flags win.  A malformed flag or value is a validation failure, reported
-in one line like every other.
+A simple ``key = value`` config file can seed any long option: its lines
+are read as ``--key=value`` flags ahead of the explicit ones, which win,
+so a value parses the same from either.  A malformed flag or value is a
+validation failure, reported in one line like every other.
 """
 
 import argparse
@@ -226,18 +227,21 @@ def _check_out_prefix(prefix):
         raise ValidationError(f"output directory {folder!r} is not writable")
 
 
-def _parse_list(text, name):
-    """Floats separated by commas or blanks."""
+def _floats(text):
+    """Floats separated by commas or blanks, at least one: an option's type."""
     try:
-        return [float(p) for p in text.replace(",", " ").split()]
+        values = [float(p) for p in text.replace(",", " ").split()]
     except ValueError:
-        raise ValidationError(f"{name} needs numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"needs numbers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
-def _parse_vec2(text, name):
-    values = _parse_list(text, name)
+def _vec2(text):
+    values = _floats(text)
     if len(values) != 2:
-        raise ValidationError(f"{name} needs two components, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs two components, got {text!r}")
     return np.array(values)
 
 
@@ -261,42 +265,6 @@ def _read_config(path):
     return values
 
 
-def _resolve_options(parser, args):
-    """Fill each option of the subcommand that no flag set: from the config
-    file if it names it, else with the option's default.
-
-    Explicit flags win because every flag parses to None when absent.  A
-    config value is coerced with the option's type and must be one of its
-    choices, as a flag must; a key that no subcommand has is an error, a
-    key of another subcommand is ignored.  An option without a default is
-    required, by flag or config.
-    """
-    seeded = _read_config(args.config) if args.config else {}
-    unknown = set(seeded) - {dest for table in parser.options.values() for dest in table}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    missing = []
-    for dest, (kind, default, choices) in parser.options[args.command].items():
-        if getattr(args, dest) is not None:
-            continue
-        if dest in seeded:
-            raw = seeded[dest]
-            try:
-                value = kind(raw)
-            except ValueError:
-                raise ValidationError(f"config {dest} = {raw!r} is not a valid "
-                                      f"{kind.__name__}") from None
-            if choices is not None and value not in choices:
-                raise ValidationError(f"config {dest} = {raw!r} is not one of {choices}")
-            setattr(args, dest, value)
-        elif default is None:
-            missing.append("--" + dest.replace("_", "-"))
-        else:
-            setattr(args, dest, default)
-    if missing:
-        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
-
-
 # ---------------------------------------------------------------------------
 # classical
 # ---------------------------------------------------------------------------
@@ -313,9 +281,7 @@ def _classical_files(traj, out):
 
 def cmd_classical(args):
     params = classical.FluxParams(phi=args.phi)
-    state = classical.PhaseState(s=args.s_start,
-                                 q=_parse_vec2(args.q0, "--q0"),
-                                 p=_parse_vec2(args.p0, "--p0"))
+    state = classical.PhaseState(s=args.s_start, q=args.q0, p=args.p0)
     summary = {"phi": args.phi, "s_start": args.s_start, "s_end": args.s_end,
                "tol": args.tol, "puncture_hit": False, "s_hit": None,
                "s0": None, "slope": None, "K_drift": None,
@@ -332,8 +298,7 @@ def cmd_classical(args):
         summary["puncture_hit"] = True
         summary["s_hit"] = hit.s_hit
         _write_json(args.out + ".json", summary)
-        print(f"puncture reached at s = {hit.s_hit}", file=sys.stderr)
-        return EXIT_PUNCTURE
+        raise
     summary["diagnostics"] = traj.diagnostics
     K = _classical_files(traj, args.out)
     summary["K_drift"] = float(np.max(np.abs(K - K[0])))
@@ -363,12 +328,7 @@ def cmd_classical(args):
 def cmd_reduced(args):
     config = reduced.IntegralEqConfig(s_max=args.s_max, c1=args.c1, c2=args.c2,
                                       picard_tol=args.picard_tol)
-    try:
-        sol = reduced.picard_solve(config, args.phi, args.s_start)
-    except NoConvergence as exc:
-        print(f"no convergence: {exc} (iterations={exc.iterations}, "
-              f"last delta={exc.last_delta})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    sol = reduced.picard_solve(config, args.phi, args.s_start)
     res1, res2 = reduced.residual(sol)
     _write_csv(args.out + ".csv", ["s", "x1", "x2", "residual1", "residual2"],
                [sol.grid, sol.x1, sol.x2, res1, res2])
@@ -462,9 +422,9 @@ def _check_gamma(fam):
 
 
 def cmd_spectral(args):
-    s_values = _parse_list(args.s, "--s")
-    if not s_values:
-        raise ValidationError("--s needs at least one value")
+    s_values = args.s
+    if len(set(s_values)) != len(s_values):
+        raise ValidationError(f"flux values must be distinct, got {s_values!r}")
     params = [spectral.SectorParams(s=s, N=args.levels) for s in s_values]
     which = args.check
     if which in ("oracle", "all"):
@@ -505,10 +465,7 @@ def cmd_spectral(args):
 # ---------------------------------------------------------------------------
 
 def cmd_adiabatic(args):
-    epsilons = _parse_list(args.epsilons, "--epsilons")
-    if not epsilons:
-        raise ValidationError("--epsilons needs at least one value")
-    res = adiabatic.run_sweep(epsilons=epsilons, s_end=args.s_end, N=args.levels,
+    res = adiabatic.run_sweep(epsilons=args.epsilons, s_end=args.s_end, N=args.levels,
                               n_samples=args.samples)
     n_eps, n_s = res.norm_twisted.shape
     _write_csv(args.out + ".csv",
@@ -518,7 +475,7 @@ def cmd_adiabatic(args):
                 res.norm_twisted.ravel(), res.norm_c_minus_id.ravel(),
                 res.norm_uw_minus_uad.ravel(), np.repeat(res.unitarity_defect, n_s)])
     window = (0.8, 1.2)
-    summary = {"epsilons": sorted(epsilons, reverse=True), "s_end": args.s_end,
+    summary = {"epsilons": sorted(args.epsilons, reverse=True), "s_end": args.s_end,
                "levels": args.levels, "exponents": res.exponents,
                "window": list(window),
                "unitarity_defect_max": float(res.unitarity_defect.max()),
@@ -546,16 +503,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _switch(text):
-    """An on/off option's value in a config file."""
-    return text.lower() in ("1", "true", "yes", "on")
-
-
 def build_parser():
-    """The parser; ``parser.options`` maps each subcommand to the table
-    {dest: (type, default, choices)} of its long options.  Every flag parses to None
-    when absent; _resolve_options fills it from the config file or the
-    default, and a default of None makes the option required."""
+    """The parser; ``parser.options`` maps each subcommand to its long
+    options, {dest: argparse action}, the keys a config file may set."""
     parser = _Parser(
         prog="fluxramp",
         description="Numerical studies of a charged particle in a punctured "
@@ -570,58 +520,85 @@ def build_parser():
         cmd.set_defaults(func=func)
         table = parser.options[name] = {}
 
-        def option(flag, kind=str, default=None, choices=None, help=None):
-            if default is None:
-                help = f"{help}; required" if help else "required"
-            if kind is _switch:
-                cmd.add_argument(flag, action="store_const", const=True, help=help)
-            else:
-                cmd.add_argument(flag, type=kind, choices=choices, help=help)
-            table[flag[2:].replace("-", "_")] = (kind, default, choices)
+        def option(flag, **kwargs):
+            action = cmd.add_argument(flag, **kwargs)
+            table[action.dest] = action
         return option
 
     option = command("classical", cmd_classical, "integrate the classical flow")
-    option("--phi", float)
-    option("--q0", help="initial position 'qx,qy'")
-    option("--p0", help="initial momentum 'px,py'")
-    option("--s-start", float, 0.0)
-    option("--s-end", float)
-    option("--tol", float, 1e-10)
-    option("--samples", int, 513)
-    option("--out", help="output path prefix")
+    option("--phi", type=float, required=True)
+    option("--q0", type=_vec2, required=True, help="initial position 'qx,qy'")
+    option("--p0", type=_vec2, required=True, help="initial momentum 'px,py'")
+    option("--s-start", type=float, default=0.0)
+    option("--s-end", type=float, required=True)
+    option("--tol", type=float, default=1e-10)
+    option("--samples", type=int, default=513)
+    option("--out", required=True, help="output path prefix")
 
     option = command("reduced", cmd_reduced, "solve the Bessel integral equations")
-    option("--phi", float)
-    option("--c1", float, 1.0)
-    option("--c2", float, 0.0)
-    option("--s-start", float, 10.0)
-    option("--s-max", float, 150.0)
-    option("--picard-tol", float, 1e-8)
-    option("--crosscheck", _switch, False,
+    option("--phi", type=float, required=True)
+    option("--c1", type=float, default=1.0)
+    option("--c2", type=float, default=0.0)
+    option("--s-start", type=float, default=10.0)
+    option("--s-max", type=float, default=150.0)
+    option("--picard-tol", type=float, default=1e-8)
+    option("--crosscheck", action="store_true",
            help="also compare against direct ODE and flow integration")
-    option("--out")
+    option("--out", required=True)
 
     option = command("spectral", cmd_spectral, "spectral family and its checks")
-    option("--s", help="flux value(s), comma separated")
-    option("--levels", int, spectral.DEFAULT_LEVELS)
-    option("--check", str, "all", choices=["oracle", "kernel", "coupling", "gamma", "all"])
-    option("--out")
+    option("--s", type=_floats, required=True, help="flux value(s), comma separated")
+    option("--levels", type=int, default=spectral.DEFAULT_LEVELS)
+    option("--check", default="all", choices=["oracle", "kernel", "coupling", "gamma", "all"])
+    option("--out", required=True)
 
     option = command("adiabatic", cmd_adiabatic, "adiabatic propagator epsilon sweep")
-    option("--s-end", float, 2.0)
-    option("--epsilons", str, "0.2,0.1,0.05,0.025")
-    option("--levels", int, 64)
-    option("--samples", int, 41)
-    option("--out")
+    option("--s-end", type=float, default=2.0)
+    option("--epsilons", type=_floats, default=[0.2, 0.1, 0.05, 0.025])
+    option("--levels", type=int, default=64)
+    option("--samples", type=int, default=41)
+    option("--out", required=True)
     return parser
+
+
+def _with_config(parser, argv):
+    """``argv`` with its ``--config`` file's lines as ``--key=value`` flags
+    right after the subcommand, where the explicit flags that follow win.
+
+    A key that no subcommand has is an error, a key of another subcommand
+    is skipped, and a switch is set by a value of 1, true, yes or on.
+    """
+    # the top-level options (--help, --version) take no value and exit, so
+    # a subcommand, if any, comes first
+    if not argv or argv[0] not in parser.options:
+        return argv
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv[1:])[0].config
+    if config is None:
+        return argv
+    seeded = _read_config(config)
+    unknown = set(seeded) - {dest for table in parser.options.values() for dest in table}
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for dest, value in seeded.items():
+        action = parser.options[argv[0]].get(dest)
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _resolve_options(parser, args)
+        args = parser.parse_args(_with_config(parser, argv))
         _check_out_prefix(args.out)
         code = args.func(args)
     except ValidationError as exc:

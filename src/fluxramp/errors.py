@@ -45,6 +45,8 @@ class NoConvergence(FluxrampError):
     """Fixed-point iteration failed to reach tolerance."""
 
     def __init__(self, message, iterations=None, last_delta=None):
+        if iterations is not None:
+            message = f"{message} (iterations={iterations}, last delta={last_delta})"
         super().__init__(message)
         self.iterations = iterations
         self.last_delta = last_delta

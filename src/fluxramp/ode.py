@@ -209,10 +209,11 @@ def _tableau(shape, entries):
     return out
 
 
-# The 169 nonzero coefficients, each written with repr, so every array
+# The 161 nonzero coefficients, each written with repr, so every array
 # holds the same bits as scipy's: A (stage weights, lower triangular),
-# B (8th-order weights), C (stage nodes), D (dense-output coefficients),
-# E3, E5 (the two embedded error estimates).
+# C (stage nodes), D (dense-output coefficients), E3, E5 (the two embedded
+# error estimates).  B (8th-order weights) is row 12 of A, as in scipy:
+# stage 12 is evaluated at the new solution.
 A = _tableau((16, 16), {
     1: {0: 0.05260015195876773},
     2: {0: 0.0197250569845379, 1: 0.0591751709536137},
@@ -252,6 +253,7 @@ A = _tableau((16, 16), {
          12: -0.0013990241651590145, 13: 2.9475147891527724,
          14: -9.15095847217987},
 })
+B = A[N_STAGES, :N_STAGES]
 D = _tableau((4, 16), {
     0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
          7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
@@ -272,11 +274,6 @@ D = _tableau((4, 16), {
          7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
          10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
          13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
-})
-B = _tableau((12,), {
-    0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
-    7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
-    10: 0.20136540080403034, 11: 0.04471061572777259
 })
 C = _tableau((16,), {
     1: 0.05260015195876773, 2: 0.0789002279381516, 3: 0.1183503419072274,

@@ -204,8 +204,12 @@ def gamma_potential(pi, family):
 
 
 def commutator_residual(gamma, pi, family):
-    """|| i [diag(E), Gamma] - Pi ||, zero by construction up to rounding."""
-    h = np.diag(family.energies.astype(complex))
+    """|| i [diag(E), Gamma] - Pi ||, zero by construction up to rounding.
+
+    The commutator does not change when H is shifted, so it is formed with
+    E - E_0: the rounding then scales with the gaps, not with E ~ 2s.
+    """
+    h = np.diag((family.energies - family.energies[0]).astype(complex))
     return float(np.linalg.norm(1j * (h @ gamma - gamma @ h) - pi, 2))
 
 

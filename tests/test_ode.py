@@ -54,8 +54,10 @@ def test_random_flows_match_scipy(r, angle, p, phi, s0, span, backward, log_tol,
     s_end = s0 - span if backward else s0 + span
     if isinstance(samples, int):
         t_eval = np.linspace(s0, s_end, samples)
-    else:  # non-uniform, strictly monotone in the direction of integration
-        t_eval = s0 + (s_end - s0) * np.unique(samples)
+    else:  # non-uniform, strictly monotone in the direction of integration:
+        # distinct samples can map to one time, so duplicates go after the map
+        t_eval = np.unique(s0 + (s_end - s0) * np.asarray(samples))
+        t_eval = t_eval[::-1] if backward else t_eval
     tol = 10.0 ** log_tol
     y0 = (r * np.cos(angle), r * np.sin(angle), *p)
     ours, ref = both(cl._rhs_flat, (s0, s_end), y0, tol, t_eval, args=(phi,))

@@ -483,6 +483,17 @@ def test_gamma_commutator_and_bounds():
     assert max(consts) < 5.0
 
 
+@pytest.mark.parametrize("N", [8, 64])
+@pytest.mark.parametrize("s", [1e10, 3e10, 1e11, 3e11, 1e12, 3e12, 1e14])
+def test_commutator_residual_at_large_flux(s, N):
+    # the energies 2n + 2s + 1 are near 2s here, but the commutator reads
+    # only their gaps: the residual stays at rounding of the gaps, far below
+    # the 1e-10 gate that the unshifted energies failed from s = 3e10 on
+    fam = sp.analytic_spectrum(sp.SectorParams(s=s, N=N))
+    pi = sp.coupling_matrix(fam)
+    assert sp.commutator_residual(sp.gamma_potential(pi, fam), pi, fam) <= 1e-14
+
+
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 5.0])
 def test_kernel_bound(s):
     res = sp.kernel_bound_check(s)
