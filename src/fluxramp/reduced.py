@@ -74,11 +74,15 @@ RESIDUAL_BLOCK = 1024
 
 # Working set of a run per node of the residual's grid, the largest grid a
 # run has.  Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by
-# 46-49, 49 and 51 bytes per residual node from X = 2500 to 5000, 10000 and
-# 20000 (159,360 to 1,279,360 nodes; two runs), with --crosscheck by 46-48,
-# 48-49 and 51 (its reduced ODE writes 16 bytes per sample); the Picard
-# sweep sets both (traced: 51 bytes per node, the residual's blocks 38).
-# The estimate is the largest, with a tenth of headroom.
+# 48-49, 50 and 51 bytes per residual node from X = 2500 to 5000, 10000 and
+# 20000 (159,360 to 1,279,360 nodes; three runs), with --crosscheck by
+# 50-54, 51-52 and 51 (its reduced ODE writes 16 bytes per sample, and the
+# solution keeps the sweep's Bessel values: the crosscheck ends about
+# 1 MiB above the sweep at X = 5000-10000).  The Picard sweep sets the
+# peak otherwise: its traced phase peak is 3.4, 9.8 and 32.4 MB at
+# X = 1000, 3000 and 10000, the residual's 3.2, 7.2 and 21.3, the constant
+# fit's 2.7, 7.8 and 26.0.  The estimate is the figure at 20000, where the
+# sweep's 51 bytes per node dominate, with a tenth of headroom.
 BYTES_PER_NODE = 56
 
 # constant extraction fits the trailing half of the solution grid and
@@ -202,6 +206,7 @@ class ReducedSolution:
     iterations: int
     deltas: np.ndarray        # sup-norm distance between successive iterates
     tail_estimate: float
+    bessel: tuple             # ((J0, J1), (Y0, Y1)) at the grid: the sweep's own arrays
 
     def quadrature(self):
         """The Gauss-Legendre panels of the Picard grid."""
@@ -245,33 +250,70 @@ class _PanelQuadrature:
         """
         return values.reshape(-1, self.order) @ self.proj.T
 
-    def _locate(self, points, degree):
-        """Panel of each point (s_max in the last) and P_0..P_degree there."""
-        k = np.searchsorted(self.edges[1:-1], points, side="right")
-        return k, _legendre(degree, (points - self.mid[k]) / self.half[k])
-
     def interpolate(self, points, *coefs):
         """The per-panel polynomials of each coefficient table at ``points``."""
-        k, pvals = self._locate(points, self.order - 1)
+        k = np.searchsorted(self.edges[1:-1], points, side="right")   # s_max in the last
+        pvals = _legendre(self.order - 1, (points - self.mid[k]) / self.half[k])
         return tuple(np.einsum("ml,lm->m", coef[k], pvals) for coef in coefs)
 
     def right_tails(self, coef):
-        """I(x) = integral from x to the right end of the panel polynomials
-        ``coef``, as a function: at every node when called without
-        arguments, else at the given points.  Each panel's integral and
-        their suffix sums are formed once, here."""
+        """I(s) = integral from each node s to the right end of the panel
+        polynomials ``coef``: each panel's integral, their suffix sums, and
+        the tabulated antiderivatives at the nodes."""
         panel_full = coef[:, 0] * 2.0 * self.half                       # (P,)
         suffix = np.concatenate([np.cumsum(panel_full[::-1])[::-1][1:], [0.0]])
+        # integral from panel start a_k to each node
+        upto = (coef @ self.anti) * self.half[:, None]                  # (P, n)
+        return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
 
-        def tails(points=None):
-            if points is None:
-                # integral from panel start a_k to each node
-                upto = (coef @ self.anti) * self.half[:, None]          # (P, n)
-                return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
-            k, pvals = self._locate(points, self.order)
-            upto = np.einsum("ml,lm->m", coef[k], _antiderivatives(pvals)) * self.half[k]
-            return (panel_full[k] - upto) + suffix[k]
-        return tails
+
+class _Refinement:
+    """A rule that splits each panel of ``solve`` into ``refine`` panels of
+    ``order`` Gauss nodes, and its fixed Legendre tables.
+
+    The fine panels come from the same linspace, so for refine 2 they share
+    the solve's edges bit for bit.  Fine node j of sub-panel r sits at the
+    local coordinate (2r + 1 - refine + xi_j)/refine of its solve panel;
+    ``interp`` holds P_0..P_{n-1} there, (n, refine * order).  Solve node i
+    sits in sub-panel ``sub[i]`` at u_i = refine (xi_i + 1) - 2 sub_i - 1;
+    ``upto`` holds Q_0..Q_{order-1} at u_i in the rows of that sub-panel
+    and zeros in the others, (refine * order, n).
+    """
+
+    def __init__(self, solve, refine, order):
+        self.solve, self.refine = solve, refine
+        self.fine = _PanelQuadrature(solve.edges[0], solve.edges[-1],
+                                     refine * solve.half.size, order)
+        r = np.arange(refine)[:, None]
+        self.interp = _legendre(solve.order - 1,
+                                ((2 * r + 1 - refine + self.fine.xi) / refine).ravel())
+        self.sub = np.minimum((refine * (solve.xi + 1) / 2).astype(int), refine - 1)
+        u = refine * (solve.xi + 1) - 2 * self.sub - 1
+        upto = np.zeros((refine, order, solve.order))
+        upto[self.sub, :, np.arange(solve.order)] = _antiderivatives(_legendre(order, u)).T
+        self.upto = upto.reshape(refine * order, solve.order)
+
+    def tails(self, coef, panels, carry):
+        """Right-tail integrals at the solve nodes of ``panels`` (a slice of
+        solve panels) of the fine panel polynomials ``coef`` (c, fine panels
+        of the block, order), with ``carry`` (c,) the integrals beyond the
+        block.  Returns the tails (c, nodes) and the carry of the next block
+        to the left: the suffix sums run sequentially from s_max, so every
+        one is the same sum in the same order at any block size."""
+        c, _, order = coef.shape
+        fine = slice(panels.start * self.refine, panels.stop * self.refine)
+        half = self.fine.half[fine]
+        full = coef[:, :, 0] * 2.0 * half                         # (c, fine panels)
+        seq = np.cumsum(np.concatenate([carry[:, None], full[:, ::-1]], axis=1), axis=1)
+        suffix = seq[:, -2::-1]
+        upto = (coef.reshape(-1, self.refine * order) @ self.upto).reshape(c, -1, self.solve.order)
+
+        def at_node(a):
+            """Each solve node's fine panel: (..., fine panels) -> (..., panels, n)."""
+            return a.reshape(a.shape[:-1] + (-1, self.refine))[..., self.sub]
+
+        tails = (at_node(full) - upto * at_node(half)) + at_node(suffix)
+        return tails.reshape(c, -1), seq[:, -1]
 
 
 def _legendre(n, x):
@@ -292,15 +334,14 @@ def _antiderivatives(pvals):
 class _IntegralMap:
     """Right-hand side of the integral equations at the nodes ``s``.
 
-    Holds J0, J1, Y0, Y1 at the nodes, the homogeneous parts
-    c1 s J_{j-1} + c2 s Y_{j-1} and the prefactor pi s/2; called with the
-    tail integrals T_J = int_s^smax J1 F and T_Y = int_s^smax Y1 F it
-    returns (x1, x2).
+    Holds J0, J1, Y0, Y1 at the nodes (``bessel``, ((J0, J1), (Y0, Y1))),
+    the homogeneous parts c1 s J_{j-1} + c2 s Y_{j-1} and the prefactor
+    pi s/2; called with the tail integrals T_J = int_s^smax J1 F and
+    T_Y = int_s^smax Y1 F it returns (x1, x2).
     """
 
-    def __init__(self, s, c1, c2):
-        self.j = (bessel_j(0, s), bessel_j(1, s))
-        self.y = (bessel_y(0, s), bessel_y(1, s))
+    def __init__(self, s, c1, c2, bessel):
+        self.j, self.y = bessel
         self.hom = tuple(c1 * s * j + c2 * s * y for j, y in zip(self.j, self.y))
         self.pref = 0.5 * np.pi * s
 
@@ -336,7 +377,8 @@ def picard_solve(config, phi, s_start):
     deltas = []
     # an overflow is raised below (by F or as a non-finite delta), not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        imap = _IntegralMap(s, config.c1, config.c2)
+        bessel = (bessel_j(0, s), bessel_j(1, s)), (bessel_y(0, s), bessel_y(1, s))
+        imap = _IntegralMap(s, config.c1, config.c2, bessel)
         j1, y1 = imap.j[1], imap.y[1]
         x1, x2 = imap.hom
         for _ in range(MAX_ITERS):
@@ -345,8 +387,8 @@ def picard_solve(config, phi, s_start):
             except ValidationError as exc:
                 raise ValidationError(f"{exc} at phi {phi:g}, c1 {config.c1:g} and "
                                       f"c2 {config.c2:g}") from None
-            new1, new2 = imap(quad.right_tails(quad.project(j1 * f))(),
-                              quad.right_tails(quad.project(y1 * f))())
+            new1, new2 = imap(quad.right_tails(quad.project(j1 * f)),
+                              quad.right_tails(quad.project(y1 * f)))
             delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
             deltas.append(delta)
             if not np.isfinite(delta):
@@ -369,43 +411,55 @@ def picard_solve(config, phi, s_start):
 
     return ReducedSolution(phi=phi, config=config, s_start=float(s_start),
                            grid=s, x1=x1, x2=x2, iterations=len(deltas),
-                           deltas=np.asarray(deltas), tail_estimate=tail_estimate)
+                           deltas=np.asarray(deltas), tail_estimate=tail_estimate,
+                           bessel=bessel)
 
 
 def residual(solution):
     """Substitute the solution back with an independent, finer quadrature.
 
     Returns (res1, res2) on the solution grid; their sup norm is the
-    advertised self-consistency figure.  The finer grid is never whole:
-    F, J1 F and Y1 F are formed and projected on its panels' Legendre
-    coefficients one block at a time (the refinement of RESIDUAL_BLOCK
-    panels of the solve), and the tails are read from those coefficients.
+    advertised self-consistency figure.  The finer grid is never whole: it
+    is walked in blocks (the refinement of RESIDUAL_BLOCK panels of the
+    solve) down from s_max.  On a block, F comes from the solve's panel
+    polynomials through the fixed interpolation table, J1 F and Y1 F are
+    projected on the fine panels' Legendre coefficients, and the tails at
+    the solve's nodes come from those through the fixed tail table and the
+    suffix sum carried from the blocks to the right.  The integral map there
+    uses the solve's own Bessel values.
     """
-    cfg = solution.config
     solve = solution.quadrature()
-    coef_x = solve.project(solution.x1), solve.project(solution.x2)
-    n_panels = RESIDUAL_REFINE * cfg.panels(solution.s_start)
-    quad = _PanelQuadrature(solution.s_start, cfg.s_max, n_panels,
-                            QUAD_NODES + RESIDUAL_EXTRA_ORDER)
-    coef_j, coef_y = np.empty((2, n_panels, quad.order))
-    step = RESIDUAL_REFINE * RESIDUAL_BLOCK
-    for lo in range(0, n_panels, step):
-        panels = slice(lo, lo + step)
-        tau = quad.nodes(panels)
-        f = f_nonlinearity(tau, *solve.interpolate(tau, *coef_x), solution.phi)
-        coef_j[panels] = quad.project(bessel_j(1, tau) * f)
-        coef_y[panels] = quad.project(bessel_y(1, tau) * f)
-    tail_j, tail_y = quad.right_tails(coef_j), quad.right_tails(coef_y)
-    s = solution.grid
-    res1, res2 = np.empty_like(s), np.empty_like(s)
-    step = RESIDUAL_BLOCK * QUAD_NODES
-    for lo in range(0, s.size, step):
-        nodes = slice(lo, lo + step)
-        rhs1, rhs2 = _IntegralMap(s[nodes], cfg.c1, cfg.c2)(tail_j(s[nodes]),
-                                                            tail_y(s[nodes]))
-        res1[nodes] = solution.x1[nodes] - rhs1
-        res2[nodes] = solution.x2[nodes] - rhs2
+    rule = _Refinement(solve, RESIDUAL_REFINE, QUAD_NODES + RESIDUAL_EXTRA_ORDER)
+    res1, res2 = np.empty_like(solution.grid), np.empty_like(solution.grid)
+    carry = np.zeros(2)
+    for hi in range(solve.half.size, 0, -RESIDUAL_BLOCK):
+        panels = slice(max(hi - RESIDUAL_BLOCK, 0), hi)
+        nodes = slice(panels.start * QUAD_NODES, hi * QUAD_NODES)
+        (res1[nodes], res2[nodes]), carry = _residual_block(solution, rule, panels, carry)
     return res1, res2
+
+
+def _residual_block(solution, rule, panels, carry):
+    """The residual at the nodes of ``panels`` (a slice of solve panels),
+    given ``carry``, the tail integrals beyond them; and the carry of the
+    next block to the left.  Its arrays end with it."""
+    cfg = solution.config
+    nodes = slice(panels.start * QUAD_NODES, panels.stop * QUAD_NODES)
+    x1, x2 = solution.x1[nodes], solution.x2[nodes]
+    tau = rule.fine.nodes(slice(panels.start * rule.refine, panels.stop * rule.refine))
+    # x1 and x2 rows together: two rows or more keep BLAS's bits
+    x = rule.solve.project(np.stack([x1, x2])) @ rule.interp
+    f = f_nonlinearity(tau, *x.reshape(2, -1), solution.phi)
+    kernel = np.empty((2, tau.size))
+    np.multiply(bessel_j(1, tau), f, out=kernel[0])
+    np.multiply(bessel_y(1, tau), f, out=kernel[1])
+    del x, tau, f       # before the projection: the block's peak stays below Picard's
+    coef = rule.fine.project(kernel).reshape(2, -1, rule.fine.order)
+    del kernel
+    (tail_j, tail_y), carry = rule.tails(coef, panels, carry)
+    bessel = tuple(tuple(a[nodes] for a in pair) for pair in solution.bessel)
+    rhs1, rhs2 = _IntegralMap(solution.grid[nodes], cfg.c1, cfg.c2, bessel)(tail_j, tail_y)
+    return (x1 - rhs1, x2 - rhs2), carry
 
 
 def ode_rhs(s, x, phi):
@@ -513,19 +567,21 @@ def extract_constants(solution):
                               f"s >= {classical.FORWARD_S_MIN:g}")
     phi = solution.phi
     s = solution.grid
-    mask = s >= s[0] + WINDOW_FRACTION * (s[-1] - s[0])
-    sw = s[mask]
-    basis = np.concatenate([
-        np.stack([sw * bessel_j(0, sw), sw * bessel_y(0, sw)], axis=1),
-        np.stack([sw * bessel_j(1, sw), sw * bessel_y(1, sw)], axis=1),
-    ])
-    target = np.concatenate([solution.x1[mask], solution.x2[mask]])
+    window = slice(int(np.searchsorted(s, s[0] + WINDOW_FRACTION * (s[-1] - s[0]))), None)
+    sw, x1, x2 = s[window], solution.x1[window], solution.x2[window]
+    # rows (s J0, s Y0) then (s J1, s Y1), from the solve's Bessel values
+    basis = np.empty((2, sw.size, 2))
+    for rows, pair in zip(basis, zip(*solution.bessel)):
+        for col, values in zip(rows.T, pair):
+            np.multiply(sw, values[window], out=col)
+    basis = basis.reshape(-1, 2)
+    target = np.concatenate([x1, x2])
     coef = np.linalg.lstsq(basis, target, rcond=None)[0]
     c1, c2 = float(coef[0]), float(coef[1])
     amp2 = c1 * c1 + c2 * c2
     if amp2 < DEGENERATE_TOL:
         raise NotConverged("degenerate amplitude: homogeneous part is numerically zero")
-    jred = np.sqrt(solution.x1[mask] ** 2 + (solution.x2[mask] - phi) ** 2 + (phi * sw) ** 2)
+    jred = np.sqrt(x1 ** 2 + (x2 - phi) ** 2 + (phi * sw) ** 2)
     H_limit = float(np.mean(0.5 * (jred - phi * sw)))
     return ExtractedConstants(c1=c1, c2=c2,
                               a0=float(np.sqrt(4.0 * phi * max(H_limit, 0.0))),

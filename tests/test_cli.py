@@ -203,6 +203,26 @@ def test_reduced_default_run_and_crosscheck(tmp_path):
     assert diag["residual_nodes"] == 2 * 560 * 8
 
 
+def test_reduced_bessel_points(tmp_path, monkeypatch):
+    # J0, J1, Y0, Y1 once at each solve node (the sweep's, which the residual
+    # and the constant fit reuse) and J1, Y1 at each residual node
+    points = []
+
+    def counting(fn):
+        def wrapper(order, x):
+            points.append(np.size(x))
+            return fn(order, x)
+        return wrapper
+
+    for name in ("bessel_j", "bessel_y"):
+        monkeypatch.setattr(reduced, name, counting(getattr(reduced, name)))
+    out = str(tmp_path / "pts")
+    assert run(["reduced", "--phi", "0.5", "--s-max", "1000", "--crosscheck",
+                "--out", out]) == 0
+    diag = read_json(out + ".json")["diagnostics"]
+    assert sum(points) == 4 * diag["quad_nodes"] + 2 * diag["residual_nodes"]
+
+
 def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
     import fluxramp.reduced as rd
     from fluxramp.errors import NoConvergence

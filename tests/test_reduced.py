@@ -186,9 +186,9 @@ def test_residual_blocks_bit_identical(residual_fixtures, monkeypatch, fixture, 
 
 
 def test_residual_traced_peak_per_node(residual_fixtures):
-    # the residual grid is formed a block at a time: 49 bytes per residual
-    # node at s_max 3000 (the coefficient tables and the outputs), against
-    # 166 when every table of the grid was built at once
+    # the residual grid is formed a block at a time: 16 bytes per residual
+    # node at s_max 3000 (one block's arrays and the outputs), against 49
+    # with whole-grid coefficient tables and 166 with every table at once
     sol = residual_fixtures[1]
     tracemalloc.start()
     try:
@@ -221,19 +221,61 @@ def test_panel_interpolate_reproduces_polynomials():
                         rtol=0, atol=1e-13 * np.max(np.abs(exact)))
 
 
-def test_panel_right_tails_at_points():
+def test_panel_right_tails_at_nodes():
     quad = panel_quadrature()
-    points = np.concatenate([quad.edges, np.linspace(10.0, 14.0, 301)])
     nodes = quad.nodes()
-    tails = quad.right_tails(quad.project(np.cos(nodes)))
-    assert_allclose(tails(nodes), tails(), rtol=0, atol=1e-15)
-    assert_allclose(tails(points), np.sin(14.0) - np.sin(points), rtol=0, atol=1e-12)
+    assert_allclose(quad.right_tails(quad.project(np.cos(nodes))),
+                    np.sin(14.0) - np.sin(nodes), rtol=0, atol=1e-12)
     # exact, to rounding, for a polynomial of degree below QUAD_NODES
     poly = np.polynomial.Polynomial(np.arange(1.0, rd.QUAD_NODES + 1), domain=[10.0, 14.0])
     anti = poly.integ()
-    assert_allclose(quad.right_tails(quad.project(poly(nodes)))(points),
-                    anti(14.0) - anti(points),
-                    rtol=0, atol=1e-13 * np.max(np.abs(anti(points))))
+    assert_allclose(quad.right_tails(quad.project(poly(nodes))),
+                    anti(14.0) - anti(nodes),
+                    rtol=0, atol=1e-13 * np.max(np.abs(anti(nodes))))
+
+
+def point_tails(quad, coef, points):
+    """int_x^b of the panel polynomials ``coef`` at each point x, located by
+    bisection on the edges, with P_l at its computed local coordinate."""
+    k = np.searchsorted(quad.edges[1:-1], points, side="right")
+    anti = rd._antiderivatives(rd._legendre(quad.order, (points - quad.mid[k]) / quad.half[k]))
+    full = coef[:, 0] * 2.0 * quad.half
+    suffix = np.concatenate([np.cumsum(full[::-1])[::-1][1:], [0.0]])
+    return (full[k] - np.einsum("ml,lm->m", coef[k], anti) * quad.half[k]) + suffix[k]
+
+
+@pytest.mark.parametrize("refine", [2, 3])
+def test_refinement_tables_match_point_path(monkeypatch, refine):
+    # the fixed tables against locating every point: values at the fine
+    # nodes and tails at the solve nodes, whole and in two blocks
+    monkeypatch.setattr(rd, "RESIDUAL_REFINE", refine)
+    solve = panel_quadrature()
+    rule = rd._Refinement(solve, rd.RESIDUAL_REFINE, rd.QUAD_NODES + rd.RESIDUAL_EXTRA_ORDER)
+    assert rule.fine.half.size == refine * solve.half.size
+    # smooth data, as the solve's are: on noise the point path's computed
+    # coordinates alone move the values by 1e-11
+    coef = solve.project(np.sin(2.5 * solve.nodes()) + 0.1 * solve.nodes())
+    expected = solve.interpolate(rule.fine.nodes(), coef)[0]
+    assert_allclose((coef @ rule.interp).ravel(), expected,
+                    rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+    tau = rule.fine.nodes()
+    fine_coef = rule.fine.project(np.stack([np.cos(tau), np.cos(3.0 * tau) / tau]))
+    fine_coef = fine_coef.reshape(2, -1, rule.fine.order)
+    tails, carry = rule.tails(fine_coef, slice(0, 32), np.zeros(2))
+    for got, c in zip(tails, fine_coef):
+        want = point_tails(rule.fine, c, solve.nodes())
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    assert_allclose(tails[0], np.sin(14.0) - np.sin(solve.nodes()), rtol=0, atol=1e-13)
+    # the carry left of the first panel is the whole integral; blocks walked
+    # down from the right end with it reproduce every bit
+    assert_allclose(carry[0], np.sin(14.0) - np.sin(10.0), rtol=0, atol=1e-13)
+    right, mid = rule.tails(fine_coef[:, 20 * refine:], slice(20, 32), np.zeros(2))
+    left, end = rule.tails(fine_coef[:, :20 * refine], slice(0, 20), mid)
+    assert np.array_equal(np.concatenate([left, right], axis=1), tails)
+    assert np.array_equal(end, carry)
+    # and the residual on the refinement stays within criterion 05's bound
+    sol = rd.picard_solve(rd.IntegralEqConfig(s_max=150.0), PHI, 10.0)
+    assert max(np.max(np.abs(r)) for r in rd.residual(sol)) <= 1e-9
 
 
 def test_kernel_wronskian_at_coincidence():
