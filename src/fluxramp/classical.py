@@ -112,8 +112,6 @@ class Trajectory:
     s: np.ndarray
     q: np.ndarray  # (n, 2)
     p: np.ndarray  # (n, 2)
-    puncture_hit: bool = False
-    s_hit: Optional[float] = None
     # deterministic integrator counters: rhs_evals, steps, rejected_steps
     diagnostics: Optional[dict] = None
 
@@ -202,13 +200,11 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
                     args=(params.phi,), event=puncture_event)
     if sol.status == -1:
         raise StepFailure(f"integrator failed: {sol.message}")
-    hit = sol.status == 1
     traj = Trajectory(params=params, s=sol.t, q=sol.y[:, :2], p=sol.y[:, 2:],
-                      puncture_hit=hit, s_hit=sol.t_event,
                       diagnostics={"rhs_evals": sol.nfev, "steps": sol.steps,
                                    "rejected_steps": sol.rejected_steps})
-    if hit:
-        raise PunctureHit(traj.s_hit, trajectory=traj)
+    if sol.status == 1:
+        raise PunctureHit(sol.t_event, trajectory=traj)
     return traj
 
 

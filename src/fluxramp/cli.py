@@ -15,6 +15,7 @@ validation failure, reported in one line like every other.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -340,19 +341,23 @@ def cmd_reduced(args):
                "diagnostics": {"picard_deltas": sol.deltas.tolist(),
                                "quad_nodes": sol.grid.size,
                                "residual_nodes": config.residual_nodes(sol.s_start)}}
-    if config.s_max >= classical.FORWARD_S_MIN:
-        ext = reduced.extract_constants(sol)
-        summary.update(c1_fit=ext.c1, c2_fit=ext.c2, a0=ext.a0,
-                       H_limit=ext.H_limit,
-                       a0_from_amplitude=ext.a0_from_amplitude)
-    if args.crosscheck:
-        summary["ode_deviation"] = reduced.crosscheck_ode(sol)
-        state = reduced.from_reduced(sol.grid[0], sol.x1[0], sol.x2[0], args.phi)
-        traj = classical.integrate(state, float(sol.grid[-1]),
-                                   classical.FluxParams(args.phi),
-                                   tol=1e-12, samples=2049)
-        summary["classical_deviation"] = reduced.crosscheck_ode(sol, trajectory=traj)
-    _write_json(args.out + ".json", summary)
+    try:
+        if config.s_max >= classical.FORWARD_S_MIN:
+            ext = reduced.extract_constants(sol)
+            summary.update(c1_fit=ext.c1, c2_fit=ext.c2, a0=ext.a0,
+                           H_limit=ext.H_limit,
+                           a0_from_amplitude=ext.a0_from_amplitude)
+        # the residual and the fit have read the sweep's Bessel values
+        sol = dataclasses.replace(sol, bessel=None)
+        if args.crosscheck:
+            summary["ode_deviation"] = reduced.crosscheck_ode(sol)
+            state = reduced.from_reduced(sol.grid[0], sol.x1[0], sol.x2[0], args.phi)
+            traj = classical.integrate(state, float(sol.grid[-1]),
+                                       classical.FluxParams(args.phi),
+                                       tol=1e-12, samples=2049)
+            summary["classical_deviation"] = reduced.crosscheck_ode(sol, trajectory=traj)
+    finally:    # also on a degenerate fit: the fit's keys stay null
+        _write_json(args.out + ".json", summary)
     return EXIT_OK
 
 

@@ -74,15 +74,14 @@ RESIDUAL_BLOCK = 1024
 
 # Working set of a run per node of the residual's grid, the largest grid a
 # run has.  Peak memory (ru_maxrss) of `reduced --phi 0.5 --s-max X` grew by
-# 48-49, 50 and 51 bytes per residual node from X = 2500 to 5000, 10000 and
-# 20000 (159,360 to 1,279,360 nodes; three runs), with --crosscheck by
-# 50-54, 51-52 and 51 (its reduced ODE writes 16 bytes per sample, and the
-# solution keeps the sweep's Bessel values: the crosscheck ends about
-# 1 MiB above the sweep at X = 5000-10000).  The Picard sweep sets the
-# peak otherwise: its traced phase peak is 3.4, 9.8 and 32.4 MB at
-# X = 1000, 3000 and 10000, the residual's 3.2, 7.2 and 21.3, the constant
-# fit's 2.7, 7.8 and 26.0.  The estimate is the figure at 20000, where the
-# sweep's 51 bytes per node dominate, with a tenth of headroom.
+# 53-54, 53 and 53 bytes per residual node from X = 2500 to 5000, 10000 and
+# 20000 (159,360 to 1,279,360 nodes; three runs), with --crosscheck by the
+# same (its reduced ODE writes 16 bytes per sample, and runs after the
+# sweep's Bessel values are dropped: its peak stays at the sweep's).  The
+# Picard sweep sets the peak: its traced phase peak is 3.3, 9.7 and 32.4 MB
+# at X = 1000, 3000 and 10000, the residual's 3.1, 7.1 and 21.3, the
+# constant fit's 2.7, 7.8 and 26.0.  The estimate is the figure at 20000,
+# where the sweep's 53 bytes per node dominate, with a little headroom.
 BYTES_PER_NODE = 56
 
 # constant extraction fits the trailing half of the solution grid and
@@ -207,24 +206,20 @@ class ReducedSolution:
     deltas: np.ndarray        # sup-norm distance between successive iterates
     tail_estimate: float
     bessel: tuple             # ((J0, J1), (Y0, Y1)) at the grid: the sweep's own arrays
-
-    def quadrature(self):
-        """The Gauss-Legendre panels of the Picard grid."""
-        return _PanelQuadrature(self.s_start, self.config.s_max,
-                                self.config.panels(self.s_start), QUAD_NODES)
+    quad: "_PanelQuadrature"  # the Gauss-Legendre panels it was solved on
 
     def at(self, points):
         """(x1, x2) at ``points`` from the grid's per-panel polynomials."""
-        quad = self.quadrature()
+        quad = self.quad
         return quad.interpolate(points, quad.project(self.x1), quad.project(self.x2))
 
 
 class _PanelQuadrature:
-    """Composite Gauss-Legendre panels with per-panel polynomial antiderivatives.
+    """Composite Gauss-Legendre panels and their per-panel polynomials.
 
     Each panel's node values are projected on Legendre polynomials (its
-    interpolating polynomial): values between the nodes, and by closed-form
-    antiderivatives and suffix sums the right-tail integrals int_s^smax G.
+    interpolating polynomial), which give the values between the nodes;
+    a _Refinement of the panels gives the right-tail integrals.
     """
 
     def __init__(self, a, b, n_panels, order):
@@ -234,9 +229,8 @@ class _PanelQuadrature:
         self.half = 0.5 * (self.edges[1:] - self.edges[:-1])     # (P,)
         self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
         self.xi, w = leggauss(order)
-        pvals = _legendre(order, self.xi)                               # (L+1, n)
-        self.proj = pvals[:-1] * w[None, :] * (2 * np.arange(order)[:, None] + 1) / 2.0
-        self.anti = _antiderivatives(pvals)                             # (L, n)
+        pvals = _legendre(order - 1, self.xi)                           # (L, n)
+        self.proj = pvals * w[None, :] * (2 * np.arange(order)[:, None] + 1) / 2.0
 
     def nodes(self, panels=slice(None)):
         """The Gauss nodes of ``panels`` (all by default), ascending."""
@@ -256,42 +250,35 @@ class _PanelQuadrature:
         pvals = _legendre(self.order - 1, (points - self.mid[k]) / self.half[k])
         return tuple(np.einsum("ml,lm->m", coef[k], pvals) for coef in coefs)
 
-    def right_tails(self, coef):
-        """I(s) = integral from each node s to the right end of the panel
-        polynomials ``coef``: each panel's integral, their suffix sums, and
-        the tabulated antiderivatives at the nodes."""
-        panel_full = coef[:, 0] * 2.0 * self.half                       # (P,)
-        suffix = np.concatenate([np.cumsum(panel_full[::-1])[::-1][1:], [0.0]])
-        # integral from panel start a_k to each node
-        upto = (coef @ self.anti) * self.half[:, None]                  # (P, n)
-        return ((panel_full[:, None] - upto) + suffix[:, None]).ravel()
-
-
 class _Refinement:
     """A rule that splits each panel of ``solve`` into ``refine`` panels of
-    ``order`` Gauss nodes, and its fixed Legendre tables.
+    ``order`` Gauss nodes, its fixed Legendre tables, and the right-tail
+    integrals of its panel polynomials at the solve nodes.
 
-    The fine panels come from the same linspace, so for refine 2 they share
-    the solve's edges bit for bit.  Fine node j of sub-panel r sits at the
-    local coordinate (2r + 1 - refine + xi_j)/refine of its solve panel;
-    ``interp`` holds P_0..P_{n-1} there, (n, refine * order).  Solve node i
-    sits in sub-panel ``sub[i]`` at u_i = refine (xi_i + 1) - 2 sub_i - 1;
-    ``upto`` holds Q_0..Q_{order-1} at u_i in the rows of that sub-panel
-    and zeros in the others, (refine * order, n).
+    At refine 1 and the solve's order the fine rule is ``solve`` itself;
+    otherwise the fine panels come from the same linspace, so for refine 2
+    they share the solve's edges bit for bit.  Fine node j of sub-panel r
+    sits at the local coordinate (2r + 1 - refine + xi_j)/refine of its
+    solve panel; ``interp`` holds P_0..P_{n-1} there, (n, refine * order).
+    Solve node i sits in sub-panel r_i, at u_i = refine xi_i + (refine - 1
+    - 2 r_i) of it (xi_i itself at refine 1).  r_i ascends with xi_i, so
+    the solve nodes of sub-panel r are one contiguous slice of each
+    panel's, and ``upto[r]`` holds Q_0..Q_{order-1} at their u, (order,
+    nodes of r).
     """
 
     def __init__(self, solve, refine, order):
         self.solve, self.refine = solve, refine
-        self.fine = _PanelQuadrature(solve.edges[0], solve.edges[-1],
-                                     refine * solve.half.size, order)
+        self.fine = solve if (refine, order) == (1, solve.order) else _PanelQuadrature(
+            solve.edges[0], solve.edges[-1], refine * solve.half.size, order)
         r = np.arange(refine)[:, None]
         self.interp = _legendre(solve.order - 1,
                                 ((2 * r + 1 - refine + self.fine.xi) / refine).ravel())
-        self.sub = np.minimum((refine * (solve.xi + 1) / 2).astype(int), refine - 1)
-        u = refine * (solve.xi + 1) - 2 * self.sub - 1
-        upto = np.zeros((refine, order, solve.order))
-        upto[self.sub, :, np.arange(solve.order)] = _antiderivatives(_legendre(order, u)).T
-        self.upto = upto.reshape(refine * order, solve.order)
+        sub = np.minimum((refine * (solve.xi + 1) / 2).astype(int), refine - 1)
+        u = refine * solve.xi + (refine - 1 - 2 * sub)
+        cuts = np.searchsorted(sub, np.arange(refine + 1))
+        self.upto = [_antiderivatives(_legendre(order, u[lo:hi]))
+                     for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def tails(self, coef, panels, carry):
         """Right-tail integrals at the solve nodes of ``panels`` (a slice of
@@ -306,14 +293,16 @@ class _Refinement:
         full = coef[:, :, 0] * 2.0 * half                         # (c, fine panels)
         seq = np.cumsum(np.concatenate([carry[:, None], full[:, ::-1]], axis=1), axis=1)
         suffix = seq[:, -2::-1]
-        upto = (coef.reshape(-1, self.refine * order) @ self.upto).reshape(c, -1, self.solve.order)
-
-        def at_node(a):
-            """Each solve node's fine panel: (..., fine panels) -> (..., panels, n)."""
-            return a.reshape(a.shape[:-1] + (-1, self.refine))[..., self.sub]
-
-        tails = (at_node(full) - upto * at_node(half)) + at_node(suffix)
-        return tails.reshape(c, -1), seq[:, -1]
+        # a sub-panel's slice of nodes at a time, each from one product of
+        # c * panels rows (two rows or more keep BLAS's bits)
+        rows = coef.reshape(-1, self.refine, order)
+        parts = []
+        for r, upto in enumerate(self.upto):
+            sub = slice(r, None, self.refine)     # the fine panels of sub-panel r
+            # from the start of each fine panel to its solve nodes
+            start = (rows[:, r] @ upto).reshape(c, -1, upto.shape[1])
+            parts.append((full[:, sub, None] - start * half[sub, None]) + suffix[:, sub, None])
+        return np.concatenate(parts, axis=2).reshape(c, -1), seq[:, -1]
 
 
 def _legendre(n, x):
@@ -373,6 +362,9 @@ def picard_solve(config, phi, s_start):
         raise ValidationError(f"phi must be positive and finite, got {phi!r}")
 
     quad = _PanelQuadrature(s_start, config.s_max, config.panels(s_start), QUAD_NODES)
+    # the tails come from the residual's routine, at refinement 1: the sweep's
+    # own panels, one block spanning them all
+    rule, whole = _Refinement(quad, 1, QUAD_NODES), slice(0, quad.half.size)
     s = quad.nodes()
     deltas = []
     # an overflow is raised below (by F or as a non-finite delta), not warned
@@ -387,8 +379,10 @@ def picard_solve(config, phi, s_start):
             except ValidationError as exc:
                 raise ValidationError(f"{exc} at phi {phi:g}, c1 {config.c1:g} and "
                                       f"c2 {config.c2:g}") from None
-            new1, new2 = imap(quad.right_tails(quad.project(j1 * f)),
-                              quad.right_tails(quad.project(y1 * f)))
+            # T_J then T_Y, one component at a time: stacked, their (2, nodes)
+            # arrays raised peak RSS at s_max 5000 from 72.7 to 78.7 MiB
+            new1, new2 = imap(*(rule.tails(quad.project(b * f)[None], whole, np.zeros(1))[0][0]
+                                for b in (j1, y1)))
             delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
             deltas.append(delta)
             if not np.isfinite(delta):
@@ -412,7 +406,7 @@ def picard_solve(config, phi, s_start):
     return ReducedSolution(phi=phi, config=config, s_start=float(s_start),
                            grid=s, x1=x1, x2=x2, iterations=len(deltas),
                            deltas=np.asarray(deltas), tail_estimate=tail_estimate,
-                           bessel=bessel)
+                           bessel=bessel, quad=quad)
 
 
 def residual(solution):
@@ -428,7 +422,7 @@ def residual(solution):
     suffix sum carried from the blocks to the right.  The integral map there
     uses the solve's own Bessel values.
     """
-    solve = solution.quadrature()
+    solve = solution.quad
     rule = _Refinement(solve, RESIDUAL_REFINE, QUAD_NODES + RESIDUAL_EXTRA_ORDER)
     res1, res2 = np.empty_like(solution.grid), np.empty_like(solution.grid)
     carry = np.zeros(2)

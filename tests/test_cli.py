@@ -161,6 +161,20 @@ def test_classical_unsettled_forward_tail_still_writes_json(tmp_path, capsys):
                                                 "angle_residual"))
 
 
+def test_reduced_degenerate_fit_still_writes_json(tmp_path, capsys):
+    # c1 = c2 = 0 leaves no homogeneous amplitude to fit: the JSON is
+    # written first, the fit's keys null, then the run exits 1
+    out = str(tmp_path / "flat")
+    assert run(["reduced", "--phi", "0.5", "--c1", "0", "--c2", "0", "--s-max", "1000",
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: degenerate amplitude")
+    assert err.count("\n") == 1
+    summary = read_json(out + ".json")
+    assert all(summary[key] is None for key in ("c1_fit", "c2_fit", "a0"))
+    assert summary["residual_sup"] <= 1e-9
+
+
 def test_classical_determinism(tmp_path):
     args = ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6",
             "--s-end", "10", "--samples", "101"]
@@ -541,7 +555,7 @@ def test_reduced_overflowing_nonlinearity_is_a_validation_error(tmp_path, monkey
     def unreachable(*args, **kwargs):
         raise AssertionError("a Picard sweep started")
 
-    monkeypatch.setattr(reduced._PanelQuadrature, "right_tails", unreachable)
+    monkeypatch.setattr(reduced._Refinement, "tails", unreachable)
     out = str(tmp_path / "huge")
     code = run(["reduced", *values, "--s-max", "120", "--out", out])
     assert code == 2

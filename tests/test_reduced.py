@@ -221,17 +221,42 @@ def test_panel_interpolate_reproduces_polynomials():
                         rtol=0, atol=1e-13 * np.max(np.abs(exact)))
 
 
+def right_tails(quad, values):
+    """int_s^b at each node s of ``quad`` of the panel polynomials of the node
+    ``values``: the shared tail routine at refinement 1, as the sweep takes it."""
+    rule = rd._Refinement(quad, 1, quad.order)
+    return rule.tails(quad.project(values)[None], slice(0, quad.half.size), np.zeros(1))[0][0]
+
+
 def test_panel_right_tails_at_nodes():
     quad = panel_quadrature()
     nodes = quad.nodes()
-    assert_allclose(quad.right_tails(quad.project(np.cos(nodes))),
+    assert_allclose(right_tails(quad, np.cos(nodes)),
                     np.sin(14.0) - np.sin(nodes), rtol=0, atol=1e-12)
     # exact, to rounding, for a polynomial of degree below QUAD_NODES
     poly = np.polynomial.Polynomial(np.arange(1.0, rd.QUAD_NODES + 1), domain=[10.0, 14.0])
     anti = poly.integ()
-    assert_allclose(quad.right_tails(quad.project(poly(nodes))),
+    assert_allclose(right_tails(quad, poly(nodes)),
                     anti(14.0) - anti(nodes),
                     rtol=0, atol=1e-13 * np.max(np.abs(anti(nodes))))
+
+
+def test_refinement_one_tail_table_is_the_panel_antiderivatives():
+    # at refinement 1 the solve nodes sit at their own xi, not at a
+    # recomputed coordinate, so the sweep's tails keep every bit of the
+    # per-panel formula (full - upto * half) + suffix
+    quad = panel_quadrature()
+    rule = rd._Refinement(quad, 1, rd.QUAD_NODES)
+    anti = rd._antiderivatives(rd._legendre(rd.QUAD_NODES, quad.xi))
+    assert len(rule.upto) == 1 and np.array_equal(rule.upto[0], anti)
+    coef = quad.project(np.stack([np.cos(quad.nodes()), np.sin(quad.nodes())]))
+    coef = coef.reshape(2, -1, rd.QUAD_NODES)
+    full = coef[:, :, 0] * 2.0 * quad.half
+    suffix = np.concatenate([np.cumsum(full[:, ::-1], axis=1)[:, ::-1][:, 1:],
+                             np.zeros((2, 1))], axis=1)
+    want = (full[:, :, None] - (coef @ anti) * quad.half[:, None]) + suffix[:, :, None]
+    tails, _ = rule.tails(coef, slice(0, quad.half.size), np.zeros(2))
+    assert np.array_equal(tails, want.reshape(2, -1))
 
 
 def point_tails(quad, coef, points):
@@ -244,7 +269,7 @@ def point_tails(quad, coef, points):
     return (full[k] - np.einsum("ml,lm->m", coef[k], anti) * quad.half[k]) + suffix[k]
 
 
-@pytest.mark.parametrize("refine", [2, 3])
+@pytest.mark.parametrize("refine", [1, 2, 3])
 def test_refinement_tables_match_point_path(monkeypatch, refine):
     # the fixed tables against locating every point: values at the fine
     # nodes and tails at the solve nodes, whole and in two blocks
