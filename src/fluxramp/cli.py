@@ -226,6 +226,9 @@ def _check_out_prefix(prefix):
         raise ValidationError(f"output directory {folder!r} does not exist")
     if not os.access(folder, os.W_OK):
         raise ValidationError(f"output directory {folder!r} is not writable")
+    for path in (prefix + ".csv", prefix + ".json"):
+        if os.path.isdir(path):
+            raise ValidationError(f"output file {path!r} is a directory")
 
 
 def _floats(text):

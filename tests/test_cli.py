@@ -78,30 +78,23 @@ def test_classical_phi_zero_rejected(tmp_path):
     assert code == 2
 
 
-def test_classical_puncture_exit(tmp_path, monkeypatch):
+def test_classical_puncture_exit(tmp_path, monkeypatch, capsys):
     # the zero-flux circle through the origin, with a widened guard so the
-    # crossing is resolvable; exit code 3 and partial data on disk
+    # crossing is resolvable: the partial files are written, then the event
+    # is reported in main's line with exit code 3
     monkeypatch.setattr(classical, "R_GUARD", 0.05)
     out = str(tmp_path / "hit")
     code = run(["classical", "--phi", "1e-300", "--q0", "2,0", "--p0", "0,0",
                 "--s-end", "8", "--samples", "65", "--tol", "1e-12", "--out", out])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("puncture event: trajectory reached the puncture guard at s = ")
+    assert err.count("\n") == 1
     summary = read_json(out + ".json")
     assert summary["puncture_hit"] is True and summary["s_hit"] is not None
     assert_positive_counters(summary["diagnostics"])
     _, rows = read_csv(out + ".csv")
     assert rows.shape[0] >= 1
-
-
-def test_classical_puncture_line(tmp_path, monkeypatch, capsys):
-    # the partial files are written, then the event is reported in main's line
-    monkeypatch.setattr(classical, "R_GUARD", 0.05)
-    assert run(["classical", "--phi", "1e-300", "--q0", "2,0", "--p0", "0,0",
-                "--s-end", "8", "--samples", "65", "--tol", "1e-12",
-                "--out", str(tmp_path / "hit")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("puncture event: trajectory reached the puncture guard at s = ")
-    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("span, skipped", [
@@ -175,16 +168,6 @@ def test_reduced_degenerate_fit_still_writes_json(tmp_path, capsys):
     assert summary["residual_sup"] <= 1e-9
 
 
-def test_classical_determinism(tmp_path):
-    args = ["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "0,0.6",
-            "--s-end", "10", "--samples", "101"]
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert run(args + ["--out", out1]) == 0
-    assert run(args + ["--out", out2]) == 0
-    assert open(out1 + ".csv", "rb").read() == open(out2 + ".csv", "rb").read()
-    assert open(out1 + ".json", "rb").read() == open(out2 + ".json", "rb").read()
-
-
 def test_reduced_forced_zero_f(tmp_path, monkeypatch):
     monkeypatch.setattr(reduced, "f_nonlinearity", ref.zero_f)
     out = str(tmp_path / "red0")
@@ -235,18 +218,6 @@ def test_reduced_bessel_points(tmp_path, monkeypatch):
                 "--out", out]) == 0
     diag = read_json(out + ".json")["diagnostics"]
     assert sum(points) == 4 * diag["quad_nodes"] + 2 * diag["residual_nodes"]
-
-
-def test_reduced_no_convergence_exit(tmp_path, monkeypatch):
-    import fluxramp.reduced as rd
-    from fluxramp.errors import NoConvergence
-
-    def stalls(*args, **kwargs):
-        raise NoConvergence("stalled", iterations=80, last_delta=1e-7)
-
-    monkeypatch.setattr(rd, "picard_solve", stalls)
-    code = run(["reduced", "--phi", "0.5", "--out", str(tmp_path / "rednc")])
-    assert code == 4
 
 
 def test_reduced_no_convergence_line(tmp_path, monkeypatch, capsys):
@@ -325,7 +296,13 @@ def test_reduced_no_convergence_line(tmp_path, monkeypatch, capsys):
     # repeated flux values, -0 equal to 0 among them
     ["spectral", "--s", "0.5,0.5,1", "--levels", "8", "--check", "coupling"],
     ["spectral", "--s", "0,-0", "--levels", "8", "--check", "coupling"],
+    # the first s_max whose residual nodes exceed the working-set budget
+    ["reduced", "--phi", "0.5", "--s-max", "299594"],
+    # an output file that is a directory
+    ["spectral", "--s", "1", "--levels", "2", "--check", "coupling", "--out", "{conf}/P"],
+    ["spectral", "--s", "1", "--levels", "2", "--check", "coupling", "--out", "{conf}/Q"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_rejected_before_any_work(tmp_path, tmp_path_factory, monkeypatch,
                                             capsys, argv):
     def unreachable(*args, **kwargs):
@@ -339,6 +316,8 @@ def test_bad_input_rejected_before_any_work(tmp_path, tmp_path_factory, monkeypa
     (conf / "phi.conf").write_text("phi = abc\n")
     (conf / "levels.conf").write_text("levels = 8.5\n")
     (conf / "check.conf").write_text("check = none\n")
+    (conf / "P.csv").mkdir()
+    (conf / "Q.json").mkdir()
     argv = [arg.replace("{tmp}", str(tmp_path)).replace("{conf}", str(conf))
             for arg in argv]
     if "--out" not in argv:
@@ -349,6 +328,7 @@ def test_bad_input_rejected_before_any_work(tmp_path, tmp_path_factory, monkeypa
     assert err.startswith("validation error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+    assert len(list(conf.iterdir())) == 5  # the three configs and two directories
 
 
 def test_spectral_eigenvalues_and_checks(tmp_path):

@@ -1,9 +1,5 @@
 """The package's DOP853 stepper against scipy's solve_ivp as the oracle."""
 
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-import fluxramp
 from fluxramp import classical as cl
 from fluxramp import ode
 from fluxramp import reduced as rd
@@ -181,40 +176,6 @@ def test_bad_sample_arrays_rejected(samples):
     with pytest.raises(ValidationError):
         cl.integrate(cl.PhaseState(0.0, np.array(Q0), np.array(P0)), 5.0,
                      cl.FluxParams(0.5), samples=samples)
-
-
-# argvs whose runs need no scipy module (a classical run without a puncture
-# event, an adiabatic sweep, the closed-form spectral checks)
-SCIPY_FREE_RUNS = {
-    "classical": ["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
-                  "--s-end", "20", "--tol", "1e-12", "--samples", "65"],
-    "adiabatic": ["adiabatic", "--levels", "4", "--epsilons", "0.2,0.1",
-                  "--s-end", "0.2", "--samples", "3"],
-    "coupling": ["spectral", "--s", "0,1.5", "--levels", "16", "--check", "coupling"],
-    "gamma": ["spectral", "--s", "0,1.5", "--levels", "16", "--check", "gamma"],
-}
-
-
-def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # no module imports scipy at module level, and these runs call nothing
-    # that does; one fresh interpreter lists the scipy modules loaded after
-    # the import and after each run
-    src = os.path.dirname(os.path.dirname(fluxramp.__file__))
-    probe = f"""
-import json, sys
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-import fluxramp.cli
-seen = {{"import": loaded()}}
-for name, argv in {SCIPY_FREE_RUNS!r}.items():
-    code = fluxramp.cli.main(argv + ["--out", {str(tmp_path)!r} + "/" + name])
-    seen[name] = [code] + loaded()
-print(json.dumps(seen))
-"""
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
-    seen = json.loads(out.stdout)
-    assert seen == {"import": [], **{name: [0] for name in SCIPY_FREE_RUNS}}
 
 
 def test_frozen_tableau_equals_scipy_bitwise():
