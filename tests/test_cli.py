@@ -78,23 +78,30 @@ def test_classical_phi_zero_rejected(tmp_path):
     assert code == 2
 
 
-def test_classical_puncture_exit(tmp_path, monkeypatch, capsys):
+def test_classical_puncture_exit(tmp_path, monkeypatch):
     # the zero-flux circle through the origin, with a widened guard so the
-    # crossing is resolvable: the partial files are written, then the event
-    # is reported in main's line with exit code 3
+    # crossing is resolvable; exit code 3 and partial data on disk
     monkeypatch.setattr(classical, "R_GUARD", 0.05)
     out = str(tmp_path / "hit")
     code = run(["classical", "--phi", "1e-300", "--q0", "2,0", "--p0", "0,0",
                 "--s-end", "8", "--samples", "65", "--tol", "1e-12", "--out", out])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("puncture event: trajectory reached the puncture guard at s = ")
-    assert err.count("\n") == 1
     summary = read_json(out + ".json")
     assert summary["puncture_hit"] is True and summary["s_hit"] is not None
     assert_positive_counters(summary["diagnostics"])
     _, rows = read_csv(out + ".csv")
     assert rows.shape[0] >= 1
+
+
+def test_classical_puncture_line(tmp_path, monkeypatch, capsys):
+    # the partial files are written, then the event is reported in main's line
+    monkeypatch.setattr(classical, "R_GUARD", 0.05)
+    assert run(["classical", "--phi", "1e-300", "--q0", "2,0", "--p0", "0,0",
+                "--s-end", "8", "--samples", "65", "--tol", "1e-12",
+                "--out", str(tmp_path / "hit")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("puncture event: trajectory reached the puncture guard at s = ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("span, skipped", [
