@@ -20,7 +20,7 @@ that panel integral plus its commutator term (a second-order Magnus step).
 Pi is purely imaginary, so a panel's arithmetic is real up to its phase.
 The exponential is the Taylor polynomial of degree 6 (_magnus_step), whose
 remainder stays below half an ulp on every panel PANEL_MAX admits; the
-step is not unitary by construction, and StepFailure guards the drift.
+step is not unitary by construction, and NumericalFailure guards the drift.
 Panel size is tied to eps only mildly (h <= min(PANEL_MAX, eps/4)) to
 keep the remainder of the Magnus step negligible.  The twisted integral
 I(s) is the running sum of the same panel integrals, so one walk over the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from .errors import StepFailure, ValidationError, check_working_set
+from .errors import NumericalFailure, ValidationError, check_working_set
 from .spectral import pi_matrix
 
 # Most Filon/Magnus panels one epsilon may walk (AdiabaticConfig.panels):
@@ -264,7 +264,7 @@ def _propagate(config, stops=None):
     """Yields (s, I, C) at each of ``stops`` (default: the sample grid),
     from I = 0 and C = id at the first stop: the walk sums the panel
     integrals of W into I, in panel order, and advances C by their Magnus
-    steps.  Yielded arrays are never written afterwards.  StepFailure
+    steps.  Yielded arrays are never written afterwards.  NumericalFailure
     guards the unitarity drift of the last C."""
     stops = config.s_grid if stops is None else stops
     acc = np.zeros((config.N, config.N), dtype=complex)
@@ -278,14 +278,14 @@ def _propagate(config, stops=None):
             yield float(b), acc, c
     defect = unitarity_defect(c)
     if defect > 1e-8:
-        raise StepFailure(f"corrector unitarity defect {defect:.2e}")
+        raise NumericalFailure(f"corrector unitarity defect {defect:.2e}")
 
 
 def twisted_coupling_integral(config):
     """I(s) = integral_0^s U_ad^(-1) Pi U_ad and its norm curve on the grid.
 
     Returns (matrices at the sample points, norms).  The walk also
-    advances C, so its StepFailure guard applies.
+    advances C, so its NumericalFailure guard applies.
     """
     mats = [i_mat for _, i_mat, _ in _propagate(config)]
     norms = np.array([np.linalg.norm(m, 2) for m in mats])
@@ -296,7 +296,7 @@ def dyson_corrector(config):
     """Corrector C on the sample grid: i dC/ds = -W C, C(0) = id.
 
     Returns the list of N x N arrays from the Magnus-Filon panel walk;
-    StepFailure guards unitarity drift.
+    NumericalFailure guards unitarity drift.
     """
     return [c for _, _, c in _propagate(config)]
 
@@ -310,7 +310,7 @@ def _magnus_step(block, omega2):
     panel of width h <= PANEL_MAX has ||G||_2 <= about h pi/2 = 0.0157,
     and the remainder theta^7/7! ~ 5e-17 lies below half an ulp of the
     identity.  The step is not unitary by construction: its drift is
-    rounding, which the StepFailure gate of _propagate guards.
+    rounding, which the NumericalFailure gate of _propagate guards.
     """
     gen = 1j * block + omega2
     gen2 = gen @ gen

@@ -26,14 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BranchError,
-    NotConverged,
-    PunctureHit,
-    StepFailure,
-    ValidationError,
-    check_working_set,
-)
+from .errors import NumericalFailure, PunctureHit, ValidationError, check_working_set
 from .ode import sample_times, solve_ivp
 
 # radius of the event guard around the flux line: a crossing that narrow is
@@ -160,7 +153,7 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
     admits (about 6.1 million), or a span |s_end - initial.s| above
     MAX_SPAN, raise ValidationError.  Raises PunctureHit
     (with the partial trajectory attached) if |q| reaches the guard
-    radius R_GUARD, StepFailure on integrator breakdown.
+    radius R_GUARD; the integrator raises NumericalFailure on breakdown.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValidationError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol!r}")
@@ -198,8 +191,6 @@ def integrate(initial, s_end, params, tol=1e-10, samples=None):
     y0 = (*initial.q, *initial.p)
     sol = solve_ivp(_rhs_flat, (s0, s_end), y0, tol, tol * 1e-2, t_eval,
                     args=(params.phi,), event=puncture_event)
-    if sol.status == -1:
-        raise StepFailure(f"integrator failed: {sol.message}")
     traj = Trajectory(params=params, s=sol.t, q=sol.y[:, :2], p=sol.y[:, 2:],
                       diagnostics={"rhs_evals": sol.nfev, "steps": sol.steps,
                                    "rejected_steps": sol.rejected_steps})
@@ -229,7 +220,7 @@ def unwrapped_arg(traj):
     d = np.diff(raw)
     dw = np.remainder(d + np.pi, 2.0 * np.pi) - np.pi
     if np.any(np.abs(dw) >= np.pi * (1.0 - 1e-9)):
-        raise BranchError("consecutive samples too far apart to unwrap; refine sampling")
+        raise NumericalFailure("consecutive samples too far apart to unwrap; refine sampling")
     return np.concatenate([[raw[0]], raw[0] + np.cumsum(dw)])
 
 
@@ -278,7 +269,8 @@ def asymptotics_forward(traj):
 
     H_limit is the tail average of H, a0 = sqrt(4 phi H_limit), the drift
     angle is the circular mean of arg q over the tail, and the residual
-    compares it against the prediction a0^2/(4 phi^2) - K/phi (mod 2 pi).
+    compares it against the prediction a0^2/(4 phi^2) - K/phi (mod 2 pi),
+    NaN where that overflows.
     K is evaluated at the first sample; a shift of K by 2 pi phi leaves the
     prediction invariant mod 2 pi, so no branch tracking is needed here.
     """
@@ -289,16 +281,19 @@ def asymptotics_forward(traj):
     n_tail = max(8, int(len(traj) * TAIL_FRACTION))
     tail = slice(len(traj) - n_tail, None)
     H_limit = float(np.mean(H[tail]))
-    spread = float(np.std(H[tail]) / H_limit) if H_limit > 0 else np.inf
+    # scaled before squaring: a tail of H near 1e200 would overflow
+    spread = float(np.std(H[tail] / H_limit)) if H_limit > 0 else np.inf
     if spread > SPREAD_TOL:
-        raise NotConverged(f"tail of H has not settled (relative spread {spread:.3g})")
+        raise NumericalFailure(f"tail of H has not settled (relative spread {spread:.3g})")
     phi = traj.params.phi
     a0 = float(np.sqrt(4.0 * phi * H_limit))
     ang = np.arctan2(traj.q[tail, 1], traj.q[tail, 0])
     drift = float(np.angle(np.mean(np.exp(1j * ang))))
     K = float(H[0] - phi * np.arctan2(traj.q[0, 1], traj.q[0, 0]))
-    predicted = a0 * a0 / (4.0 * phi ** 2) - K / phi
-    residual = abs(_wrap_angle(drift - predicted))
+    # a0^2/(4 phi^2) - K/phi without phi^2, which underflows below 1e-162;
+    # past 1e308 (at phi near 5e-324) no residual can be formed
+    predicted = (H_limit - K) / phi
+    residual = abs(_wrap_angle(drift - predicted)) if np.isfinite(predicted) else np.nan
     ratio = float(np.hypot(*traj.q[-1]) / np.sqrt(traj.s[-1]))
     return ForwardAsymptotics(a0=a0, drift_angle=drift, H_limit=H_limit,
                               angle_residual=float(residual),

@@ -295,10 +295,8 @@ def cmd_classical(args):
         traj = classical.integrate(state, args.s_end, params, tol=args.tol,
                                    samples=args.samples)
     except PunctureHit as hit:
-        if hit.trajectory is not None:
-            summary["diagnostics"] = hit.trajectory.diagnostics
-            if len(hit.trajectory) > 0:
-                _classical_files(hit.trajectory, args.out)
+        summary["diagnostics"] = hit.trajectory.diagnostics
+        _classical_files(hit.trajectory, args.out)
         summary["puncture_hit"] = True
         summary["s_hit"] = hit.s_hit
         _write_json(args.out + ".json", summary)

@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the working-set budget
 every study's validator holds a run to.
 
-The CLI maps these onto its exit-code contract, so the distinctions matter:
-validation problems are caught before any computation starts, physical events
-(hitting the flux line) are reported rather than crashed on, and iteration
-failures carry diagnostics.
+One type per failure exit of the CLI contract: ValidationError (exit 2)
+is raised before any computation starts, PunctureHit (3) reports the
+physical event of hitting the flux line rather than crashing on it,
+NoConvergence (4) carries the iteration figures, and NumericalFailure (1)
+covers every other computation that cannot be trusted.
 """
 
 
@@ -20,25 +21,14 @@ class PunctureHit(FluxrampError):
     """The trajectory reached the guard radius around the flux line.
 
     This is a physical event, not a numerical failure; the hit time and the
-    partial trajectory are attached.
+    partial trajectory (its first sample at the start of the run) are
+    attached.
     """
 
-    def __init__(self, s_hit, trajectory=None):
+    def __init__(self, s_hit, trajectory):
         super().__init__(f"trajectory reached the puncture guard at s = {s_hit}")
         self.s_hit = s_hit
         self.trajectory = trajectory
-
-
-class StepFailure(FluxrampError):
-    """An integrator or fixed-point sweep could not complete a step."""
-
-
-class BranchError(FluxrampError):
-    """Angle samples too far apart to unwrap a continuous branch."""
-
-
-class DenominatorVanishes(FluxrampError):
-    """The nonlinearity denominator left the validity region."""
 
 
 class NoConvergence(FluxrampError):
@@ -52,16 +42,11 @@ class NoConvergence(FluxrampError):
         self.last_delta = last_delta
 
 
-class NotConverged(FluxrampError):
-    """A tail estimate or fit did not settle below its threshold."""
-
-
-class NoOverlap(FluxrampError):
-    """Two solution objects share no common time interval."""
-
-
-class GridTooCoarse(FluxrampError):
-    """Grid refinement changed the answer by more than the allowed amount."""
+class NumericalFailure(FluxrampError):
+    """A computation could not produce a trustworthy number: the integrator
+    step fell below its minimum, a sweep or corrector drifted, a grid was
+    too coarse, or a tail, fit or branch did not settle.  The message says
+    which."""
 
 
 # Most memory, in bytes, a run may plan for.  Each study estimates its

@@ -14,10 +14,11 @@ unchanged:
   after a rejection), max(0.2, 0.9 err^(-1/8)) on rejection;
 * minimum step 10 ulp of t, and the HNW initial step guess.
 
-One deliberate difference: a step size that is not a number (a NaN
-right-hand side at the start, or one whose scaled norm overflows) ends
-the run as a failure, where scipy's loop would never terminate or divide
-by a zero step guess.
+A step that falls below its minimum raises NumericalFailure, where scipy
+returns a status of -1.  One deliberate difference: a step size that is
+not a number (a NaN right-hand side at the start, or one whose scaled norm
+overflows) fails the same way, where scipy's loop would never terminate or
+divide by a zero step guess.
 
 The saving over scipy is the stage loop: per state dimension, one step,
 the three extra dense-output stages and the 7-coefficient interpolant are
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalFailure, ValidationError
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -50,14 +51,12 @@ class OdeResult:
     """Rows ``y[j]`` of ``dim`` floats at ``t[j]``, the sample times reached.
 
     ``status`` is 0 at the end of the span, 1 after the terminal event (at
-    ``t_event``, else None) and -1 when the step fell below its minimum;
-    ``nfev`` counts every call of ``fun``.
+    ``t_event``, else None); ``nfev`` counts every call of ``fun``.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: int
-    message: str
     t_event: float | None
     nfev: int
     steps: int
@@ -94,8 +93,8 @@ def _initial_step(fun, args, t0, y0, f0, t_bound, direction, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     if not h0 > 0:
-        # d1 overflowed (or is NaN): no step can be sized; solve_ivp ends
-        # the run on a NaN step as a failure
+        # d1 overflowed (or is NaN): no step can be sized; solve_ivp fails
+        # the run on a NaN step
         return math.nan
     f1 = fun(t0 + h0 * direction,
              tuple(y + h0 * direction * f for y, f in zip(y0, f0)), *args)
@@ -113,7 +112,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
     ``event(t, y)``, if given, is terminal: a sign change (or zero) between
     two step ends is located by brentq on the dense interpolant, the
     integration stops there with status 1, and ``t_event`` holds the
-    root.  Samples up to the stopping time are returned.
+    root.  Samples up to the stopping time are returned.  NumericalFailure
+    when the step falls below 10 ulp of t (or is not a number).
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     if t0 == t_bound:
@@ -126,22 +126,21 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
 
     f = fun(t0, y, *args)
     h_abs = _initial_step(fun, args, t0, y, f, t_bound, direction, rtol, atol)
-    # the guess calls fun once more, unless it gave up with NaN
-    nfev, steps, rejected = 1 if math.isnan(h_abs) else 2, 0, 0
+    nfev, steps, rejected = 2, 0, 0
     g = event(t0, y) if event is not None else None
     t_event = None
     samples = np.empty((times.size, len(y)))
     i_next, n_eval = 0, times.size
     t = t0
-    status, message = None, "The solver reached the end of the integration interval."
+    status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, towards) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
             if not h_abs >= min_step:
-                status, message = -1, "Required step size is below 10 ulp of t."
-                break
+                raise NumericalFailure("integrator failed: "
+                                       "Required step size is below 10 ulp of t.")
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -157,8 +156,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             step_rejected = True
             rejected += 1
-        if status is not None:
-            break
         steps += 1
         t_stop = t_new
         coeffs = None
@@ -170,7 +167,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
                 nfev += 3
                 t_stop = t_event = brentq(lambda s: event(s, interp(coeffs, y, (s - t) / h)),
                                           t, t_new, xtol=4 * EPS, rtol=4 * EPS)
-                status, message = 1, "A termination event occurred."
+                status = 1
             g = g_new
         while i_next < n_eval and direction * (times.item(i_next) - t_stop) <= 0:
             if coeffs is None:
@@ -182,8 +179,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, args=(), event=None):
         if status is None and direction * (t - t_bound) >= 0:
             status = 0
     return OdeResult(t=times[:i_next], y=samples[:i_next], status=status,
-                     message=message, t_event=t_event,
-                     nfev=nfev, steps=steps, rejected_steps=rejected)
+                     t_event=t_event, nfev=nfev, steps=steps, rejected_steps=rejected)
 
 
 # ---------------------------------------------------------------------------

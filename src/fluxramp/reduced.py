@@ -39,15 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .errors import (
-    DenominatorVanishes,
-    NoConvergence,
-    NoOverlap,
-    NotConverged,
-    StepFailure,
-    ValidationError,
-    check_working_set,
-)
+from .errors import NoConvergence, NumericalFailure, ValidationError, check_working_set
 from .ode import solve_ivp
 
 _DENOM_FLOOR = 1e-12
@@ -161,7 +153,7 @@ class IntegralEqConfig:
 
 
 def f_nonlinearity(s, x1, x2, phi):
-    """The nonlinearity F; raises DenominatorVanishes outside its region and
+    """The nonlinearity F; raises NumericalFailure outside its region and
     ValidationError where x1^2 + (x2-phi)^2 + phi^2 s^2 overflows a double.
 
     Plain floats (the ODE right-hand side, once per stage) take a
@@ -187,7 +179,7 @@ def f_nonlinearity(s, x1, x2, phi):
         raise ValidationError("x1^2 + (x2-phi)^2 + phi^2 s^2 in F overflows a double")
     denom = root + x1
     if any_(denom <= _DENOM_FLOOR * (1.0 + root)):
-        raise DenominatorVanishes("sqrt(x1^2+(x2-phi)^2+phi^2 s^2) + x1 vanished")
+        raise NumericalFailure("sqrt(x1^2+(x2-phi)^2+phi^2 s^2) + x1 vanished")
     out = phi - x1 / s - phi * phi * s / denom
     return out if not scalar and out.ndim else float(out)
 
@@ -351,7 +343,7 @@ def picard_solve(config, phi, s_start):
     The initial iterate is the homogeneous part.  Convergence is measured
     in the sup norm on the quadrature grid; NoConvergence carries the last
     contraction figures, and a sweep whose delta is not finite stops the
-    iteration at once with StepFailure.  Inputs whose F overflows (on the
+    iteration at once with NumericalFailure.  Inputs whose F overflows (on the
     homogeneous part, before any quadrature) raise ValidationError.
     """
     if not (np.isfinite(s_start) and s_start >= S_START_MIN):
@@ -386,7 +378,7 @@ def picard_solve(config, phi, s_start):
             delta = max(np.max(np.abs(new1 - x1)), np.max(np.abs(new2 - x2)))
             deltas.append(delta)
             if not np.isfinite(delta):
-                raise StepFailure(f"Picard sweep {len(deltas)} gave a non-finite delta")
+                raise NumericalFailure(f"Picard sweep {len(deltas)} gave a non-finite delta")
             x1, x2 = new1, new2
             if delta <= config.picard_tol:
                 break
@@ -464,11 +456,10 @@ def ode_rhs(s, x, phi):
 
 def integrate_ode(phi, s_span, x0, t_eval):
     """Integrate the reduced system directly with an adaptive RK method at
-    the tolerance ODE_TOL."""
+    the tolerance ODE_TOL; the integrator raises NumericalFailure on
+    breakdown."""
     sol = solve_ivp(ode_rhs, s_span, x0, ODE_TOL, ODE_TOL * 1e-2, t_eval,
                     args=(phi,))
-    if sol.status < 0:
-        raise NoConvergence(f"reduced ODE integration failed: {sol.message}")
     return sol.t, sol.y[:, 0], sol.y[:, 1]
 
 
@@ -513,7 +504,7 @@ def crosscheck_ode(solution, trajectory=None, window=None):
     the same phi the trajectory is mapped to reduced coordinates and
     compared, at its own times, with the solution's panel polynomials.
     The comparison runs on the overlap, optionally restricted to
-    ``window`` in reduced time; NoOverlap if it is empty.
+    ``window`` in reduced time; NumericalFailure if it is empty.
     """
     if trajectory is None:
         t = solution.grid
@@ -525,7 +516,7 @@ def crosscheck_ode(solution, trajectory=None, window=None):
     lo, hi = window if window is not None else (-np.inf, np.inf)
     mask = (t >= max(lo, solution.grid[0])) & (t <= min(hi, solution.grid[-1]))
     if not np.any(mask):
-        raise NoOverlap("the comparison interval misses the solution grid")
+        raise NumericalFailure("the comparison interval misses the solution grid")
     t = t[mask]
     if trajectory is None:
         _, x1, x2 = integrate_ode(solution.phi, (solution.grid[0], t[-1]),
@@ -574,7 +565,7 @@ def extract_constants(solution):
     c1, c2 = float(coef[0]), float(coef[1])
     amp2 = c1 * c1 + c2 * c2
     if amp2 < DEGENERATE_TOL:
-        raise NotConverged("degenerate amplitude: homogeneous part is numerically zero")
+        raise NumericalFailure("degenerate amplitude: homogeneous part is numerically zero")
     jred = np.sqrt(x1 ** 2 + (x2 - phi) ** 2 + (phi * sw) ** 2)
     H_limit = float(np.mean(0.5 * (jred - phi * sw)))
     return ExtractedConstants(c1=c1, c2=c2,

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoConvergence, ValidationError, check_working_set
+from .errors import NoConvergence, NumericalFailure, ValidationError, check_working_set
 
 DEFAULT_LEVELS = 64
 
@@ -296,8 +296,8 @@ def kernel_bound_check(s):
     finite domain, O(L^-2) in the half-width L, about 9.25e-4 relative at
     36 decay lengths.  The gate refined_norm <= bound + 1e-6 is therefore
     one-sided: a bound too large by less than that deficit would pass.
-    GridTooCoarse fires if the doubling moves the norm by more than
-    KERNEL_DRIFT_LIMIT.
+    NumericalFailure (a grid too coarse) if the doubling moves the norm by
+    more than KERNEL_DRIFT_LIMIT.
     """
     if s < 0:
         raise ValidationError("kernel bound requires s >= 0")
@@ -307,7 +307,7 @@ def kernel_bound_check(s):
     norm, refined = norm / sigma, refined / sigma
     drift = abs(refined - norm)
     if drift > KERNEL_DRIFT_LIMIT:
-        raise GridTooCoarse(f"kernel norm moved {drift:.2e} under refinement")
+        raise NumericalFailure(f"kernel norm moved {drift:.2e} under refinement")
     return KernelBoundResult(s=s, bound=1.0 / sigma, norm=norm, refined_norm=refined,
                              extrapolated=(4.0 * refined - norm) / 3.0,
                              refinement_drift=drift,
@@ -485,13 +485,13 @@ def _fd_refine(s, r_max, cells, seeds):
     Returns the energies, the modes (normalized to sum(g^2 * mass) = 1 and
     oriented positive next to the origin, like the analytic g_n(0) with the
     sign of L_n^s(0) > 0), the cell centers and the cell masses.
-    NoConvergence when a mode exhausts its steps; GridTooCoarse when the
-    seeds or the energies do not increase strictly, or an energy lies
-    nearer a neighbouring seed than its own, so a seed caught the wrong
-    level.
+    NoConvergence when a mode exhausts its steps; NumericalFailure (a grid
+    too coarse) when the seeds or the energies do not increase strictly,
+    or an energy lies nearer a neighbouring seed than its own, so a seed
+    caught the wrong level.
     """
     if not np.all(np.diff(seeds) > 0):
-        raise GridTooCoarse(f"Richardson shifts for {cells} cells do not increase")
+        raise NumericalFailure(f"Richardson shifts for {cells} cells do not increase")
     from scipy.linalg import lapack
     diag, lower, h, centers, mass, mbar, potential = _fd_operator(s, r_max, cells)
     t_norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(lower))
@@ -538,7 +538,7 @@ def _fd_refine(s, r_max, cells, seeds):
     if not (np.all(np.diff(energies) > 0)
             and np.all(np.abs(energies[1:] - seeds[:-1]) >= own[1:])
             and np.all(np.abs(energies[:-1] - seeds[1:]) >= own[:-1])):
-        raise GridTooCoarse(f"oracle energies on {cells} cells do not follow "
+        raise NumericalFailure(f"oracle energies on {cells} cells do not follow "
                             f"their Richardson shifts")
     lead = np.sign(np.sum(g[:, : max(4, cells // 256)], axis=1))
     lead[lead == 0] = 1.0

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxramp import classical as cl
-from fluxramp.errors import WORKING_SET_BUDGET, BranchError, PunctureHit, ValidationError
+from fluxramp.errors import WORKING_SET_BUDGET, NumericalFailure, PunctureHit, ValidationError
 
 PHI = cl.FluxParams(0.5)
 # numerically indistinguishable from the homogeneous-field limit phi = 0,
@@ -204,7 +204,7 @@ def test_motion_constant_branch_continuation_and_error():
     branch = cl.unwrapped_arg(trajectory([st1, rotated(0.5)]))
     assert_allclose(branch[1] - branch[0], 0.5, atol=1e-12)
     # a near-pi jump is ambiguous and must be refused on the CLI's K path
-    with pytest.raises(BranchError):
+    with pytest.raises(NumericalFailure, match="too far apart to unwrap"):
         cl.motion_constant_series(trajectory([st1, rotated(np.pi)]))
 
 

@@ -207,6 +207,18 @@ def test_reduced_default_run_and_crosscheck(tmp_path):
     assert diag["residual_nodes"] == 2 * 560 * 8
 
 
+def test_reduced_crosscheck_integrator_failure_line(tmp_path, monkeypatch, capsys):
+    # the reduced ODE breaks down as a classical run would: exit 1 with
+    # the integrator's line, after the JSON is written
+    monkeypatch.setattr(reduced, "ode_rhs", lambda s, x, phi: (np.nan, np.nan))
+    out = str(tmp_path / "odenan")
+    assert run(["reduced", "--phi", "0.5", "--s-max", "150", "--crosscheck",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == ("numerical failure: integrator failed: "
+                                       "Required step size is below 10 ulp of t.\n")
+    assert "ode_deviation" not in read_json(out + ".json")
+
+
 def test_reduced_bessel_points(tmp_path, monkeypatch):
     # J0, J1, Y0, Y1 once at each solve node (the sweep's, which the residual
     # and the constant fit reuse) and J1, Y1 at each residual node
@@ -579,7 +591,7 @@ def test_reduced_non_finite_delta_exit(tmp_path, monkeypatch, capsys):
 
 def test_classical_overflowing_step_guess_exit(tmp_path, capsys):
     # H = |p|^2/2 is finite at |p0| = 1e150, but the step guess's scaled
-    # RHS norm overflows: a StepFailure, not a ZeroDivisionError
+    # RHS norm overflows: a NumericalFailure, not a ZeroDivisionError
     code = run(["classical", "--phi", "0.5", "--q0", "1,0", "--p0", "1e150,0",
                 "--s-end", "1", "--out", str(tmp_path / "huge")])
     assert code == 1
@@ -627,15 +639,16 @@ def test_spectral_oracle_unverifiable_family_exit(tmp_path, monkeypatch, capsys)
                                        "1 of 16 oracle modes unconverged on 280 cells\n")
 
 
-def test_spectral_check_failure_exit(tmp_path, monkeypatch):
+def test_spectral_check_failure_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_check_kernel",
                         lambda s: {"bound": 2.0, "norm": 3.0, "pass": False})
     code = run(["spectral", "--s", "0", "--levels", "4", "--check", "kernel",
                 "--out", str(tmp_path / "fail")])
     assert code == 5
+    assert capsys.readouterr().err == "one or more spectral checks failed; see JSON report\n"
 
 
-def test_adiabatic_scaling_failure_exit(tmp_path, monkeypatch):
+def test_adiabatic_scaling_failure_exit(tmp_path, monkeypatch, capsys):
     from fluxramp import adiabatic as ad_mod
 
     real = ad_mod.run_sweep
@@ -650,6 +663,7 @@ def test_adiabatic_scaling_failure_exit(tmp_path, monkeypatch):
     code = run(["adiabatic", "--epsilons", "0.2,0.1", "--levels", "8",
                 "--samples", "6", "--out", str(tmp_path / "skew")])
     assert code == 5
+    assert capsys.readouterr().err == "epsilon-scaling exponents left the window; see JSON\n"
 
 
 def test_config_file_seeds_flags_and_flags_win(tmp_path):
@@ -832,6 +846,12 @@ def test_fuzz_one_extreme_option(tmp_path_factory, argv, options, data):
         at = argv.index(option)
         argv = argv[:at] + argv[at + 2:]
     argv = argv + [f"{option}={value}", "--out", str(tmp_path_factory.mktemp("fuzz") / "x")]
+    assert_clean_exit(argv)
+
+
+def assert_clean_exit(argv):
+    """``argv`` exits with a contract code: at most one stderr line, no
+    traceback, no warning, within the CPU-time limit."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err), time_limit(FUZZ_TIME_LIMIT):
@@ -840,3 +860,13 @@ def test_fuzz_one_extreme_option(tmp_path_factory, argv, options, data):
     assert code in range(6)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     assert not caught, [str(w.message) for w in caught]
+
+
+# the fuzz's classical base run ends at s = 5; these reach the forward
+# analysis, where phi^2 underflows (below 1.6e-162) and H^2 overflows
+@pytest.mark.parametrize("option", ["--phi=1e-170", "--phi=1e-300", "--phi=5e-324",
+                                    "--p0=1e100,1e100"])
+def test_forward_analysis_at_the_extremes(tmp_path, option):
+    assert_clean_exit(["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
+                       "--s-end", "1200", "--samples", "65", option,
+                       "--out", str(tmp_path / "x")])

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from fluxramp import classical as cl
 from fluxramp import ode
 from fluxramp import reduced as rd
-from fluxramp.errors import NoConvergence, PunctureHit, StepFailure, ValidationError
+from fluxramp.errors import NumericalFailure, PunctureHit, ValidationError
 
 Q0, P0 = (1.3, -0.4), (0.2, 0.9)
 
@@ -152,22 +152,30 @@ def test_nan_rhs_fails_cleanly(monkeypatch):
 
     real = cl._rhs_flat
     monkeypatch.setattr(cl, "_rhs_flat", poisoned)
-    with pytest.raises(StepFailure):
+    # one failure, one line, for both studies that integrate
+    line = "integrator failed: Required step size is below 10 ulp of t."
+    with pytest.raises(NumericalFailure) as err:
         cl.integrate(cl.PhaseState(0.0, np.array(Q0), np.array(P0)), 5.0, cl.FluxParams(0.5))
+    assert str(err.value) == line
     monkeypatch.setattr(rd, "ode_rhs", lambda s, x, phi: (np.nan, np.nan))
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NumericalFailure) as err:
         rd.integrate_ode(0.5, (10.0, 20.0), (1.0, 0.0), [10.0, 20.0])
+    assert str(err.value) == line
 
 
 def test_overflowing_rhs_in_step_guess_fails_cleanly():
     # the scaled RHS norm of the step guess overflows to inf, so the guess
-    # h0 = 0.01 d0/d1 is zero: the run fails instead of dividing by it
+    # h0 = 0.01 d0/d1 is zero: the run fails instead of dividing by it,
+    # before a second call of the RHS
+    calls = []
+
     def huge(t, y):
+        calls.append(t)
         return (1e200, 1e200)
 
-    sol = ode.solve_ivp(huge, (0.0, 1.0), (1.0, 1.0), 1e-10, 1e-12, [0.0, 1.0])
-    assert sol.status == -1
-    assert sol.t.size == 0 and sol.steps == 0 and sol.nfev == 1
+    with pytest.raises(NumericalFailure, match="below 10 ulp of t"):
+        ode.solve_ivp(huge, (0.0, 1.0), (1.0, 1.0), 1e-10, 1e-12, [0.0, 1.0])
+    assert calls == [0.0]
 
 
 @pytest.mark.parametrize("samples", [[], [0.0, np.nan, 2.0], [0.0, 2.0, 1.0],
