@@ -270,7 +270,8 @@ def asymptotics_forward(traj):
     H_limit is the tail average of H, a0 = sqrt(4 phi H_limit), the drift
     angle is the circular mean of arg q over the tail, and the residual
     compares it against the prediction a0^2/(4 phi^2) - K/phi (mod 2 pi),
-    NaN where that overflows.
+    NaN where that has no digit left mod 2 pi (its ulp above 2 pi, or an
+    overflow).
     K is evaluated at the first sample; a shift of K by 2 pi phi leaves the
     prediction invariant mod 2 pi, so no branch tracking is needed here.
     """
@@ -291,9 +292,12 @@ def asymptotics_forward(traj):
     drift = float(np.angle(np.mean(np.exp(1j * ang))))
     K = float(H[0] - phi * np.arctan2(traj.q[0, 1], traj.q[0, 0]))
     # a0^2/(4 phi^2) - K/phi without phi^2, which underflows below 1e-162;
-    # past 1e308 (at phi near 5e-324) no residual can be formed
+    # once eps |predicted| passes 2 pi (from about 1e16, phi below about
+    # 1e-16 at H near 2) the angle mod 2 pi is rounding noise, and past 1e308
+    # (at phi near 5e-324) it overflows
     predicted = (H_limit - K) / phi
-    residual = abs(_wrap_angle(drift - predicted)) if np.isfinite(predicted) else np.nan
+    residual = (abs(_wrap_angle(drift - predicted))
+                if abs(predicted) * np.finfo(float).eps <= 2.0 * np.pi else np.nan)
     ratio = float(np.hypot(*traj.q[-1]) / np.sqrt(traj.s[-1]))
     return ForwardAsymptotics(a0=a0, drift_angle=drift, H_limit=H_limit,
                               angle_residual=float(residual),

@@ -378,6 +378,7 @@ def _check_oracle(fam):
     return {"eigenvalue_error": ev_err, "min_overlap": min_overlap,
             "levels_solved": fd.N, "cells_coarse": spectral.FD_CELLS,
             "cells_fine": fd.r.size, "bisection_tol": spectral.FD_BISECTION_TOL,
+            "rqi_steps": list(fd.rqi_steps),
             "pass": bool(ev_err <= 1e-6 and min_overlap >= 1.0 - 1e-6)}
 
 

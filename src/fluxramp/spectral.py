@@ -332,22 +332,25 @@ FD_BISECTION_TOL = 1e-10
 # Cells of the oracle's coarsest grid; its two Richardson partners have 2x
 # and 4x as many (12k/24k/48k).  Only the coarsest is bisected; each finer
 # one is refined from the energies of the grid below it (_fd_refine), and
-# only the finest keeps its vectors.
+# the finest compares each of its vectors with the closed form as it is
+# found.
 FD_CELLS = 12000
 
 # Steps of Rayleigh-quotient iteration one mode of the 24k or 48k grid may
 # take (_fd_refine); two suffice at 64 levels, three at 128 and 256.
 FD_RQI_STEPS = 7
 
-# Working set of the checks of an N-level family.  The oracle holds one
-# array on its finest grid (its modes; the analytic ones come a row at a
-# time) per level it solves, the lower half: 0.183 MiB per level of the
-# family (the 24k grid's modes, half as large, are gone by then).  Peak
-# memory of `spectral --s 1 --check all`, measured on one core, grew by
-# 0.1816-0.1824, 0.1826-0.1834 and 0.1834-0.1836 MiB per level from 64 to
-# 128, 256 and 512 levels (two runs); the estimate is rounded up to
-# 0.1875 MiB.  The coupling and gamma checks hold about eight N x N
-# complex arrays.
+# Working set of the checks of an N-level family.  The oracle streams its
+# modes (_fd_refine): it holds about 20 arrays on its finest grid whatever
+# the number of levels, 7.24 MiB at 48k cells (tracemalloc, 8 to 128
+# levels).  Peak memory of `spectral --s 1 --check all` on one core reads
+# 68.9-69.2, 69.0-69.3, 71.0-71.2 and 90.1-90.4 MiB at 64, 128, 256 and
+# 512 levels (two runs; 77.8, 89.5, 112.8 and 159.7 while its modes were
+# held as one block of 0.183 MiB per level); the growth is the coupling and
+# gamma checks, which hold about eight N x N complex arrays.  The per-level
+# term below is that block's old estimate, 0.1875 MiB, and now overstates
+# the oracle; it stays until the admitted size follows the oracle's
+# accuracy law (ROADMAP item 2), so the cap of 2228 levels stands.
 ORACLE_BYTES_PER_LEVEL = 3 * 2 ** 20 // 16
 DENSE_BYTES_PER_ENTRY = 8 * 16
 
@@ -365,37 +368,31 @@ class FdSpectrum:
     """Eigendata of the discretized operator (independent of the closed form).
 
     Energies are Richardson-extrapolated over the steps h, h/2 and h/4
-    (fourth order removed).  The grid, mode values and cell masses refer to
-    the finest (h/4) grid, the only one whose vectors are kept.  ``g`` holds
-    the smooth part of the eigenfunctions, psi_n(r) = r^s g_n(r), normalized so
-    that sum(g^2 * mass) = 1, which makes overlaps in L^2(r dr) plain
-    weighted dot products.
+    (fourth order removed).  ``r`` holds the cell centers of the finest
+    (h/4) grid and ``overlaps`` |<psi_n^fd, psi_n^analytic>| in L^2(r dr) of
+    its modes with the closed-form ones, formed while the modes were solved
+    (no mode is kept).  ``rqi_steps`` counts the Rayleigh-quotient steps on
+    the h/2 and the h/4 grid.
     """
 
     s: float
     N: int
     energies: np.ndarray
     r: np.ndarray
-    g: np.ndarray
-    mass: np.ndarray
+    overlaps: np.ndarray
+    rqi_steps: tuple
 
     def overlaps_with_analytic(self, family):
         """|<psi_n^fd, psi_n^analytic>| for the N solved levels; ``family``
-        must retain at least N levels (the first N are compared)."""
+        must be at the oracle's s and retain at least N levels (the first N
+        are compared)."""
         if family.N < self.N:
             raise ValidationError(f"family retains {family.N} levels, "
                                   f"the oracle solved {self.N}")
-        # the family's modes, one row at a time, scaled to g and compared
-        # with the oracle's: no N x cells array
-        with np.errstate(divide="ignore"):
-            scale = self.r ** (-self.s)
-        rows = _weighted_laguerre(family.s, self.N, 0.5 * self.r ** 2)
-        out = np.empty(self.N)
-        for n, (g_fd, chi_n) in enumerate(zip(self.g, rows)):
-            g_n = chi_n * scale
-            weighted = g_n * self.mass
-            out[n] = abs(np.dot(weighted, g_fd)) / np.sqrt(np.dot(weighted, g_n))
-        return out
+        if family.s != self.s:
+            raise ValidationError(f"family at s = {family.s:g}, "
+                                  f"the oracle solved s = {self.s:g}")
+        return self.overlaps
 
 
 def _fd_weights(s, faces, h):
@@ -459,7 +456,7 @@ def _fd_solve(s, N, r_max, cells):
                             select_range=(0, N - 1), tol=FD_BISECTION_TOL)
 
 
-def _fd_refine(s, r_max, cells, seeds):
+def _fd_refine(s, r_max, cells, seeds, consumer=None):
     """Eigenpairs of the ``cells`` grid next to the ascending ``seeds`` (the
     energies of the Richardson grid below, its shifts), without bisection:
     Rayleigh-quotient iteration from each seed, then each energy as the
@@ -482,13 +479,20 @@ def _fd_refine(s, r_max, cells, seeds):
     most 64 eps ||T||, or at a zero pivot (sigma an eigenvalue to working
     precision; x is kept), within FD_RQI_STEPS steps.
 
-    Returns the energies, the modes (normalized to sum(g^2 * mass) = 1 and
-    oriented positive next to the origin, like the analytic g_n(0) with the
-    sign of L_n^s(0) > 0), the cell centers and the cell masses.
-    NoConvergence when a mode exhausts its steps; NumericalFailure (a grid
-    too coarse) when the seeds or the energies do not increase strictly,
-    or an energy lies nearer a neighbouring seed than its own, so a seed
-    caught the wrong level.
+    Each mode runs to the end before the next one starts, in work vectors
+    allocated once: its iteration, the scaling g = x / sqrt(mbar), its
+    quotient, the normalization sum(g^2 * mass) = 1 and the orientation
+    positive next to the origin (like the analytic g_n(0), with the sign of
+    L_n^s(0) > 0).  ``consumer``, if given, is called once with the cell
+    centers and masses and returns a function that receives each finished
+    mode as (n, g_n); the next mode overwrites g_n.  So the memory is
+    O(cells) for any number of seeds.
+
+    Returns the energies, the cell centers and the number of steps (solves)
+    taken.  NoConvergence, once every mode has run, when some exhausted
+    their steps; NumericalFailure (a grid too coarse) when the seeds or the
+    energies do not increase strictly, or an energy lies nearer a
+    neighbouring seed than its own, so a seed caught the wrong level.
     """
     if not np.all(np.diff(seeds) > 0):
         raise NumericalFailure(f"Richardson shifts for {cells} cells do not increase")
@@ -496,14 +500,23 @@ def _fd_refine(s, r_max, cells, seeds):
     diag, lower, h, centers, mass, mbar, potential = _fd_operator(s, r_max, cells)
     t_norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(lower))
     tol = 64.0 * np.finfo(float).eps * t_norm
-    # each mode iterates in its own row; gtsv overwrites its three bands
-    # with the factors and b with the solution, so they are refilled
-    g = np.full((seeds.size, cells), 1.0 / np.sqrt(cells))
+    root_mbar = np.sqrt(mbar, out=mbar)
+    v_mass = np.multiply(potential, mass, out=potential)
+    face_weight = (np.arange(1, cells + 1) * h) ** (2 * s + 1) / h
+    consume = consumer(centers, mass) if consumer else None
+    # gtsv overwrites its three bands with the factors and b with the
+    # solution, so they are refilled; once a mode's iteration ends, dia
+    # holds its differences and b the products of its quotient
+    x = np.empty(cells)
     sub, sup = np.empty(cells - 1), np.empty(cells - 1)
     dia, b = np.empty(cells), np.empty(cells)
-    unconverged = 0
-    for x, sigma in zip(g, seeds):
+    lead = slice(0, max(4, cells // 256))
+    energies = np.empty(seeds.size)
+    steps = unconverged = 0
+    for n, sigma in enumerate(seeds):
+        x.fill(1.0 / np.sqrt(cells))
         for _ in range(FD_RQI_STEPS):
+            steps += 1
             np.copyto(sub, lower)
             np.subtract(diag, sigma, out=dia)
             np.copyto(sup, lower)
@@ -520,30 +533,28 @@ def _fd_refine(s, r_max, cells, seeds):
                 break
         else:
             unconverged += 1
+        g = np.divide(x, root_mbar, out=x)
+        step = dia
+        np.subtract(g[1:], g[:-1], out=step[:-1])
+        step[-1] = -g[-1]
+        norm2 = np.dot(np.multiply(mass, g, out=b), g)
+        energies[n] = (np.dot(np.multiply(face_weight, step, out=b), step)
+                       + np.dot(np.multiply(v_mass, g, out=b), g)) / norm2
+        g /= np.sqrt(norm2)
+        if np.sum(g[lead]) < 0:
+            np.negative(g, out=g)
+        if consume:
+            consume(n, g)
     if unconverged:
         raise NoConvergence(f"Rayleigh-quotient iteration left {unconverged} of "
                             f"{seeds.size} oracle modes unconverged on {cells} cells")
-    del sub, dia, sup, b  # freed before the quotients' temporaries
-    g /= np.sqrt(mbar)
-    face_weight = (np.arange(1, cells + 1) * h) ** (2 * s + 1) / h
-    v_mass = potential * mass
-    energies = np.empty(seeds.size)
-    for n, g_n in enumerate(g):
-        step = np.diff(g_n, append=0.0)
-        norm2 = np.dot(mass * g_n, g_n)
-        energies[n] = (np.dot(face_weight * step, step)
-                       + np.dot(v_mass * g_n, g_n)) / norm2
-        g_n /= np.sqrt(norm2)
     own = np.abs(energies - seeds)
     if not (np.all(np.diff(energies) > 0)
             and np.all(np.abs(energies[1:] - seeds[:-1]) >= own[1:])
             and np.all(np.abs(energies[:-1] - seeds[1:]) >= own[:-1])):
         raise NumericalFailure(f"oracle energies on {cells} cells do not follow "
                             f"their Richardson shifts")
-    lead = np.sign(np.sum(g[:, : max(4, cells // 256)], axis=1))
-    lead[lead == 0] = 1.0
-    g *= lead[:, None]
-    return energies, g, centers, mass
+    return energies, centers, steps
 
 
 def _richardson(e_h, e_h2, e_h4):
@@ -572,14 +583,30 @@ def fd_spectrum(params, r_max=None):
     Rayleigh-quotient iteration on h/2 from the h energies and on h/4 from
     the h/2 energies, and takes the Rayleigh quotients of the modes.  The
     h/4 modes are the oracle's eigenvectors (the overlaps, second order in
-    h).  The closed form sets the default grid extent only; no closed-form
-    value is used as a shift or a bracket.
+    h), each compared with its analytic mode as it is finished.  The closed
+    form sets the default grid extent only; no closed-form value is used as
+    a shift or a bracket.
     """
     s, N = params.s, params.N
     if r_max is None:
         r_max = fd_r_max(s, N)
+    overlaps = np.empty(N)
+
+    def analytic_overlaps(centers, mass):
+        # row n of the analytic modes, advanced in lockstep with the
+        # oracle's modes and scaled to g like them: psi = r^s g
+        with np.errstate(divide="ignore"):
+            scale = centers ** (-s)
+        rows = _weighted_laguerre(s, N, 0.5 * centers ** 2)
+
+        def overlap(n, g):
+            g_n = next(rows) * scale
+            weighted = g_n * mass
+            overlaps[n] = abs(np.dot(weighted, g)) / np.sqrt(np.dot(weighted, g_n))
+        return overlap
+
     e_h = _fd_solve(s, N, r_max, FD_CELLS)
-    e_h2 = _fd_refine(s, r_max, 2 * FD_CELLS, e_h)[0]
-    e_h4, g, centers, mass = _fd_refine(s, r_max, 4 * FD_CELLS, e_h2)
-    return FdSpectrum(s=s, N=N, energies=_richardson(e_h, e_h2, e_h4),
-                      r=centers, g=g, mass=mass)
+    e_h2, _, steps_h2 = _fd_refine(s, r_max, 2 * FD_CELLS, e_h)
+    e_h4, centers, steps_h4 = _fd_refine(s, r_max, 4 * FD_CELLS, e_h2, analytic_overlaps)
+    return FdSpectrum(s=s, N=N, energies=_richardson(e_h, e_h2, e_h4), r=centers,
+                      overlaps=overlaps, rqi_steps=(steps_h2, steps_h4))

@@ -35,6 +35,23 @@ def eval_psi(family, r):
     return eval_chi(family, 0.5 * np.asarray(r, dtype=float) ** 2)
 
 
+def fd_block_overlaps(s, N, r_max, cells):
+    """|<psi_n^fd, psi_n^analytic>| of the lowest N modes of the oracle's
+    finite-volume operator on ``cells`` cells over (0, r_max), formed with
+    every mode at once: LAPACK eigenvectors (stebz and stein) of
+    spectral._fd_operator as one (N, cells) block, scaled to g and
+    normalized in the cell masses, against the analytic modes as one block."""
+    diag, lower, _, centers, mass, mbar, _ = spectral._fd_operator(s, r_max, cells)
+    vectors = eigh_tridiagonal(diag, lower, select="i", select_range=(0, N - 1))[1]
+    g = vectors.T / np.sqrt(mbar)
+    g /= np.sqrt(np.sum(mass * g * g, axis=1))[:, None]
+    with np.errstate(divide="ignore"):
+        analytic = _stacked_modes(s, N, 0.5 * centers ** 2) * centers ** (-s)
+    weighted = analytic * mass
+    return (np.abs(np.sum(weighted * g, axis=1))
+            / np.sqrt(np.sum(weighted * analytic, axis=1)))
+
+
 def dx_quadrature(alpha, size):
     """Nodes and plain-measure folds for integrating products of weighted
     Laguerre-type functions against dx.

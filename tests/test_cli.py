@@ -862,6 +862,18 @@ def assert_clean_exit(argv):
     assert not caught, [str(w.message) for w in caught]
 
 
+def test_forward_angle_residual_null_without_digits(tmp_path, capsys):
+    # at phi = 1e-158 the predicted angle (H_limit - K)/phi is near 1e158,
+    # whose ulp is far above 2 pi: no residual mod 2 pi is left to report
+    out = str(tmp_path / "tiny")
+    assert run(["classical", "--phi", "1e-158", "--q0", "3,1", "--p0", "0.2,-0.5",
+                "--s-end", "5000", "--samples", "2001", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_json(out + ".json")
+    assert summary["angle_residual"] is None
+    assert summary["a0"] is not None and summary["drift_angle"] is not None
+
+
 # the fuzz's classical base run ends at s = 5; these reach the forward
 # analysis, where phi^2 underflows (below 1.6e-162) and H^2 overflows
 @pytest.mark.parametrize("option", ["--phi=1e-170", "--phi=1e-300", "--phi=5e-324",
