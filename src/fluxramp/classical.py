@@ -261,11 +261,11 @@ class ForwardAsymptotics:
     H_limit: float
     angle_residual: float
     q_over_sqrt_s: float
-    H_tail_spread: float
 
 
 def asymptotics_forward(traj):
-    """Outgoing-drift diagnostics on the tail of a forward trajectory.
+    """Outgoing-drift diagnostics on the tail of a forward trajectory; None
+    while the tail of H has not settled (relative spread above SPREAD_TOL).
 
     H_limit is the tail average of H, a0 = sqrt(4 phi H_limit), the drift
     angle is the circular mean of arg q over the tail, and the residual
@@ -285,7 +285,7 @@ def asymptotics_forward(traj):
     # scaled before squaring: a tail of H near 1e200 would overflow
     spread = float(np.std(H[tail] / H_limit)) if H_limit > 0 else np.inf
     if spread > SPREAD_TOL:
-        raise NumericalFailure(f"tail of H has not settled (relative spread {spread:.3g})")
+        return None
     phi = traj.params.phi
     a0 = float(np.sqrt(4.0 * phi * H_limit))
     ang = np.arctan2(traj.q[tail, 1], traj.q[tail, 0])
@@ -300,8 +300,7 @@ def asymptotics_forward(traj):
                 if abs(predicted) * np.finfo(float).eps <= 2.0 * np.pi else np.nan)
     ratio = float(np.hypot(*traj.q[-1]) / np.sqrt(traj.s[-1]))
     return ForwardAsymptotics(a0=a0, drift_angle=drift, H_limit=H_limit,
-                              angle_residual=float(residual),
-                              q_over_sqrt_s=ratio, H_tail_spread=spread)
+                              angle_residual=float(residual), q_over_sqrt_s=ratio)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _report(path, payload, ok, failure):
+    """Write ``payload`` with its ``pass`` flag; exit 0, or 5 with ``failure``."""
+    payload["pass"] = bool(ok)
+    _write_json(path, payload)
+    if not ok:
+        print(failure, file=sys.stderr)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
 def _check_out_prefix(prefix):
     """Fail before any work when the output files could not be created."""
     folder = os.path.dirname(prefix) or "."
@@ -313,13 +322,12 @@ def cmd_classical(args):
         bwd = classical.asymptotics_backward(traj)
         summary["H_over_abs_s"] = bwd.H_over_abs_s
         summary["q_over_sqrt_abs_s"] = bwd.q_over_sqrt_abs_s
-    try:
-        if traj.s[-1] >= classical.FORWARD_S_MIN:
-            fwd = classical.asymptotics_forward(traj)
+    if traj.s[-1] >= classical.FORWARD_S_MIN:
+        fwd = classical.asymptotics_forward(traj)
+        if fwd is not None:  # else the tail of H has not settled: forward keys stay null
             summary.update(a0=fwd.a0, drift_angle=fwd.drift_angle,
                            H_limit=fwd.H_limit, angle_residual=fwd.angle_residual)
-    finally:    # also when the tail of H has not settled: forward keys stay null
-        _write_json(args.out + ".json", summary)
+    _write_json(args.out + ".json", summary)
     return EXIT_OK
 
 
@@ -382,14 +390,10 @@ def _check_oracle(fam):
             "pass": bool(ev_err <= 1e-6 and min_overlap >= 1.0 - 1e-6)}
 
 
-def _check_kernel(s):
-    res = spectral.kernel_bound_check(s)
-    return {"bound": res.bound, "norm": res.norm, "refined_norm": res.refined_norm,
-            "extrapolated": res.extrapolated, "refinement_drift": res.refinement_drift,
-            "tail_estimate": res.tail_estimate,
-            "grid_points": list(res.grid_points),
-            "bisection_probes": list(res.bisection_probes),
-            "pass": bool(res.refined_norm <= res.bound + 1e-6)}
+def _check_kernel(fam):
+    block = dataclasses.asdict(spectral.kernel_bound_check(fam.s))
+    del block["s"]
+    return {**block, "pass": bool(block["refined_norm"] <= block["bound"] + 1e-6)}
 
 
 def _check_coupling(fam):
@@ -428,43 +432,30 @@ def _check_gamma(fam):
             "pass": bool(resid <= 1e-10)}
 
 
+# the checks --check names, in the order each s runs them; "all" runs every one
+CHECKS = {"oracle": _check_oracle, "kernel": _check_kernel,
+          "coupling": _check_coupling, "gamma": _check_gamma}
+
+
 def cmd_spectral(args):
-    s_values = args.s
-    if len(set(s_values)) != len(s_values):
-        raise ValidationError(f"flux values must be distinct, got {s_values!r}")
-    params = [spectral.SectorParams(s=s, N=args.levels) for s in s_values]
-    which = args.check
-    if which in ("oracle", "all"):
-        for s in s_values:  # the oracle's finest grid leaves the double range first
+    if len(set(args.s)) != len(args.s):
+        raise ValidationError(f"flux values must be distinct, got {args.s!r}")
+    params = [spectral.SectorParams(s=s, N=args.levels) for s in args.s]
+    names = list(CHECKS) if args.check == "all" else [args.check]
+    if "oracle" in names:
+        for s in args.s:  # the oracle's finest grid leaves the double range first
             if not spectral.fd_grid_representable(s, spectral.fd_r_max(s, args.levels),
                                                   4 * spectral.FD_CELLS):
                 raise ValidationError(f"--s {s:g} at {args.levels} levels is beyond the "
                                       f"double range of the oracle's weights r^(2s+1)")
     fams = [spectral.analytic_spectrum(par) for par in params]
-    header = ["s"] + [f"E{n}" for n in range(args.levels)]
-    columns = [np.array(s_values)] + [
-        np.array([f.energies[n] for f in fams]) for n in range(args.levels)]
-    _write_csv(args.out + ".csv", header, columns)
-    report = {"s": s_values, "levels": args.levels, "checks": {}}
-    ok = True
-    for s, fam in zip(s_values, fams):
-        entry = {}
-        if which in ("oracle", "all"):
-            entry["oracle"] = _check_oracle(fam)
-        if which in ("kernel", "all"):
-            entry["kernel"] = _check_kernel(s)
-        if which in ("coupling", "all"):
-            entry["coupling"] = _check_coupling(fam)
-        if which in ("gamma", "all"):
-            entry["gamma"] = _check_gamma(fam)
-        ok = ok and all(block["pass"] for block in entry.values())
-        report["checks"][_fmt(s)] = entry
-    report["pass"] = bool(ok)
-    _write_json(args.out + ".json", report)
-    if not ok:
-        print("one or more spectral checks failed; see JSON report", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    _write_csv(args.out + ".csv", ["s"] + [f"E{n}" for n in range(args.levels)],
+               [args.s, *np.array([fam.energies for fam in fams]).T])
+    checks = {_fmt(fam.s): {name: CHECKS[name](fam) for name in names} for fam in fams}
+    ok = all(block["pass"] for entry in checks.values() for block in entry.values())
+    return _report(args.out + ".json",
+                   {"s": args.s, "levels": args.levels, "checks": checks}, ok,
+                   "one or more spectral checks failed; see JSON report")
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +478,10 @@ def cmd_adiabatic(args):
                "window": list(window),
                "unitarity_defect_max": float(res.unitarity_defect.max()),
                "diagnostics": {"filon_panels": res.panels.tolist()}}
-    ok = True
-    if res.exponents is not None:
-        for value in res.exponents.values():
-            ok = ok and (window[0] <= value <= window[1])
-    summary["pass"] = bool(ok)
-    _write_json(args.out + ".json", summary)
-    if not ok:
-        print("epsilon-scaling exponents left the window; see JSON", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    ok = res.exponents is None or all(window[0] <= value <= window[1]
+                                      for value in res.exponents.values())
+    return _report(args.out + ".json", summary, ok,
+                   "epsilon-scaling exponents left the window; see JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +541,7 @@ def build_parser():
     option = command("spectral", cmd_spectral, "spectral family and its checks")
     option("--s", type=_floats, required=True, help="flux value(s), comma separated")
     option("--levels", type=int, default=spectral.DEFAULT_LEVELS)
-    option("--check", default="all", choices=["oracle", "kernel", "coupling", "gamma", "all"])
+    option("--check", default="all", choices=[*CHECKS, "all"])
     option("--out", required=True)
 
     option = command("adiabatic", cmd_adiabatic, "adiabatic propagator epsilon sweep")

@@ -45,8 +45,7 @@ class NoConvergence(FluxrampError):
 class NumericalFailure(FluxrampError):
     """A computation could not produce a trustworthy number: the integrator
     step fell below its minimum, a sweep or corrector drifted, a grid was
-    too coarse, or a tail, fit or branch did not settle.  The message says
-    which."""
+    too coarse, or a fit or branch did not settle.  The message says which."""
 
 
 # Most memory, in bytes, a run may plan for.  Each study estimates its

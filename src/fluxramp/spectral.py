@@ -90,23 +90,47 @@ def _weighted_laguerre(s, N, x):
 
     Modes are in the sign convention "coefficient of L_n^(s) positive", in
     which no level changes sign along an s-sweep.
+
+    Where the start value x^(s/2) e^(-x/2) / sqrt(Gamma(s+1)) underflows
+    (past x of about 1420 at s = 1, where modes from about level 350 have
+    their outer lobe), the recurrence starts at 1 and carries that log per
+    point, moving 1e150 of the rows into it whenever one passes 1e150;
+    where no start value underflows, no scale is carried.
     """
     from scipy.special import gammaln
     x = np.atleast_1d(x)
     with np.errstate(divide="ignore"):
-        logw = np.where(x > 0, 0.5 * s * np.log(np.where(x > 0, x, 1.0)), 0.0)
-    prev = np.exp(logw - 0.5 * x - 0.5 * gammaln(s + 1))
+        log_start = np.where(x > 0, 0.5 * s * np.log(np.where(x > 0, x, 1.0)), 0.0)
+    # in place, so the generator holds no more rows than without the scale
+    log_start -= 0.5 * x
+    log_start -= 0.5 * gammaln(s + 1)
+    prev = np.exp(log_start)
     if s > 0:
         prev = np.where(x > 0, prev, 0.0)
-    yield prev
+    under = (log_start < np.log(np.finfo(float).tiny)) & (x > 0)
+    weight = None
+    if np.any(under):
+        log_scale = np.where(under, log_start, 0.0)
+        prev = np.where(under, 1.0, prev)
+        weight = np.exp(log_scale)
+
+    def scaled(row):  # reads the weight current at the yield
+        return row if weight is None else row * weight
+    yield scaled(prev)
     if N > 1:
         # the Jacobi recurrence generates the positive-leading (-1)^n lag_n
         row = (x - (s + 1.0)) * prev / np.sqrt(1.0 * (1.0 + s))
-        yield -row
+        yield scaled(-row)
         for k in range(1, N - 1):
             prev, row = row, ((x - (2 * k + s + 1.0)) * row
                               - np.sqrt(k * (k + s)) * prev) / np.sqrt((k + 1) * (k + 1 + s))
-            yield -row if k % 2 == 0 else row
+            if weight is not None and np.max(np.abs(row)) > 1e150:
+                big = np.abs(row) > 1e150
+                prev[big] *= 1e-150
+                row[big] *= 1e-150
+                log_scale[big] += np.log(1e150)
+                weight = np.exp(log_scale)
+            yield scaled(-row if k % 2 == 0 else row)
 
 
 def analytic_spectrum(params):

@@ -147,14 +147,12 @@ def test_classical_json_key_set(tmp_path, s_end, forward, backward):
 
 
 def test_classical_unsettled_forward_tail_still_writes_json(tmp_path, capsys):
-    # the run reaches FORWARD_S_MIN but the tail of H has not settled: the
-    # JSON is written first, forward keys null, then the run exits 1
+    # the run reaches FORWARD_S_MIN but the tail of H has not settled: like a
+    # run that ends below FORWARD_S_MIN it exits 0 with the forward keys null
     out = str(tmp_path / "tail")
     assert run(["classical", "--phi", "0.5", "--q0", "1.3,-0.4", "--p0", "0.2,0.9",
-                "--s-end", "1000", "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: tail of H has not settled")
-    assert err.count("\n") == 1
+                "--s-end", "1000", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
     summary = read_json(out + ".json")
     assert set(summary) == CLASSICAL_KEYS
     assert all(summary[key] is None for key in ("a0", "drift_angle", "H_limit",
@@ -383,6 +381,16 @@ def test_spectral_all_checks_small(tmp_path):
     assert oracle["levels_solved"] == 6
     assert (oracle["cells_coarse"], oracle["cells_fine"]) == (12000, 48000)
     assert oracle["bisection_tol"] == spectral.FD_BISECTION_TOL
+
+
+@pytest.mark.parametrize("name", ["oracle", "kernel", "coupling", "gamma"])
+def test_spectral_single_check_writes_only_its_block(tmp_path, name):
+    out = str(tmp_path / name)
+    assert run(["spectral", "--s", "1", "--levels", "8", "--check", name,
+                "--out", out]) == 0
+    report = read_json(out + ".json")
+    assert set(report["checks"]) == {"1"}
+    assert set(report["checks"]["1"]) == {name}
 
 
 def test_spectral_oracle_detects_shifted_closed_form(tmp_path, monkeypatch):
@@ -640,8 +648,8 @@ def test_spectral_oracle_unverifiable_family_exit(tmp_path, monkeypatch, capsys)
 
 
 def test_spectral_check_failure_exit(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_check_kernel",
-                        lambda s: {"bound": 2.0, "norm": 3.0, "pass": False})
+    monkeypatch.setitem(cli.CHECKS, "kernel",
+                        lambda fam: {"bound": 2.0, "norm": 3.0, "pass": False})
     code = run(["spectral", "--s", "0", "--levels", "4", "--check", "kernel",
                 "--out", str(tmp_path / "fail")])
     assert code == 5

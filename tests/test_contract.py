@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -150,7 +151,8 @@ def test_oracle_peak_memory_does_not_grow_with_levels(tmp_path):
     # the oracle solves, compares and drops one mode at a time, so a fresh
     # 256-level run (exit 5, the README's known deviation) peaks within
     # 5 MiB of a 64-level one: 68.6 and 68.8 MiB measured, against 112.9
-    # and 77.7 while the solved modes were held as one block
+    # and 77.7 while the solved modes were held as one block.  The children
+    # are polled against a deadline, so a hung run fails instead of hanging
     src = os.path.dirname(os.path.dirname(fluxramp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     runs = {}
@@ -161,11 +163,16 @@ def test_oracle_peak_memory_does_not_grow_with_levels(tmp_path):
         runs[levels] = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
                                         stderr=subprocess.PIPE, text=True)
     peaks, codes = {}, {}
+    deadline = time.monotonic() + 300  # as the case table's runs
     try:
-        for levels, proc in runs.items():
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = codes[levels] = os.waitstatus_to_exitcode(status)
-            peaks[levels] = usage.ru_maxrss / 1024.0  # KiB on Linux
+        while len(codes) < len(runs):
+            assert time.monotonic() < deadline, f"oracle runs unfinished after 300 s: {codes}"
+            time.sleep(0.05)
+            for levels in runs.keys() - codes.keys():
+                pid, status, usage = os.wait4(runs[levels].pid, os.WNOHANG)
+                if pid:
+                    runs[levels].returncode = codes[levels] = os.waitstatus_to_exitcode(status)
+                    peaks[levels] = usage.ru_maxrss / 1024.0  # KiB on Linux
     finally:
         for proc in runs.values():
             if proc.returncode is None:

@@ -592,6 +592,19 @@ def test_eval_chi_orthonormal_on_independent_grid():
     assert_allclose(ref.eval_psi(fam, r), ref.eval_chi(fam, nodes), atol=0)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 7.0])
+def test_modes_keep_their_outer_lobe_past_the_start_underflow(s):
+    # the checked half of a 768-level family on the oracle's extent: from
+    # about level 350 the outer lobe lies where x^(s/2) e^(-x/2) underflows
+    # (norms were off by up to 0.107 while the recurrence started there).
+    # A radial midpoint rule; at s = 0 its endpoint term alone is 3e-8
+    N, cells = 768, 100000
+    h = sp.fd_r_max(s, N) / cells
+    r = (np.arange(cells) + 0.5) * h
+    norms = [h * np.dot(row * row, r) for row in sp._weighted_laguerre(s, N // 2, 0.5 * r * r)]
+    assert np.max(np.abs(np.array(norms) - 1.0)) <= 1e-10
+
+
 def test_fd_grid_representable_matches_full_grid():
     # the predicate reads the two end cells only; the terms of the whole
     # grid must agree with it, on both sides of the underflow limit and
